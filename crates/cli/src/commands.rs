@@ -5,11 +5,11 @@ use gpu_isa::disasm;
 use gpu_runtime::{run_program, RuntimeConfig};
 use nvbit::{CallSite, NvBit, NvBitTool};
 use nvbitfi::{
-    atomic_write, classify, golden_run, report, run_permanent_campaign,
-    run_transient_campaign_with, select_transient, stats, BitFlipModel, CampaignConfig,
-    CampaignHooks, InjectionRun, InstrGroup, IsolationMode, Journal, PermanentCampaignConfig,
-    PermanentInjector, PermanentParams, ProcessIsolation, Profile, ProfilingMode,
-    TransientCampaign, TransientInjector, TransientParams,
+    atomic_write, report, run_permanent_campaign, run_transient_campaign_with, select_transient,
+    stats, BitFlipModel, CampaignConfig, CampaignHooks, InjectionRun, InstrGroup, IsolationMode,
+    Journal, PermanentCampaignConfig, PermanentInjector, PermanentParams, PreparedGolden,
+    ProcessIsolation, Profile, ProfilingMode, TransientCampaign, TransientInjector,
+    TransientParams,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -189,6 +189,13 @@ fn select(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The golden run single injections are classified against: default
+/// runtime, no checkpoints, so every injection is a full replay.
+fn prepare(e: &BenchEntry) -> Result<PreparedGolden, String> {
+    PreparedGolden::new(e.program.as_ref(), RuntimeConfig::default(), false)
+        .map_err(|err| err.to_string())
+}
+
 fn run_list(args: &Args) -> Result<(), String> {
     let e = entry(args, scale(args)?)?;
     let list_path = args.get("list").ok_or("missing --list FILE")?;
@@ -196,10 +203,7 @@ fn run_list(args: &Args) -> Result<(), String> {
     let sites = nvbitfi::logfile::read_injection_list(&text).map_err(|err| err.to_string())?;
     println!("running {} faults from {list_path} into {} …", sites.len(), e.name);
 
-    let cfg = RuntimeConfig::default();
-    let golden = golden_run(e.program.as_ref(), cfg.clone()).map_err(|err| err.to_string())?;
-    let mut run_cfg = cfg;
-    run_cfg.instr_budget = Some(golden.suggested_budget());
+    let golden = prepare(&e)?;
 
     // Journal incrementally: run-list logs are durable the same way
     // campaign logs are (no resume meta — the list file is the authority).
@@ -221,15 +225,15 @@ fn run_list(args: &Args) -> Result<(), String> {
         }
         let t = std::time::Instant::now();
         let (tool, handle) = TransientInjector::new(params.clone());
-        let out = run_program(e.program.as_ref(), run_cfg.clone(), Some(Box::new(tool)));
-        let outcome = classify(&golden, &out, e.check.as_ref());
+        let (outcome, prefix_instrs_skipped) =
+            golden.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool), 0);
         counts.add(&outcome);
         let run = nvbitfi::InjectionRun {
             params,
             outcome,
             injected: handle.get().injected,
             wall: t.elapsed(),
-            prefix_instrs_skipped: out.prefix_instrs_skipped,
+            prefix_instrs_skipped,
             pruned: false,
             attempts: 1,
             resumed: false,
@@ -252,13 +256,8 @@ fn inject(args: &Args) -> Result<(), String> {
     let params = TransientParams::from_file(&text).map_err(|err| err.to_string())?;
     println!("injecting: {params}");
 
-    let cfg = RuntimeConfig::default();
-    let golden = golden_run(e.program.as_ref(), cfg.clone()).map_err(|err| err.to_string())?;
-    let mut run_cfg = cfg;
-    run_cfg.instr_budget = Some(golden.suggested_budget());
     let (tool, handle) = TransientInjector::new(params);
-    let out = run_program(e.program.as_ref(), run_cfg, Some(Box::new(tool)));
-    let outcome = classify(&golden, &out, e.check.as_ref());
+    let (outcome, _) = prepare(&e)?.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool), 0);
     let rec = handle.get();
     println!("injected: {}", rec.injected);
     if let Some(d) = rec.detail {
@@ -569,13 +568,8 @@ fn pf(args: &Args) -> Result<(), String> {
     params.validate(RuntimeConfig::default().gpu.num_sms).map_err(|err| err.to_string())?;
     println!("injecting: {params}");
 
-    let cfg = RuntimeConfig::default();
-    let golden = golden_run(e.program.as_ref(), cfg.clone()).map_err(|err| err.to_string())?;
-    let mut run_cfg = cfg;
-    run_cfg.instr_budget = Some(golden.suggested_budget());
     let (tool, handle) = PermanentInjector::new(params);
-    let out = run_program(e.program.as_ref(), run_cfg, Some(Box::new(tool)));
-    let outcome = classify(&golden, &out, e.check.as_ref());
+    let (outcome, _) = prepare(&e)?.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool), 0);
     let rec = handle.get();
     println!("activations: {} of {} executions", rec.activations, rec.executions);
     println!("outcome: {outcome}");

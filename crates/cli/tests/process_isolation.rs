@@ -32,22 +32,23 @@ fn cfg(isolation: IsolationMode) -> CampaignConfig {
     }
 }
 
-fn run(isolation: IsolationMode) -> nvbitfi::TransientCampaign {
+fn run(isolation: IsolationMode, fault_hook: Option<FaultHook>) -> nvbitfi::TransientCampaign {
     let entry = workloads::find(Scale::Test, PROGRAM).expect("known program");
-    run_transient_campaign(entry.program.as_ref(), entry.check.as_ref(), &cfg(isolation))
+    let cfg = CampaignConfig { fault_hook, ..cfg(isolation) };
+    run_transient_campaign(entry.program.as_ref(), entry.check.as_ref(), &cfg)
         .expect("campaign runs")
 }
 
 #[cfg(unix)]
 #[test]
 fn sigkilled_worker_is_respawned_and_counts_match_thread_mode() {
-    let baseline = run(IsolationMode::Thread);
+    let baseline = run(IsolationMode::Thread, None);
 
     // SIGKILL the worker right after site 2 is dispatched, first attempt
     // only: the supervisor must declare it dead, respawn, and re-dispatch.
-    let mut iso = ProcessIsolation::new(worker_command(), "test");
-    iso.kill_hook = Some(FaultHook::new(|site, attempt| site == 2 && attempt == 1));
-    let c = run(IsolationMode::Process(iso));
+    let iso = ProcessIsolation::new(worker_command(), "test");
+    let hook = FaultHook::new(|site, attempt| site == 2 && attempt == 1);
+    let c = run(IsolationMode::Process(iso), Some(hook));
 
     assert_eq!(c.counts, baseline.counts, "a killed worker must not change any verdict");
     assert_eq!(c.worker_deaths(), 0, "the retry succeeded, so no WorkerDied verdict");
@@ -72,9 +73,8 @@ fn sigkilled_worker_is_respawned_and_counts_match_thread_mode() {
 fn exhausted_retries_record_worker_died() {
     // Kill the worker on every attempt at site 1: with max_retries = 1 the
     // supervisor gives up after two kills and records the harness failure.
-    let mut iso = ProcessIsolation::new(worker_command(), "test");
-    iso.kill_hook = Some(FaultHook::new(|site, _attempt| site == 1));
-    let c = run(IsolationMode::Process(iso));
+    let iso = ProcessIsolation::new(worker_command(), "test");
+    let c = run(IsolationMode::Process(iso), Some(FaultHook::new(|site, _attempt| site == 1)));
 
     assert_eq!(c.worker_deaths(), 1, "exactly the doomed site dies");
     assert_eq!(c.counts.infra, 1);

@@ -7,24 +7,26 @@
 //! dynamic instruction share (Figure 3).
 //!
 //! Injection runs are independent processes in the paper; here they are
-//! independent simulator instances, fanned out across worker threads.
+//! independent simulator instances, handed to the one campaign dispatcher
+//! (`dispatch.rs`) that runs them in worker threads or worker processes.
 
 use crate::bitflip::BitFlipModel;
+use crate::dispatch::{attempt_here, dispatch, Attempt, Job, Plan, Settled};
 use crate::error::FiError;
-use crate::golden::{golden_run, golden_run_recording, GoldenOutput};
+use crate::golden::{GoldenOutput, PreparedGolden};
 use crate::igid::InstrGroup;
-use crate::outcome::{classify, InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcCheck};
+use crate::outcome::{InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcCheck};
 use crate::params::{PermanentParams, TransientParams};
 use crate::permanent::PermanentInjector;
-use crate::pool::{self, IsolationMode};
+use crate::pool::{self, IsolationMode, Worker};
 use crate::profile::{profile_program, Profile, ProfilingMode};
 use crate::prune::prune_dead_sites;
 use crate::select::select_campaign;
 use crate::transient::TransientInjector;
-use gpu_runtime::{run_program, run_program_fast_forward, CheckpointStore, Program, RuntimeConfig};
-use parking_lot::Mutex;
+use gpu_runtime::{Program, RuntimeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,8 +59,9 @@ pub struct CampaignConfig {
     /// see [`crate::prune`] — and disabled by `--no-static-prune`.
     pub use_static_prune: bool,
     /// Extra execution attempts granted to a run whose worker panicked or
-    /// whose wall-clock deadline expired, before the site is recorded as
-    /// [`OutcomeClass::InfraError`]. `0` records the first failure.
+    /// died, or whose wall-clock deadline expired, before the site is
+    /// recorded as [`OutcomeClass::InfraError`]. `0` records the first
+    /// failure.
     pub max_retries: u32,
     /// Pause between retry attempts, scaled linearly by the attempt number
     /// (deterministic backoff). `Duration::ZERO` retries immediately.
@@ -69,11 +72,12 @@ pub struct CampaignConfig {
     /// runaway runs the instruction budget cannot catch (e.g. host-side
     /// loops). `None` disables the deadline.
     pub run_deadline: Option<Duration>,
-    /// Test-only fault injector for the harness itself: called before each
+    /// Test-only fault injector for the harness itself: consulted once per
     /// execution attempt with `(site_index, attempt)`; returning `true`
-    /// panics the worker at that point. `None` (always, outside tests)
-    /// disables it. Honored by thread isolation only; process isolation has
-    /// its own knob ([`crate::pool::ProcessIsolation::kill_hook`]).
+    /// loses that attempt the way the isolation mode can lose one — thread
+    /// mode panics the worker thread, process mode SIGKILLs the worker
+    /// process right after dispatch. `None` (always, outside tests)
+    /// disables it.
     pub fault_hook: Option<FaultHook>,
     /// How injection runs execute: in-process worker threads (the default)
     /// or supervised disposable worker processes — see [`IsolationMode`].
@@ -81,7 +85,8 @@ pub struct CampaignConfig {
 }
 
 /// A harness-fault injector for testing worker isolation: `(site_index,
-/// attempt)` → `true` panics the worker before that execution attempt.
+/// attempt)` → `true` loses that execution attempt (see
+/// [`CampaignConfig::fault_hook`]).
 #[derive(Clone)]
 pub struct FaultHook(pub Arc<dyn Fn(usize, u32) -> bool + Send + Sync>);
 
@@ -258,76 +263,50 @@ pub struct NoHooks;
 
 impl CampaignHooks for NoHooks {}
 
-fn fan_out<T: Send, R: Send>(
-    workers: usize,
-    items: Vec<T>,
-    f: impl Fn(usize, T) -> R + Sync,
-) -> Vec<R> {
-    fan_out_until(workers, items, &|| false, f).0
-}
-
-/// Fan `items` out over `workers` threads, polling `stop` before each
-/// dispatch. Returns the completed results in item order plus whether the
-/// run was cut short. A stopped fan-out still waits for in-flight items.
-fn fan_out_until<T: Send, R: Send>(
-    workers: usize,
-    items: Vec<T>,
-    stop: &(dyn Fn() -> bool + Sync),
-    f: impl Fn(usize, T) -> R + Sync,
-) -> (Vec<R>, bool) {
-    let total = items.len();
-    let todo: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let input = Mutex::new(todo.into_iter());
-    let output: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::new());
-    let workers = workers.max(1);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if stop() {
-                    break;
-                }
-                let next = input.lock().next();
-                let Some((idx, item)) = next else { break };
-                let r = f(idx, item);
-                output.lock().push((idx, r));
-            });
-        }
-    });
-    let mut out = output.into_inner();
-    out.sort_by_key(|(i, _)| *i);
-    let stopped = out.len() < total;
-    (out.into_iter().map(|(_, r)| r).collect(), stopped)
-}
-
-/// Key identifying a fault site for resume matching: exactly the parameter
-/// columns a results-log row serializes, so a reloaded row matches a
-/// reselected site iff their log lines would be identical.
-fn site_key(p: &TransientParams) -> String {
-    format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        p.group.id(),
-        p.bit_flip.id(),
-        p.kernel_name,
-        p.kernel_count,
-        p.instruction_count,
-        p.destination_register,
-        p.bit_pattern
-    )
-}
-
-/// One execution attempt's result, as seen through the isolation boundary.
-enum Attempt<R> {
-    Finished(R),
-    Panicked,
-}
-
-/// Run `f` with worker-panic isolation: a panic unwinds to here instead of
-/// taking down the fan-out scope (and with it every in-flight run).
-fn isolate<R>(f: impl FnOnce() -> R) -> Attempt<R> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Attempt::Finished(r),
-        Err(_) => Attempt::Panicked,
+/// Resume matching: take each prior verdict's site out of `work` and return
+/// the verdicts, marked resumed, with the selection index they fill. Sites
+/// match by their parameter-file text — the same values a results-log row
+/// serializes, so a reloaded row matches a reselected site iff their log
+/// lines would be identical. Multiset semantics — duplicate selections
+/// consume one prior row each, in journal order. Prior InfraError verdicts
+/// are discarded so the harness's own failures get re-run.
+fn reload_prior(
+    work: &mut Vec<(usize, TransientParams, bool)>,
+    prior: Vec<InjectionRun>,
+) -> Vec<(usize, InjectionRun)> {
+    let mut by_site: HashMap<String, Vec<InjectionRun>> = HashMap::new();
+    for run in prior.into_iter().rev().filter(|r| !r.outcome.is_infra()) {
+        by_site.entry(run.params.to_file()).or_default().push(run);
     }
+    let mut reloaded = Vec::new();
+    work.retain(|(i, params, _)| match by_site.get_mut(&params.to_file()).and_then(Vec::pop) {
+        Some(mut run) => {
+            run.resumed = true;
+            reloaded.push((*i, run));
+            false
+        }
+        None => true,
+    });
+    reloaded
+}
+
+/// One transient injection attempt in this thread — the run body every
+/// execution path shares: campaign worker threads call it directly and
+/// process-isolation workers ([`crate::worker::serve`]) call it per shipped
+/// site. The detail is `(injected, prefix_instrs_skipped)`.
+pub(crate) fn attempt_transient(
+    golden: &PreparedGolden,
+    program: &dyn Program,
+    check: &dyn SdcCheck,
+    params: &TransientParams,
+    harness_fault: bool,
+) -> Attempt<(bool, u64)> {
+    attempt_here(harness_fault, || {
+        let (tool, handle) = TransientInjector::new(params.clone());
+        let upto = golden.target_launch(&params.kernel_name, params.kernel_count);
+        let (outcome, skipped) = golden.inject(program, check, Box::new(tool), upto);
+        (outcome, (handle.get().injected, skipped))
+    })
 }
 
 /// Run a complete transient-fault campaign on one program.
@@ -373,20 +352,12 @@ pub fn run_transient_campaign_with(
     // checkpoints enabled it additionally records the launch-boundary
     // state every injection run fast-forwards from.
     let t0 = Instant::now();
-    let (golden, checkpoints): (GoldenOutput, Option<Arc<CheckpointStore>>) = if cfg.use_checkpoints
-    {
-        let (g, store) = golden_run_recording(program, cfg.runtime.clone())?;
-        (g, Some(store.into_shared()))
-    } else {
-        (golden_run(program, cfg.runtime.clone())?, None)
-    };
+    let mut golden = PreparedGolden::new(program, cfg.runtime.clone(), cfg.use_checkpoints)?;
     let golden_wall = t0.elapsed();
-    let mut run_cfg = cfg.runtime.clone();
-    run_cfg.instr_budget = Some(golden.suggested_budget());
 
     // Step 1: profile.
     let t0 = Instant::now();
-    let profile = profile_program(program, run_cfg.clone(), cfg.profiling)?;
+    let profile = profile_program(program, golden.config.clone(), cfg.profiling)?;
     let profiling_wall = t0.elapsed();
 
     // Step 2: select fault sites. Selection consumes the RNG before any
@@ -400,185 +371,102 @@ pub fn run_transient_campaign_with(
     // dead there are provably Masked and skip simulation entirely.
     let t0 = Instant::now();
     let pruned_flags = if cfg.use_static_prune {
-        prune_dead_sites(program, run_cfg.clone(), cfg.group, &sites)
+        prune_dead_sites(program, golden.config.clone(), cfg.group, &sites)
     } else {
         vec![false; sites.len()]
     };
     let analysis_wall = if cfg.use_static_prune { t0.elapsed() } else { Duration::ZERO };
 
-    // Resolve each site's target to a global launch index and group sites
-    // by it: runs sharing a target restore the same checkpoint, so the
-    // store's pages stay warm across consecutive work items. A site the
-    // golden run never reached (possible with approximate profiles) can
-    // never fire, so its run fast-forwards through every recorded launch.
-    let mut work: Vec<(usize, TransientParams, Option<u64>, bool)> = sites
+    // Group sites by target launch: runs sharing a target restore the same
+    // checkpoint, so the store's pages stay warm across consecutive work
+    // items.
+    let mut work: Vec<(usize, TransientParams, bool)> = sites
         .into_iter()
         .zip(pruned_flags)
         .enumerate()
-        .map(|(i, (p, pruned))| {
-            let upto = checkpoints
-                .as_ref()
-                .map(|s| s.find_instance(&p.kernel_name, p.kernel_count).unwrap_or(s.len() as u64));
-            (i, p, upto, pruned)
+        .map(|(i, (p, pruned))| (i, p, pruned))
+        .collect();
+    work.sort_by_cached_key(|(i, p, _)| (golden.target_launch(&p.kernel_name, p.kernel_count), *i));
+
+    let reloaded = reload_prior(&mut work, prior);
+    let jobs = work
+        .into_iter()
+        .map(|(i, params, pruned)| {
+            if !pruned {
+                return (i, Job::Run(params));
+            }
+            // The fault provably cannot propagate: the run is synthesized as
+            // Masked and never reaches a worker.
+            let run = InjectionRun {
+                params,
+                outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
+                injected: true,
+                wall: Duration::ZERO,
+                prefix_instrs_skipped: 0,
+                pruned: true,
+                attempts: 1,
+                resumed: false,
+            };
+            (i, Job::Known(run))
         })
         .collect();
-    work.sort_by_key(|&(i, _, upto, _)| (upto.unwrap_or(0), i));
-
-    // Resume: match prior verdicts to the freshly-selected sites by
-    // parameter equality (multiset semantics — duplicate selections consume
-    // one prior row each). Matched sites skip execution; prior InfraError
-    // verdicts are discarded so the harness's own failures get re-run.
-    let mut unused_prior: Vec<Option<InjectionRun>> =
-        prior.into_iter().map(|r| if r.outcome.is_infra() { None } else { Some(r) }).collect();
-    let mut reloaded: Vec<(usize, InjectionRun)> = Vec::new();
-    work.retain(|&(orig, ref params, _, _)| {
-        let key = site_key(params);
-        let hit = unused_prior
-            .iter_mut()
-            .find(|slot| slot.as_ref().is_some_and(|r| site_key(&r.params) == key));
-        match hit {
-            Some(slot) => {
-                let mut run = slot.take().expect("slot checked above");
-                run.resumed = true;
-                reloaded.push((orig, run));
-                false
-            }
-            None => true,
-        }
-    });
 
     // The per-run deadline applies to injection runs only: the golden,
     // profiling, and resolver runs above are campaign prerequisites, not
     // experiments the harness may abandon.
-    let mut inj_cfg = run_cfg.clone();
-    inj_cfg.wall_deadline = cfg.run_deadline;
+    golden.config.wall_deadline = cfg.run_deadline;
 
-    // Steps 3-4: inject and classify, fanned out over workers sharing the
-    // immutable checkpoint store. Pruned sites short-circuit: the fault
-    // provably cannot propagate, so the run is synthesized as Masked.
-    //
-    // Each site executes behind an isolation boundary: a worker panic or a
-    // deadline overrun costs (after `max_retries` further attempts) only
-    // that site's verdict — recorded as InfraError — never the campaign.
-    let (mut tagged, interrupted) = if let IsolationMode::Process(iso) = &cfg.isolation {
-        // Process isolation: live sites cross the process boundary to a
-        // supervised worker pool; pruned sites never touch a worker — their
-        // Masked verdict is synthesized supervisor-side, exactly as in
-        // thread mode.
-        let mut synthesized: Vec<(usize, InjectionRun)> = Vec::new();
-        let mut live: Vec<(usize, TransientParams)> = Vec::new();
-        for (orig, params, _upto, pruned) in work {
-            if pruned {
-                let run = InjectionRun {
-                    params,
-                    outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
-                    injected: true,
-                    wall: Duration::ZERO,
-                    prefix_instrs_skipped: 0,
-                    pruned: true,
-                    attempts: 1,
-                    resumed: false,
-                };
-                hooks.on_run(&run);
-                synthesized.push((orig, run));
-            } else {
-                live.push((orig, params));
-            }
-        }
-        let (mut done, stopped) =
-            pool::run_pool(iso, cfg, program.name(), live, &|| hooks.should_stop(), hooks);
-        done.extend(synthesized);
-        (done, stopped)
-    } else {
-        fan_out_until(
-            cfg.workers,
-            work,
-            &|| hooks.should_stop(),
-            |_, (orig, params, upto, pruned): (usize, TransientParams, _, bool)| {
-                if pruned {
-                    let run = InjectionRun {
-                        params,
-                        outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
-                        injected: true,
-                        wall: Duration::ZERO,
-                        prefix_instrs_skipped: 0,
-                        pruned: true,
-                        attempts: 1,
-                        resumed: false,
-                    };
-                    hooks.on_run(&run);
-                    return (orig, run);
-                }
-                let max_attempts = cfg.max_retries.saturating_add(1);
-                let mut attempts = 0u32;
-                let run = loop {
-                    attempts += 1;
-                    let t = Instant::now();
-                    let attempt = isolate(|| {
-                        if let Some(hook) = &cfg.fault_hook {
-                            if (hook.0)(orig, attempts) {
-                                panic!("fault-hook: injected worker panic");
-                            }
-                        }
-                        let (tool, handle) = TransientInjector::new(params.clone());
-                        let out = match (&checkpoints, upto) {
-                            (Some(store), Some(upto)) => run_program_fast_forward(
-                                program,
-                                inj_cfg.clone(),
-                                Some(Box::new(tool)),
-                                Arc::clone(store),
-                                upto,
-                            ),
-                            _ => run_program(program, inj_cfg.clone(), Some(Box::new(tool))),
-                        };
-                        let outcome = classify(&golden, &out, check);
-                        (outcome, handle.get().injected, out.prefix_instrs_skipped)
-                    });
-                    let wall = t.elapsed();
-                    match attempt {
-                        Attempt::Finished((outcome, injected, skipped))
-                            if !outcome.is_infra() || attempts >= max_attempts =>
-                        {
-                            break InjectionRun {
-                                params,
-                                outcome,
-                                injected,
-                                wall,
-                                prefix_instrs_skipped: skipped,
-                                pruned: false,
-                                attempts,
-                                resumed: false,
-                            };
-                        }
-                        Attempt::Panicked if attempts >= max_attempts => {
-                            break InjectionRun {
-                                params,
-                                outcome: Outcome {
-                                    class: OutcomeClass::InfraError(InfraKind::WorkerPanic),
-                                    potential_due: false,
-                                },
-                                injected: false,
-                                wall,
-                                prefix_instrs_skipped: 0,
-                                pruned: false,
-                                attempts,
-                                resumed: false,
-                            };
-                        }
-                        // Deadline overrun or panic with attempts remaining.
-                        Attempt::Finished(_) | Attempt::Panicked => {}
-                    }
-                    if !cfg.retry_backoff.is_zero() {
-                        std::thread::sleep(cfg.retry_backoff * attempts);
-                    }
-                };
-                hooks.on_run(&run);
-                (orig, run)
-            },
-        )
+    // Steps 3-4: inject and classify. Each site executes behind an
+    // isolation boundary: a worker panic, a worker death, or a deadline
+    // overrun costs (after `max_retries` further attempts) only that site's
+    // verdict — recorded as InfraError — never the campaign.
+    let plan = Plan {
+        workers: cfg.workers,
+        max_retries: cfg.max_retries,
+        backoff: cfg.retry_backoff,
+        fault_hook: cfg.fault_hook.as_ref(),
     };
-    // fan_out preserved dispatch (grouped) order; report in selection order,
-    // with reloaded prior verdicts merged back in.
+    let stop = || hooks.should_stop();
+    let settle = |params, s: Settled<(bool, u64)>| {
+        let (injected, prefix_instrs_skipped) = s.detail.unwrap_or_default();
+        InjectionRun {
+            params,
+            outcome: s.outcome,
+            injected,
+            wall: s.wall,
+            prefix_instrs_skipped,
+            pruned: false,
+            attempts: s.attempts,
+            resumed: false,
+        }
+    };
+    let on_done = |run: &InjectionRun| hooks.on_run(run);
+    let (mut tagged, interrupted) = match &cfg.isolation {
+        IsolationMode::Thread => dispatch(
+            &plan,
+            jobs,
+            &stop,
+            |_: &mut (), _, params, fault| {
+                attempt_transient(&golden, program, check, params, fault)
+            },
+            settle,
+            on_done,
+        ),
+        IsolationMode::Process(iso) => {
+            let init = iso.init(cfg, program.name());
+            dispatch(
+                &plan,
+                jobs,
+                &stop,
+                |worker: &mut Option<Worker>, index, params, kill| {
+                    pool::attempt(iso, &init, worker, index, params, kill)
+                },
+                settle,
+                on_done,
+            )
+        }
+    };
+    // Report in selection order, with reloaded prior verdicts merged back in.
     tagged.extend(reloaded);
     tagged.sort_by_key(|&(orig, _)| orig);
     let runs: Vec<InjectionRun> = tagged.into_iter().map(|(_, r)| r).collect();
@@ -597,7 +485,7 @@ pub fn run_transient_campaign_with(
     Ok(TransientCampaign {
         program: program.name().to_string(),
         profile,
-        golden,
+        golden: golden.output,
         counts,
         runs,
         timing,
@@ -706,14 +594,10 @@ pub fn run_permanent_campaign(
     check: &dyn SdcCheck,
     cfg: &PermanentCampaignConfig,
 ) -> Result<PermanentCampaign, FiError> {
-    let golden = golden_run(program, cfg.runtime.clone())?;
-    let mut run_cfg = cfg.runtime.clone();
-    run_cfg.instr_budget = Some(golden.suggested_budget());
-    let mut exp_cfg = run_cfg.clone();
-    exp_cfg.wall_deadline = cfg.run_deadline;
+    let mut golden = PreparedGolden::new(program, cfg.runtime.clone(), false)?;
 
     let t0 = Instant::now();
-    let profile = profile_program(program, run_cfg.clone(), ProfilingMode::Approximate)?;
+    let profile = profile_program(program, golden.config.clone(), ProfilingMode::Approximate)?;
     let profiling_wall = t0.elapsed();
 
     let executed = profile.executed_opcodes();
@@ -727,69 +611,61 @@ pub fn run_permanent_campaign(
     // occupies. With the paper's full-scale workloads every SM and lane is
     // busy, so this coincides with Table III's full 0..N-1 ranges; with
     // simulator-scaled grids it avoids trivially-masked dead placements.
-    let num_sms = run_cfg.gpu.num_sms;
-    let max_blocks =
-        golden.summary.launches.iter().map(|l| l.stats.blocks).max().unwrap_or(1).max(1);
+    let launches = &golden.output.summary.launches;
+    let num_sms = golden.config.gpu.num_sms;
+    let max_blocks = launches.iter().map(|l| l.stats.blocks).max().unwrap_or(1).max(1);
     let used_sms = num_sms.min(max_blocks.min(u32::MAX as u64) as u32).max(1);
-    let max_tpb =
-        golden.summary.launches.iter().map(|l| l.stats.threads_per_block).max().unwrap_or(1).max(1);
+    let max_tpb = launches.iter().map(|l| l.stats.threads_per_block).max().unwrap_or(1).max(1);
     let used_lanes = (gpu_isa::WARP_SIZE as u64).min(max_tpb).max(1) as u32;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let experiments: Vec<(PermanentParams, u64)> = opcodes
+    let jobs = opcodes
         .iter()
-        .map(|op| {
+        .enumerate()
+        .map(|(i, op)| {
             let params = PermanentParams {
                 sm_id: rng.gen_range(0..used_sms),
                 lane_id: rng.gen_range(0..used_lanes),
                 bit_mask: 1u32 << rng.gen_range(0..32),
                 opcode_id: op.encode(),
             };
-            (params, profile.opcode_total(*op))
+            (i, Job::Run((params, profile.opcode_total(*op))))
         })
         .collect();
 
-    // Same isolation contract as the transient campaign: a panicked or
-    // deadline-killed experiment is retried, then recorded as InfraError —
-    // one opcode's verdict, not the campaign, is what a runaway run costs.
-    let runs = fan_out(cfg.workers, experiments, |_, (params, weight)| {
-        let max_attempts = cfg.max_retries.saturating_add(1);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let t = Instant::now();
-            let attempt = isolate(|| {
+    // Same dispatcher and isolation contract as the transient campaign: a
+    // panicked or deadline-killed experiment is retried, then recorded as
+    // InfraError — one opcode's verdict, not the campaign, is what a
+    // runaway run costs. A permanent fault is active from the first launch,
+    // so every experiment is a full run.
+    golden.config.wall_deadline = cfg.run_deadline;
+    let plan = Plan {
+        workers: cfg.workers,
+        max_retries: cfg.max_retries,
+        backoff: cfg.retry_backoff,
+        fault_hook: None,
+    };
+    let (runs, _) = dispatch(
+        &plan,
+        jobs,
+        &|| false,
+        |_: &mut (), _, &(params, _): &(PermanentParams, u64), fault| {
+            attempt_here(fault, || {
                 let (tool, handle) = PermanentInjector::new(params);
-                let out = run_program(program, exp_cfg.clone(), Some(Box::new(tool)));
-                let outcome = classify(&golden, &out, check);
+                let (outcome, _) = golden.inject(program, check, Box::new(tool), 0);
                 (outcome, handle.get().activations)
-            });
-            let wall = t.elapsed();
-            match attempt {
-                Attempt::Finished((outcome, activations))
-                    if !outcome.is_infra() || attempts >= max_attempts =>
-                {
-                    break PermanentRun { params, outcome, weight, activations, wall, attempts };
-                }
-                Attempt::Panicked if attempts >= max_attempts => {
-                    break PermanentRun {
-                        params,
-                        outcome: Outcome {
-                            class: OutcomeClass::InfraError(InfraKind::WorkerPanic),
-                            potential_due: false,
-                        },
-                        weight,
-                        activations: 0,
-                        wall,
-                        attempts,
-                    };
-                }
-                Attempt::Finished(_) | Attempt::Panicked => {}
-            }
-            if !cfg.retry_backoff.is_zero() {
-                std::thread::sleep(cfg.retry_backoff * attempts);
-            }
-        }
-    });
+            })
+        },
+        |(params, weight), s| PermanentRun {
+            params,
+            outcome: s.outcome,
+            weight,
+            activations: s.detail.unwrap_or(0),
+            wall: s.wall,
+            attempts: s.attempts,
+        },
+        |_| {},
+    );
+    let runs: Vec<PermanentRun> = runs.into_iter().map(|(_, r)| r).collect();
 
     let mut counts = OutcomeCounts::default();
     let mut w = WeightedOutcomes::default();
@@ -824,65 +700,57 @@ pub fn run_permanent_campaign(
 mod tests {
     use super::*;
 
-    #[test]
-    fn fan_out_preserves_order_and_runs_everything() {
-        let out = fan_out(4, (0..100).collect(), |idx, item: i32| {
-            assert_eq!(idx as i32, item);
-            item * 2
-        });
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fan_out_single_worker() {
-        let out = fan_out(1, vec![1, 2, 3], |_, x: i32| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn fan_out_until_stops_between_items_and_keeps_completed() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let done = AtomicUsize::new(0);
-        // Single worker, stop after 3 completions: the 4th..10th items must
-        // never run, and the completed prefix is returned in order.
-        let (out, stopped) = fan_out_until(
-            1,
-            (0..10).collect(),
-            &|| done.load(Ordering::SeqCst) >= 3,
-            |_, x: i32| {
-                done.fetch_add(1, Ordering::SeqCst);
-                x * 10
-            },
-        );
-        assert_eq!(out, vec![0, 10, 20]);
-        assert!(stopped);
-
-        let (out, stopped) = fan_out_until(2, (0..5).collect(), &|| false, |_, x: i32| x);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert!(!stopped);
-    }
-
-    #[test]
-    fn isolate_catches_panics() {
-        assert!(matches!(isolate(|| 7), Attempt::Finished(7)));
-        assert!(matches!(isolate(|| -> i32 { panic!("boom") }), Attempt::Panicked));
-    }
-
-    #[test]
-    fn site_key_distinguishes_every_field() {
-        let base = TransientParams {
+    fn site(instruction_count: u64) -> TransientParams {
+        TransientParams {
             group: InstrGroup::Gp,
             bit_flip: BitFlipModel::FlipSingleBit,
             kernel_name: "k".into(),
-            kernel_count: 1,
-            instruction_count: 2,
-            destination_register: 0.25,
+            kernel_count: 0,
+            instruction_count,
+            destination_register: 0.5,
             bit_pattern: 0.5,
-        };
-        let mut other = base.clone();
-        other.instruction_count = 3;
-        assert_eq!(site_key(&base), site_key(&base.clone()));
-        assert_ne!(site_key(&base), site_key(&other));
+        }
+    }
+
+    fn prior_run(instruction_count: u64, class: OutcomeClass, wall_ms: u64) -> InjectionRun {
+        InjectionRun {
+            params: site(instruction_count),
+            outcome: Outcome { class, potential_due: false },
+            injected: true,
+            wall: Duration::from_millis(wall_ms),
+            prefix_instrs_skipped: 0,
+            pruned: false,
+            attempts: 1,
+            resumed: false,
+        }
+    }
+
+    #[test]
+    fn reload_prior_consumes_one_row_per_selection_and_reruns_infra() {
+        // Site 1 is selected three times, site 2 twice, site 3 once.
+        let mut work: Vec<(usize, TransientParams, bool)> =
+            [1, 2, 1, 3, 1, 2].iter().enumerate().map(|(i, &n)| (i, site(n), false)).collect();
+        let prior = vec![
+            prior_run(1, OutcomeClass::Masked, 10),
+            prior_run(2, OutcomeClass::InfraError(InfraKind::Deadline), 20),
+            prior_run(1, OutcomeClass::Masked, 11),
+            prior_run(2, OutcomeClass::Masked, 21),
+            prior_run(9, OutcomeClass::Masked, 90),
+        ];
+        let reloaded = reload_prior(&mut work, prior);
+
+        // Site 1's two rows fill its first two selections, in journal
+        // order; its third selection runs fresh. Site 2's infra row is
+        // discarded, so one of its two selections runs fresh. Site 3 has no
+        // row; site 9's row matches nothing.
+        let got: Vec<(usize, u64, u64)> = reloaded
+            .iter()
+            .map(|(i, r)| (*i, r.params.instruction_count, r.wall.as_millis() as u64))
+            .collect();
+        assert_eq!(got, vec![(0, 1, 10), (1, 2, 21), (2, 1, 11)]);
+        assert!(reloaded.iter().all(|(_, r)| r.resumed && !r.outcome.is_infra()));
+        let left: Vec<usize> = work.iter().map(|(i, _, _)| *i).collect();
+        assert_eq!(left, vec![3, 4, 5]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The golden (fault-free) reference run — Figure 1's "golden output state".
 
 use crate::error::FiError;
+use crate::outcome::{classify, Outcome, SdcCheck};
 use gpu_runtime::{
-    run_program, run_program_recording, CheckpointStore, Program, ProgramOutput, RunSummary,
-    RuntimeConfig,
+    run_program, run_program_fast_forward, run_program_recording, CheckpointStore, Program,
+    ProgramOutput, RunSummary, RuntimeConfig, Tool,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The reference outputs every injection run is compared against.
 #[derive(Debug, Clone)]
@@ -58,6 +60,77 @@ pub fn golden_run_recording(
     Ok((validate(program, out)?, store))
 }
 
+/// A golden run made ready for injection runs: the reference outputs, the
+/// launch-boundary checkpoints injection runs fast-forward from, and the
+/// budgeted runtime configuration every injection run uses.
+///
+/// Without checkpoints the store is empty, so every target launch resolves
+/// to index 0 and every injection run is a full replay — the
+/// `--no-checkpoint` escape hatch is a parameter of the one run path, not a
+/// second path.
+#[derive(Debug, Clone)]
+pub struct PreparedGolden {
+    /// The reference outputs.
+    pub(crate) output: GoldenOutput,
+    /// Launch-boundary checkpoints (empty when not recorded).
+    pub(crate) checkpoints: Arc<CheckpointStore>,
+    /// Runtime configuration for injection runs: the golden run's, plus the
+    /// hang-detection budget derived from it.
+    pub(crate) config: RuntimeConfig,
+}
+
+impl PreparedGolden {
+    /// Run the golden run under `cfg`, recording checkpoints if asked.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`golden_run`].
+    pub fn new(
+        program: &dyn Program,
+        cfg: RuntimeConfig,
+        record_checkpoints: bool,
+    ) -> Result<PreparedGolden, FiError> {
+        let (output, store) = if record_checkpoints {
+            golden_run_recording(program, cfg.clone())?
+        } else {
+            (golden_run(program, cfg.clone())?, CheckpointStore::new())
+        };
+        let mut config = cfg;
+        config.instr_budget = Some(output.suggested_budget());
+        Ok(PreparedGolden { output, checkpoints: store.into_shared(), config })
+    }
+
+    /// The global launch index an injection into dynamic instance
+    /// `instance` of `kernel` fast-forwards to. A target the golden run
+    /// never reached (possible with approximate profiles) can never fire,
+    /// so its run fast-forwards through every recorded launch.
+    pub(crate) fn target_launch(&self, kernel: &str, instance: u64) -> u64 {
+        let store = &self.checkpoints;
+        store.find_instance(kernel, instance).unwrap_or(store.len() as u64)
+    }
+
+    /// Run `program` with `tool` attached, launches before global index
+    /// `upto` replayed from the checkpoints, and classify the run against
+    /// the golden outputs. Returns the outcome and the dynamic instructions
+    /// fast-forwarding skipped.
+    pub fn inject(
+        &self,
+        program: &dyn Program,
+        check: &dyn SdcCheck,
+        tool: Box<dyn Tool>,
+        upto: u64,
+    ) -> (Outcome, u64) {
+        let out = run_program_fast_forward(
+            program,
+            self.config.clone(),
+            Some(tool),
+            Arc::clone(&self.checkpoints),
+            upto,
+        );
+        (classify(&self.output, &out, check), out.prefix_instrs_skipped)
+    }
+}
+
 fn validate(program: &dyn Program, out: ProgramOutput) -> Result<GoldenOutput, FiError> {
     if !out.termination.is_clean() {
         return Err(FiError::GoldenRunFailed {
@@ -108,6 +181,19 @@ mod tests {
         assert_eq!(g.files["o.dat"], vec![4, 2]);
         assert_eq!(g.max_launch_instrs(), 0);
         assert_eq!(g.suggested_budget(), 100_000, "floor applies");
+    }
+
+    #[test]
+    fn prepared_golden_without_checkpoints_replays_from_launch_zero() {
+        let g = PreparedGolden::new(&Good, RuntimeConfig::default(), false).expect("golden");
+        assert!(g.checkpoints.is_empty());
+        assert_eq!(g.config.instr_budget, Some(100_000), "budget derived from golden");
+        assert_eq!(g.target_launch("any", 0), 0, "no checkpoints: every run is a full replay");
+        let params = crate::PermanentParams { sm_id: 0, lane_id: 0, bit_mask: 1, opcode_id: 0 };
+        let (tool, _) = crate::PermanentInjector::new(params);
+        let (outcome, skipped) = g.inject(&Good, &crate::ExactDiff, Box::new(tool), 0);
+        assert!(outcome.is_masked());
+        assert_eq!(skipped, 0);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!    ([`golden_run`]) and classify SDC / DUE / Masked / potential DUE
 //!    (Table V).
 //!
-//! [`campaign`] orchestrates all four steps across many injections with
-//! worker-thread fan-out; [`stats`] provides the confidence-interval
+//! [`campaign`] orchestrates all four steps across many injections through
+//! one dispatcher that fans runs out to worker threads or worker
+//! processes; [`stats`] provides the confidence-interval
 //! arithmetic behind the paper's 100- vs 1000-injection guidance; [`ext`]
 //! implements the §V extensions (intermittent faults, richer corruption
 //! functions, multi-opcode permanent faults, and a fault dictionary).
@@ -86,6 +87,7 @@
 pub mod avf;
 mod bitflip;
 pub mod campaign;
+mod dispatch;
 mod error;
 pub mod ext;
 mod golden;
@@ -113,7 +115,7 @@ pub use campaign::{
     PermanentCampaignConfig, PermanentRun, TransientCampaign, WeightedOutcomes,
 };
 pub use error::FiError;
-pub use golden::{golden_run, golden_run_recording, GoldenOutput};
+pub use golden::{golden_run, golden_run_recording, GoldenOutput, PreparedGolden};
 pub use igid::InstrGroup;
 pub use journal::{atomic_write, Journal};
 pub use multi::{earliest_target_launch, MultiHandle, MultiRecord, MultiTransientInjector};

@@ -7,23 +7,25 @@
 //! every injection executes in a disposable child process, so the blast
 //! radius of the nastiest fault is one worker, never the campaign.
 //!
-//! The supervisor runs one coordinator thread per worker slot. Each thread
-//! owns one child process speaking the [`crate::worker`] protocol, pulls
-//! sites from a shared queue, and watches the child's frame stream with a
-//! liveness timeout derived from the heartbeat interval. A worker that
-//! dies — killed by a signal, crashed, wedged past the liveness window, or
-//! emitting protocol garbage — is killed for certain, respawned with the
-//! campaign's deterministic backoff, and the in-flight site is re-dispatched
-//! under the existing `max_retries` budget. A site whose attempts run out is
-//! recorded as [`InfraKind::WorkerDied`]: excluded from the paper's outcome
-//! denominators, and re-run by `resume` like every infrastructure verdict.
+//! Process mode is an attempt closure for the campaign dispatcher
+//! (`dispatch.rs`): each dispatcher slot owns at most one child process
+//! speaking the [`crate::worker`] protocol, spawned on the slot's first
+//! live site, and `attempt` ships one site to it while watching the
+//! child's frame stream with a liveness timeout derived from the heartbeat
+//! interval. A worker that dies — killed by a signal, crashed, wedged past
+//! the liveness window, or emitting protocol garbage — is killed for
+//! certain and the attempt is lost; the dispatcher's retry loop backs off
+//! and re-dispatches the site, which respawns a worker. A site whose
+//! attempts run out is recorded as [`InfraKind::WorkerDied`]: excluded from
+//! the paper's outcome denominators, and re-run by `resume` like every
+//! infrastructure verdict.
 
-use crate::campaign::{CampaignConfig, CampaignHooks, FaultHook, InjectionRun};
+use crate::campaign::CampaignConfig;
+use crate::dispatch::Attempt;
 use crate::logfile::parse_outcome;
-use crate::outcome::{InfraKind, Outcome, OutcomeClass};
+use crate::outcome::InfraKind;
 use crate::params::TransientParams;
 use crate::worker::{read_frame, write_frame, Msg, WorkerInit};
-use parking_lot::Mutex;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
@@ -54,11 +56,6 @@ pub struct ProcessIsolation {
     /// How long a fresh worker may take to replay its golden run and
     /// answer [`Msg::Ready`].
     pub ready_timeout: Duration,
-    /// Test-only harness-fault injector: called with `(site_index,
-    /// attempt)` right after a site is dispatched; returning `true`
-    /// SIGKILLs the worker mid-run. `None` (always, outside tests)
-    /// disables it.
-    pub kill_hook: Option<FaultHook>,
 }
 
 impl ProcessIsolation {
@@ -69,7 +66,17 @@ impl ProcessIsolation {
             scale: scale.into(),
             heartbeat: Duration::from_millis(100),
             ready_timeout: Duration::from_secs(120),
-            kill_hook: None,
+        }
+    }
+
+    /// The session setup every worker of campaign `cfg` on `program` gets.
+    pub(crate) fn init(&self, cfg: &CampaignConfig, program: &str) -> WorkerInit {
+        WorkerInit {
+            program: program.to_string(),
+            scale: self.scale.clone(),
+            use_checkpoints: cfg.use_checkpoints,
+            deadline_ms: cfg.run_deadline.map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
+            heartbeat_ms: u64::try_from(self.heartbeat.as_millis()).unwrap_or(u64::MAX).max(1),
         }
     }
 
@@ -102,20 +109,13 @@ fn send_signal(pid: u32, sig: i32) {
 #[cfg(not(unix))]
 fn send_signal(_pid: u32, _sig: i32) {}
 
-/// What the reader thread saw on the worker's stdout.
-enum Event {
-    Frame(Msg),
-    /// A frame arrived but was not a protocol message.
-    Corrupt,
-    /// The stream ended (worker exit, kill, or torn frame).
-    Eof,
-}
-
-/// One live child process plus the thread draining its stdout.
-struct Worker {
+/// One live child process plus the thread draining its stdout — a
+/// dispatcher slot's state in process mode. Dropping it retires the child.
+pub(crate) struct Worker {
     child: Child,
     stdin: ChildStdin,
-    events: Receiver<Event>,
+    /// Messages read from the worker's stdout; `None` ends the stream.
+    events: Receiver<Option<Msg>>,
     reader: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -124,19 +124,30 @@ impl Worker {
         write_frame(&mut self.stdin, &Msg::Run { id, site: site.to_string() }.to_json()).is_ok()
     }
 
-    /// Hard-kill the worker and reap it — the path for a worker declared
-    /// dead (it may in fact be wedged rather than gone).
-    fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        if let Some(r) = self.reader.take() {
-            let _ = r.join();
+    /// The worker's next message other than a heartbeat, or `None` if its
+    /// stream ended or it stayed silent for `timeout`.
+    fn reply(&self, timeout: Duration) -> Option<Msg> {
+        loop {
+            match self.events.recv_timeout(timeout) {
+                Ok(Some(Msg::Heartbeat)) => {}
+                Ok(msg) => return msg,
+                Err(_) => return None,
+            }
         }
     }
 
-    /// Graceful drain at end of campaign: shutdown frame, then SIGTERM,
-    /// then SIGKILL, each with a short grace window.
-    fn shutdown(mut self) {
+    /// Hard-kill the worker — the path for a worker declared dead (it may
+    /// in fact be wedged rather than gone). Dropping it then reaps it.
+    fn kill(mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+impl Drop for Worker {
+    /// Graceful drain: shutdown frame, then SIGTERM, then SIGKILL, each
+    /// with a short grace window. A killed worker passes straight through.
+    fn drop(&mut self) {
         const GRACE: Duration = Duration::from_millis(500);
         let _ = write_frame(&mut self.stdin, &Msg::Shutdown.to_json());
         if !wait_with_grace(&mut self.child, GRACE) {
@@ -182,21 +193,13 @@ fn spawn_worker(iso: &ProcessIsolation, init: &WorkerInit) -> Option<Worker> {
     let mut stdout = child.stdout.take()?;
     let (tx, events) = channel();
     let reader = std::thread::spawn(move || loop {
-        match read_frame(&mut stdout) {
-            Ok(Some(text)) => {
-                let ev = Msg::parse(&text).map_or(Event::Corrupt, Event::Frame);
-                let corrupt = matches!(ev, Event::Corrupt);
-                if tx.send(ev).is_err() || corrupt {
-                    break;
-                }
-            }
-            // Clean EOF and a torn frame end the stream the same way: the
-            // supervisor cannot tell a crash from corruption, and respawning
-            // is the right answer to both.
-            Ok(None) | Err(_) => {
-                let _ = tx.send(Event::Eof);
-                break;
-            }
+        // Clean EOF, a torn frame and a frame that is no protocol message all
+        // end the stream the same way: the supervisor cannot tell a crash
+        // from corruption, and respawning is the right answer to both.
+        let msg = read_frame(&mut stdout).ok().flatten().and_then(|text| Msg::parse(&text));
+        let ended = msg.is_none();
+        if tx.send(msg).is_err() || ended {
+            break;
         }
     });
     let mut worker = Worker { child, stdin, events, reader: Some(reader) };
@@ -205,187 +208,76 @@ fn spawn_worker(iso: &ProcessIsolation, init: &WorkerInit) -> Option<Worker> {
         worker.kill();
         return None;
     }
-    let deadline = Instant::now() + iso.ready_timeout;
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        match worker.events.recv_timeout(left) {
-            Ok(Event::Frame(Msg::Ready)) => return Some(worker),
-            Ok(Event::Frame(Msg::Heartbeat)) => {}
-            _ => {
-                worker.kill();
-                return None;
-            }
-        }
+    if let Some(Msg::Ready) = worker.reply(iso.ready_timeout) {
+        return Some(worker);
     }
+    worker.kill();
+    None
 }
 
-fn declare_dead(worker: &mut Option<Worker>) {
-    if let Some(w) = worker.take() {
-        w.kill();
-    }
-}
-
-/// One dispatch attempt against the (possibly respawned) worker. Returns
-/// the worker's verdict, or `None` if the worker died trying — in which
-/// case it has already been killed and cleared for respawn.
-fn try_once(
+/// One attempt at `params` on this slot's worker, spawning one first if the
+/// slot has none. `kill` is the harness-fault hook firing: the worker is
+/// SIGKILLed right after dispatch. A worker that dies trying is killed for
+/// certain and cleared from the slot, so the next attempt respawns; the
+/// detail is `(injected, prefix_instrs_skipped)`, as in thread mode.
+pub(crate) fn attempt(
     iso: &ProcessIsolation,
     init: &WorkerInit,
-    worker: &mut Option<Worker>,
-    orig: usize,
-    site: &str,
-    attempt: u32,
-) -> Option<(Outcome, bool, u64, u64)> {
-    if worker.is_none() {
-        *worker = spawn_worker(iso, init);
+    slot: &mut Option<Worker>,
+    index: usize,
+    params: &TransientParams,
+    kill: bool,
+) -> Attempt<(bool, u64)> {
+    let verdict = run_on_worker(iso, init, slot, index as u64, params, kill);
+    verdict.unwrap_or_else(|| {
+        if let Some(w) = slot.take() {
+            w.kill();
+        }
+        Attempt::Lost(InfraKind::WorkerDied)
+    })
+}
+
+/// Ship one site to the slot's (possibly fresh) worker and wait for its
+/// verdict. `None` means the worker died trying.
+fn run_on_worker(
+    iso: &ProcessIsolation,
+    init: &WorkerInit,
+    slot: &mut Option<Worker>,
+    id: u64,
+    params: &TransientParams,
+    kill: bool,
+) -> Option<Attempt<(bool, u64)>> {
+    if slot.is_none() {
+        *slot = spawn_worker(iso, init);
     }
-    let w = worker.as_mut()?;
-    if !w.dispatch(orig as u64, site) {
-        declare_dead(worker);
+    let w = slot.as_mut()?;
+    if !w.dispatch(id, &params.to_file()) {
         return None;
     }
-    if let Some(hook) = &iso.kill_hook {
-        if (hook.0)(orig, attempt) {
-            send_signal(w.child.id(), SIGKILL);
-        }
+    if kill {
+        send_signal(w.child.id(), SIGKILL);
     }
-    let liveness = iso.liveness();
-    loop {
-        match w.events.recv_timeout(liveness) {
-            Ok(Event::Frame(Msg::Heartbeat)) => {}
-            Ok(Event::Frame(Msg::Done { id, outcome, injected, wall_us, skip_instrs }))
-                if id == orig as u64 =>
-            {
-                return match parse_outcome(&outcome) {
-                    Some(o) => Some((o, injected, wall_us, skip_instrs)),
-                    None => {
-                        declare_dead(worker);
-                        None
-                    }
-                };
-            }
-            // Anything else — an Error frame, a mismatched verdict id,
-            // corruption, EOF, or liveness timeout — is a dead worker.
-            Ok(_) | Err(_) => {
-                declare_dead(worker);
-                return None;
-            }
+    // Anything but the matching verdict — an Error frame, a mismatched id,
+    // corruption, EOF, or liveness timeout — is a dead worker.
+    match w.reply(iso.liveness())? {
+        Msg::Done { id: done, outcome, injected, wall_us, skip_instrs } if done == id => {
+            parse_outcome(&outcome).map(|outcome| Attempt::Ran {
+                outcome,
+                wall: Duration::from_micros(wall_us),
+                detail: (injected, skip_instrs),
+            })
         }
+        _ => None,
     }
-}
-
-/// Drive one site to a verdict, retrying through worker deaths and
-/// worker-reported infra failures under the campaign's retry budget.
-fn run_site(
-    iso: &ProcessIsolation,
-    cfg: &CampaignConfig,
-    init: &WorkerInit,
-    worker: &mut Option<Worker>,
-    orig: usize,
-    params: TransientParams,
-) -> InjectionRun {
-    let max_attempts = cfg.max_retries.saturating_add(1);
-    let site = params.to_file();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let t = Instant::now();
-        let verdict = try_once(iso, init, worker, orig, &site, attempts);
-        match verdict {
-            Some((outcome, injected, wall_us, skip_instrs))
-                if !outcome.is_infra() || attempts >= max_attempts =>
-            {
-                break InjectionRun {
-                    params,
-                    outcome,
-                    injected,
-                    wall: Duration::from_micros(wall_us),
-                    prefix_instrs_skipped: skip_instrs,
-                    pruned: false,
-                    attempts,
-                    resumed: false,
-                };
-            }
-            None if attempts >= max_attempts => {
-                break InjectionRun {
-                    params,
-                    outcome: Outcome {
-                        class: OutcomeClass::InfraError(InfraKind::WorkerDied),
-                        potential_due: false,
-                    },
-                    injected: false,
-                    wall: t.elapsed(),
-                    prefix_instrs_skipped: 0,
-                    pruned: false,
-                    attempts,
-                    resumed: false,
-                };
-            }
-            // Worker death or worker-reported infra failure with attempts
-            // remaining: back off and retry (a death also means the next
-            // attempt gets a fresh worker).
-            Some(_) | None => {}
-        }
-        if !cfg.retry_backoff.is_zero() {
-            std::thread::sleep(cfg.retry_backoff * attempts);
-        }
-    }
-}
-
-/// Fan `work` out over a pool of supervised worker processes. Returns the
-/// completed `(site index, run)` pairs (unordered) plus whether the pool
-/// stopped early via `stop`. Infallible by design: every failure mode
-/// downgrades to a per-site [`InfraKind::WorkerDied`] verdict.
-pub(crate) fn run_pool(
-    iso: &ProcessIsolation,
-    cfg: &CampaignConfig,
-    program_name: &str,
-    work: Vec<(usize, TransientParams)>,
-    stop: &(dyn Fn() -> bool + Sync),
-    hooks: &dyn CampaignHooks,
-) -> (Vec<(usize, InjectionRun)>, bool) {
-    let init = WorkerInit {
-        program: program_name.to_string(),
-        scale: iso.scale.clone(),
-        use_checkpoints: cfg.use_checkpoints,
-        deadline_ms: cfg.run_deadline.map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
-        heartbeat_ms: u64::try_from(iso.heartbeat.as_millis()).unwrap_or(u64::MAX).max(1),
-    };
-    let total = work.len();
-    let slots = cfg.workers.max(1).min(total.max(1));
-    let queue = Mutex::new(work.into_iter());
-    let results: Mutex<Vec<(usize, InjectionRun)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..slots {
-            s.spawn(|| {
-                let mut worker: Option<Worker> = None;
-                loop {
-                    if stop() {
-                        break;
-                    }
-                    let next = queue.lock().next();
-                    let Some((orig, params)) = next else { break };
-                    let run = run_site(iso, cfg, &init, &mut worker, orig, params);
-                    hooks.on_run(&run);
-                    results.lock().push((orig, run));
-                }
-                if let Some(w) = worker.take() {
-                    w.shutdown();
-                }
-            });
-        }
-    });
-    let out = results.into_inner();
-    let stopped = out.len() < total;
-    (out, stopped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitflip::BitFlipModel;
-    use crate::campaign::NoHooks;
+    use crate::dispatch::{dispatch, Job, Plan, Settled};
     use crate::igid::InstrGroup;
+    use crate::outcome::OutcomeClass;
 
     fn site(i: u64) -> TransientParams {
         TransientParams {
@@ -399,45 +291,53 @@ mod tests {
         }
     }
 
+    /// Dispatch `sites` sites to workers started by `command`.
+    fn run_sites(
+        command: &str,
+        workers: usize,
+        max_retries: u32,
+        sites: u64,
+    ) -> Vec<Settled<(bool, u64)>> {
+        let iso = ProcessIsolation::new(vec![command.into()], "test");
+        let init = iso.init(&CampaignConfig::default(), "tiny");
+        let plan = Plan { workers, max_retries, backoff: Duration::ZERO, fault_hook: None };
+        let jobs = (0..sites).map(|i| (i as usize, Job::Run(site(i)))).collect();
+        let (out, stopped) = dispatch(
+            &plan,
+            jobs,
+            &|| false,
+            |slot: &mut Option<Worker>, index, params, kill| {
+                attempt(&iso, &init, slot, index, params, kill)
+            },
+            |_, settled| settled,
+            |_| {},
+        );
+        assert!(!stopped);
+        out.into_iter().map(|(_, settled)| settled).collect()
+    }
+
     /// A worker command that exits immediately can never produce verdicts:
     /// every site must come back as InfraError(WorkerDied) with the full
-    /// retry budget spent — and the pool itself must not error or hang.
+    /// retry budget spent — and the dispatcher itself must not hang.
     #[test]
     #[cfg(unix)]
     fn dead_worker_command_degrades_to_infra_verdicts() {
-        let iso = ProcessIsolation::new(vec!["/bin/false".into()], "test");
-        let cfg = CampaignConfig {
-            workers: 2,
-            max_retries: 1,
-            retry_backoff: Duration::ZERO,
-            ..CampaignConfig::default()
-        };
-        let work = vec![(0, site(0)), (1, site(1)), (2, site(2))];
-        let (out, stopped) = run_pool(&iso, &cfg, "tiny", work, &|| false, &NoHooks);
-        assert!(!stopped);
+        let out = run_sites("/bin/false", 2, 1, 3);
         assert_eq!(out.len(), 3);
-        for (_, run) in &out {
-            assert_eq!(run.outcome.class, OutcomeClass::InfraError(InfraKind::WorkerDied));
-            assert_eq!(run.attempts, 2, "retry budget spent before giving up");
-            assert!(!run.injected);
+        for settled in &out {
+            assert_eq!(settled.outcome.class, OutcomeClass::InfraError(InfraKind::WorkerDied));
+            assert_eq!(settled.attempts, 2, "retry budget spent before giving up");
+            assert!(settled.detail.is_none());
         }
     }
 
     /// A missing worker binary is the same story via the spawn-failure path.
     #[test]
     fn missing_worker_binary_degrades_to_infra_verdicts() {
-        let iso = ProcessIsolation::new(vec!["/nonexistent/nvbitfi-worker-binary".into()], "test");
-        let cfg = CampaignConfig {
-            workers: 1,
-            max_retries: 0,
-            retry_backoff: Duration::ZERO,
-            ..CampaignConfig::default()
-        };
-        let (out, stopped) = run_pool(&iso, &cfg, "tiny", vec![(0, site(0))], &|| false, &NoHooks);
-        assert!(!stopped);
+        let out = run_sites("/nonexistent/nvbitfi-worker-binary", 1, 0, 1);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.outcome.class, OutcomeClass::InfraError(InfraKind::WorkerDied));
-        assert_eq!(out[0].1.attempts, 1);
+        assert_eq!(out[0].outcome.class, OutcomeClass::InfraError(InfraKind::WorkerDied));
+        assert_eq!(out[0].attempts, 1);
     }
 
     #[test]

@@ -28,14 +28,14 @@
 //! supervisor treats the worker as dead and respawns, which is exactly the
 //! recovery path real corruption would need anyway.
 
-use crate::golden::{golden_run, golden_run_recording, GoldenOutput};
+use crate::campaign::attempt_transient;
+use crate::dispatch::Attempt;
+use crate::golden::PreparedGolden;
 use crate::logfile::outcome_code;
-use crate::outcome::{classify, SdcCheck};
+use crate::outcome::{Outcome, OutcomeClass, SdcCheck};
 use crate::params::TransientParams;
-use crate::transient::TransientInjector;
-use gpu_runtime::{run_program, run_program_fast_forward, CheckpointStore, Program, RuntimeConfig};
+use gpu_runtime::{Program, RuntimeConfig};
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum frame payload size. Frames are small control messages; a length
@@ -502,21 +502,12 @@ pub fn serve<R: Read, W: Write>(mut input: R, mut output: W, resolve: &Resolver)
         );
     };
 
-    let base_cfg = RuntimeConfig::default();
-    let golden_result: Result<(GoldenOutput, Option<Arc<CheckpointStore>>), _> = if init
-        .use_checkpoints
-    {
-        golden_run_recording(&*program, base_cfg.clone()).map(|(g, s)| (g, Some(s.into_shared())))
-    } else {
-        golden_run(&*program, base_cfg.clone()).map(|g| (g, None))
-    };
-    let (golden, store) = match golden_result {
-        Ok(v) => v,
-        Err(e) => return bail(&mut output, format!("golden run failed: {e}")),
-    };
-    let mut inj_cfg = base_cfg;
-    inj_cfg.instr_budget = Some(golden.suggested_budget());
-    inj_cfg.wall_deadline = init.deadline_ms.map(Duration::from_millis);
+    let mut golden =
+        match PreparedGolden::new(&*program, RuntimeConfig::default(), init.use_checkpoints) {
+            Ok(g) => g,
+            Err(e) => return bail(&mut output, format!("golden run failed: {e}")),
+        };
+    golden.config.wall_deadline = init.deadline_ms.map(Duration::from_millis);
     let heartbeat = Duration::from_millis(init.heartbeat_ms.max(1));
 
     write_frame(&mut output, &Msg::Ready.to_json())?;
@@ -530,47 +521,27 @@ pub fn serve<R: Read, W: Write>(mut input: R, mut output: W, resolve: &Resolver)
                     Ok(p) => p,
                     Err(e) => return bail(&mut output, format!("bad site parameters: {e}")),
                 };
-                let upto = store.as_ref().map(|s| {
-                    s.find_instance(&params.kernel_name, params.kernel_count)
-                        .unwrap_or(s.len() as u64)
-                });
                 let t = Instant::now();
                 let attempt = run_with_heartbeat(heartbeat, &mut output, || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let (tool, handle) = TransientInjector::new(params.clone());
-                        let out = match (&store, upto) {
-                            (Some(s), Some(upto)) => run_program_fast_forward(
-                                &*program,
-                                inj_cfg.clone(),
-                                Some(Box::new(tool)),
-                                Arc::clone(s),
-                                upto,
-                            ),
-                            _ => run_program(&*program, inj_cfg.clone(), Some(Box::new(tool))),
-                        };
-                        let outcome = classify(&golden, &out, &*check);
-                        (outcome, handle.get().injected, out.prefix_instrs_skipped)
-                    }))
+                    attempt_transient(&golden, &*program, &*check, &params, false)
                 })?;
                 let wall_us = u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let done = match attempt {
-                    Ok((outcome, injected, skip_instrs)) => Msg::Done {
-                        id,
-                        outcome: outcome_code(&outcome),
-                        injected,
-                        wall_us,
-                        skip_instrs,
-                    },
+                let (outcome, (injected, skip_instrs)) = match attempt {
+                    Attempt::Ran { outcome, detail, .. } => (outcome, detail),
                     // A panic inside the run stays inside the worker: report
                     // it as the same infra verdict thread-mode isolation uses
                     // and keep serving (the supervisor decides about retries).
-                    Err(_) => Msg::Done {
-                        id,
-                        outcome: "INFRA:panic".into(),
-                        injected: false,
-                        wall_us,
-                        skip_instrs: 0,
-                    },
+                    Attempt::Lost(kind) => (
+                        Outcome { class: OutcomeClass::InfraError(kind), potential_due: false },
+                        (false, 0),
+                    ),
+                };
+                let done = Msg::Done {
+                    id,
+                    outcome: outcome_code(&outcome),
+                    injected,
+                    wall_us,
+                    skip_instrs,
                 };
                 write_frame(&mut output, &done.to_json())?;
             }

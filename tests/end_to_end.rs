@@ -3,8 +3,8 @@
 //! campaigns — on real suite programs.
 
 use nvbitfi::{
-    run_permanent_campaign, run_transient_campaign, CampaignConfig, PermanentCampaignConfig,
-    ProfilingMode,
+    run_permanent_campaign, run_transient_campaign, CampaignConfig, InfraKind, OutcomeClass,
+    PermanentCampaignConfig, ProfilingMode, WeightedOutcomes,
 };
 use workloads::Scale;
 
@@ -101,6 +101,31 @@ fn permanent_campaign_end_to_end_md() {
     assert!((w.sdc + w.due + w.masked - 1.0).abs() < 1e-9, "{w:?}");
     // FP64 opcodes are in the mix for md.
     assert!(executed.iter().any(|o| o.mnemonic() == "DFMA"), "md is FP64-heavy");
+}
+
+#[test]
+fn permanent_deadline_overruns_retry_then_record_infra_errors() {
+    // An already-expired deadline fails every attempt of every experiment:
+    // each opcode spends its retry and settles as InfraError(Deadline), and
+    // infra weight leaves the weighted denominator entirely.
+    let program = workloads::md::Md { scale: Scale::Test };
+    let check = workloads::md::Md::check();
+    let cfg = PermanentCampaignConfig {
+        seed: 4,
+        workers: 2,
+        max_retries: 1,
+        retry_backoff: std::time::Duration::ZERO,
+        run_deadline: Some(std::time::Duration::ZERO),
+        ..Default::default()
+    };
+    let result = run_permanent_campaign(&program, &check, &cfg).expect("campaign survives");
+    assert!(!result.runs.is_empty());
+    for run in &result.runs {
+        assert_eq!(run.outcome.class, OutcomeClass::InfraError(InfraKind::Deadline));
+        assert_eq!(run.attempts, 2, "max_retries = 1 means two attempts");
+    }
+    assert_eq!(result.counts.infra as usize, result.runs.len());
+    assert_eq!(result.weighted, WeightedOutcomes::default(), "no weight left to distribute");
 }
 
 #[test]
