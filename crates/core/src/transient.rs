@@ -187,12 +187,11 @@ impl NvBitTool for TransientInjector {
     fn device_call(&mut self, site: &CallSite<'_>, thread: &mut gpu_sim::ThreadCtx<'_>) {
         let index = self.seen;
         self.seen += 1;
-        self.record.lock().group_instrs_seen = self.seen;
-        if self.record.lock().injected || index != self.params.instruction_count {
+        let mut rec = self.record.lock();
+        rec.group_instrs_seen = self.seen;
+        if rec.injected || index != self.params.instruction_count {
             return;
         }
-        let target = self.corrupt(site, thread);
-        let mut rec = self.record.lock();
         rec.injected = true;
         rec.detail = Some(InjectionDetail {
             kernel: site.kernel.to_string(),
@@ -200,7 +199,7 @@ impl NvBitTool for TransientInjector {
             pc: site.instr.pc(),
             opcode: site.instr.opcode(),
             global_tid: thread.meta.global_tid(),
-            target,
+            target: self.corrupt(site, thread),
         });
     }
 }

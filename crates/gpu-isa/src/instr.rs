@@ -337,6 +337,7 @@ impl Instr {
     }
 
     /// The memory reference, if any source is a [`Operand::Mem`].
+    #[inline]
     pub fn mem_ref(&self) -> Option<MemRef> {
         self.srcs.iter().find_map(|s| match s {
             Operand::Mem(m) => Some(*m),

@@ -76,6 +76,9 @@ impl ExecEnv<'_> {
         }
     }
 
+    // Read for nearly every operand of every lane; LLVM leaves it out of
+    // line in `exec_family` without the hint.
+    #[inline(always)]
     fn rd_u32(&self, op: Operand) -> u32 {
         match op {
             Operand::R(r) => self.regs.read(r),
@@ -266,8 +269,17 @@ fn apply_atom(op: AtomOp, old: u64, v: u64, v2: u64, width: MemWidth) -> u64 {
 ///
 /// Returns the [`TrapKind`] the instruction raised, if any.
 pub fn exec_scalar(i: &Instr, env: &mut ExecEnv<'_>) -> Result<Flow, TrapKind> {
+    exec_family(i.op.family(), i, env)
+}
+
+/// [`exec_scalar`] with the opcode's family already decoded (`fam` must be
+/// `i.op.family()`), so a warp decodes it once per issue, not per lane.
+pub(crate) fn exec_family(
+    fam: ExecFamily,
+    i: &Instr,
+    env: &mut ExecEnv<'_>,
+) -> Result<Flow, TrapKind> {
     use ExecFamily::*;
-    let fam = i.op.family();
     match fam {
         // ---- FP32 -----------------------------------------------------
         FAdd => {

@@ -22,7 +22,8 @@ pub struct GpuConfig {
     /// Number of streaming multiprocessors; blocks are assigned
     /// `sm = block_id % num_sms`.
     pub num_sms: u32,
-    /// Per-thread local-memory bytes.
+    /// Per-thread local-memory bytes, allocated only for kernels with a
+    /// local-memory operand.
     pub local_mem_bytes: u32,
     /// Default per-launch dynamic-instruction budget (the hang detector).
     pub default_instr_budget: u64,
@@ -221,10 +222,9 @@ impl Gpu {
             }
         }
         let nblocks = l.grid.count() as u32;
+        let mut block = BlockState::new(l.kernel, l.grid, l.block, self.cfg.local_mem_bytes);
         for b in 0..nblocks {
-            let sm = b % self.cfg.num_sms;
-            let mut block =
-                BlockState::new(l.kernel, l.grid, l.block, b, sm, self.cfg.local_mem_bytes);
+            block.arm(b, b % self.cfg.num_sms);
             let run =
                 block.run(l.kernel, global, &param_bytes, &mut counters, &mut instrumentation);
             if let Err(info) = run {

@@ -21,7 +21,15 @@
 //!   per-static-instruction before/after callbacks with register-file
 //!   access, the contract the NVBit layer builds its `insert_call` API on.
 //!   Un-instrumented instructions take a fast path, so tools pay only for
-//!   what they instrument.
+//!   what they instrument,
+//! * **a warp-at-a-time core** — a launch builds its block state once and
+//!   re-arms it per block (registers the kernel wrote, predicates, shared
+//!   and local memory zeroed; call stacks emptied; local memory only for
+//!   kernels with a local-memory operand). Warps are `u32` lane masks:
+//!   each issue decodes the instruction, looks up its hooks and settles
+//!   the budget and deadline once, then runs the active lanes in one
+//!   ascending pass — with the before/after hooks around each lane's
+//!   execution where the pc is instrumented.
 //!
 //! See the [`Gpu::launch`] docs for a complete runnable example.
 

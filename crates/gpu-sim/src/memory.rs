@@ -412,6 +412,13 @@ impl SharedMem {
         self.data.is_empty()
     }
 
+    /// Zero every byte, for the next block of a launch.
+    pub(crate) fn zero(&mut self) {
+        if !self.data.is_empty() {
+            self.data.fill(0);
+        }
+    }
+
     /// Device-side load.
     ///
     /// # Errors

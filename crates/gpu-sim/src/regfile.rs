@@ -28,6 +28,14 @@ impl RegFile {
         RegFile { r: [0; 256], p: 0 }
     }
 
+    /// Zero `R0..Rn` and every predicate: a cheaper [`RegFile::new`] for a
+    /// file whose registers from `Rn` up are already zero.
+    #[inline]
+    pub(crate) fn clear_low(&mut self, n: usize) {
+        self.r[..n].fill(0);
+        self.p = 0;
+    }
+
     /// Read a 32-bit GPR.
     #[inline]
     pub fn read(&self, r: Reg) -> u32 {

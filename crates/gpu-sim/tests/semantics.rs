@@ -487,3 +487,274 @@ fn dset_and_dsetp_compare_doubles() {
         assert_eq!(*v, if tid < 5 { u32::MAX } else { 0 }, "tid {tid}");
     }
 }
+
+#[test]
+fn shfl_down_huge_delta_keeps_own_value() {
+    // lane + delta overflows u32 for every lane: the source is out of
+    // range, so each lane keeps its own value (as SHFL.UP and .IDX do).
+    let mut k = KernelBuilder::new("shfl_down_wrap");
+    let (out, lane) = (Reg(4), Reg(7));
+    k.ldc(out, 0);
+    k.s2r(lane, SpecialReg::LaneId);
+    k.iaddi(Reg(1), lane, 100);
+    k.shfl(ShflMode::Down, Reg(0), Reg(1), 0xFFFF_FFFF);
+    k.shli(Reg(8), lane, 2);
+    k.iadd(out, out, Reg(8));
+    k.stg(out, 0, Reg(0));
+    k.exit();
+    let kernel = k.finish();
+    let mut mem = GlobalMem::new(1 << 16);
+    let out = mem.alloc(32 * 4).expect("out");
+    run_kernel(&kernel, 32, &[out.addr()], &mut mem);
+    assert_eq!(mem.read_u32s(out, 32).expect("r"), (100..132).collect::<Vec<u32>>());
+}
+
+// ---- Host-oracle property tests ---------------------------------------------
+//
+// One instruction on a full warp with random per-lane inputs; every lane's
+// result is compared with the host's own f32/f64/u32 operation.
+
+use gpu_isa::BoolOp;
+use proptest::prelude::*;
+
+/// One random input word per lane of a full warp.
+fn warp_words() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(any::<u32>(), 32..33)
+}
+
+/// One random 64-bit input per lane of a full warp.
+fn warp_dwords() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(any::<u64>(), 32..33)
+}
+
+/// `op R0, srcs…` with `R1`/`R2` holding the lane's inputs.
+fn one(op: Opcode, modifier: Modifier, srcs: [Operand; 4]) -> impl FnOnce(&mut KernelBuilder) {
+    move |k| {
+        let mut i = Instr::new(op);
+        i.modifier = modifier;
+        i.dsts[0] = Dst::R(Reg(0));
+        i.srcs = srcs;
+        k.push(i);
+    }
+}
+
+/// `ISETP`/`FSETP`/`DSETP` into P0, then `SEL R0, -1, 0, P0`.
+fn setp_sel(setp: Instr) -> impl FnOnce(&mut KernelBuilder) {
+    move |k| {
+        k.push(setp);
+        k.movi(Reg(3), u32::MAX);
+        k.sel(Reg(0), Reg(3), Reg::RZ, PReg(0));
+    }
+}
+
+fn r(n: u8) -> Operand {
+    Operand::R(Reg(n))
+}
+
+const NONE: Operand = Operand::None;
+
+/// Like `eval2` with 64-bit lanes: `R10:R11 = a[tid]`, `R12:R13 = b[tid]`,
+/// `body`, then `out[tid] = R14:R15`.
+fn eval2_64(body: impl FnOnce(&mut KernelBuilder), xs: &[u64], ys: &[u64]) -> Vec<u64> {
+    let n = xs.len();
+    let mut k = KernelBuilder::new("t64");
+    let (out, a, b, tid, off) = (Reg(4), Reg(5), Reg(6), Reg(7), Reg(8));
+    k.ldc(out, 0);
+    k.ldc(a, 4);
+    k.ldc(b, 8);
+    k.s2r(tid, SpecialReg::TidX);
+    k.shli(off, tid, 3);
+    k.iadd(out, out, off);
+    k.iadd(a, a, off);
+    k.iadd(b, b, off);
+    k.ldg64(Reg(10), a, 0);
+    k.ldg64(Reg(12), b, 0);
+    body(&mut k);
+    k.stg64(out, 0, Reg(14));
+    k.exit();
+    let kernel = k.finish();
+    let words =
+        |v: &[u64]| v.iter().flat_map(|d| [*d as u32, (d >> 32) as u32]).collect::<Vec<_>>();
+    let mut mem = GlobalMem::new(1 << 16);
+    let out = mem.alloc((n * 8) as u32).expect("out");
+    let a = mem.alloc((n * 8) as u32).expect("a");
+    let b = mem.alloc((n * 8) as u32).expect("b");
+    mem.write_u32s(a, &words(xs)).expect("w");
+    mem.write_u32s(b, &words(ys)).expect("w");
+    run_kernel(&kernel, n as u32, &[out.addr(), a.addr(), b.addr()], &mut mem);
+    let got = mem.read_u32s(out, 2 * n).expect("r");
+    got.chunks(2).map(|p| u64::from(p[0]) | u64::from(p[1]) << 32).collect()
+}
+
+/// `op R14:R15, R10:R11, R12:R13[, R10:R11]`.
+fn one64(op: Opcode, third: bool, min: Option<bool>) -> impl FnOnce(&mut KernelBuilder) {
+    move |k| {
+        let mut i = Instr::new(op);
+        i.dsts[0] = Dst::R64(Reg(14));
+        i.srcs[0] = Operand::R64(Reg(10));
+        i.srcs[1] = Operand::R64(Reg(12));
+        if third {
+            i.srcs[2] = Operand::R64(Reg(10));
+        }
+        if let Some(min) = min {
+            i.srcs[2] = if min { Operand::P(PReg::PT) } else { Operand::NotP(PReg::PT) };
+        }
+        k.push(i);
+    }
+}
+
+fn host_cmp<T: PartialOrd>(c: CmpOp, a: T, b: T) -> bool {
+    a.partial_cmp(&b).map_or(c == CmpOp::Ne, |o| c.eval(o))
+}
+
+fn zip(xs: &[u32], ys: &[u32], f: impl Fn(u32, u32) -> u32) -> Vec<u32> {
+    xs.iter().zip(ys).map(|(&x, &y)| f(x, y)).collect()
+}
+
+fn f32s(f: impl Fn(f32, f32) -> f32) -> impl Fn(u32, u32) -> u32 {
+    move |x, y| f(f32::from_bits(x), f32::from_bits(y)).to_bits()
+}
+
+proptest! {
+    #[test]
+    fn fp32_arith_matches_host(xs in warp_words(), ys in warp_words()) {
+        let (x, y) = (&xs[..], &ys[..]);
+        let m = Modifier::None;
+        let run = |op, srcs| eval2(one(op, m, srcs), x, y);
+        prop_assert_eq!(run(Opcode::FADD, [r(1), r(2), NONE, NONE]), zip(x, y, f32s(|a, b| a + b)));
+        prop_assert_eq!(run(Opcode::FMUL, [r(1), r(2), NONE, NONE]), zip(x, y, f32s(|a, b| a * b)));
+        prop_assert_eq!(
+            run(Opcode::FFMA, [r(1), r(2), r(1), NONE]),
+            zip(x, y, f32s(|a, b| a.mul_add(b, a)))
+        );
+        let pt = Operand::P(PReg::PT);
+        let npt = Operand::NotP(PReg::PT);
+        prop_assert_eq!(run(Opcode::FMNMX, [r(1), r(2), pt, NONE]), zip(x, y, f32s(f32::min)));
+        prop_assert_eq!(run(Opcode::FMNMX, [r(1), r(2), npt, NONE]), zip(x, y, f32s(f32::max)));
+    }
+
+    #[test]
+    fn fp64_arith_matches_host(xs in warp_dwords(), ys in warp_dwords()) {
+        let host = |f: fn(f64, f64) -> f64| -> Vec<u64> {
+            xs.iter().zip(&ys).map(|(&a, &b)| f(f64::from_bits(a), f64::from_bits(b)).to_bits()).collect()
+        };
+        prop_assert_eq!(eval2_64(one64(Opcode::DADD, false, None), &xs, &ys), host(|a, b| a + b));
+        prop_assert_eq!(eval2_64(one64(Opcode::DMUL, false, None), &xs, &ys), host(|a, b| a * b));
+        prop_assert_eq!(eval2_64(one64(Opcode::DFMA, true, None), &xs, &ys), host(|a, b| a.mul_add(b, a)));
+        prop_assert_eq!(eval2_64(one64(Opcode::DMNMX, false, Some(true)), &xs, &ys), host(f64::min));
+        prop_assert_eq!(eval2_64(one64(Opcode::DMNMX, false, Some(false)), &xs, &ys), host(f64::max));
+    }
+
+    #[test]
+    fn integer_arith_matches_host(xs in warp_words(), ys in warp_words(), sh in 0u32..32) {
+        let (x, y) = (&xs[..], &ys[..]);
+        let m = Modifier::None;
+        let run = |op, srcs| eval2(one(op, m, srcs), x, y);
+        prop_assert_eq!(run(Opcode::IADD, [r(1), r(2), NONE, NONE]), zip(x, y, u32::wrapping_add));
+        prop_assert_eq!(run(Opcode::ISUB, [r(1), r(2), NONE, NONE]), zip(x, y, u32::wrapping_sub));
+        prop_assert_eq!(run(Opcode::IMUL, [r(1), r(2), NONE, NONE]), zip(x, y, u32::wrapping_mul));
+        prop_assert_eq!(
+            run(Opcode::IMAD, [r(1), r(2), r(1), NONE]),
+            zip(x, y, |a, b| a.wrapping_mul(b).wrapping_add(a))
+        );
+        prop_assert_eq!(
+            run(Opcode::IADD3, [r(1), r(2), r(2), NONE]),
+            zip(x, y, |a, b| a.wrapping_add(b).wrapping_add(b))
+        );
+        let pt = Operand::P(PReg::PT);
+        let npt = Operand::NotP(PReg::PT);
+        prop_assert_eq!(
+            run(Opcode::IMNMX, [r(1), r(2), pt, NONE]),
+            zip(x, y, |a, b| (a as i32).min(b as i32) as u32)
+        );
+        prop_assert_eq!(
+            run(Opcode::IMNMX, [r(1), r(2), npt, NONE]),
+            zip(x, y, |a, b| (a as i32).max(b as i32) as u32)
+        );
+        prop_assert_eq!(
+            run(Opcode::ISCADD, [r(1), r(2), Operand::Imm(sh), NONE]),
+            zip(x, y, |a, b| (a << sh).wrapping_add(b))
+        );
+    }
+
+    #[test]
+    fn logic_and_shift_match_host(xs in warp_words(), ys in warp_words(), lut in any::<u8>(), sh in 0u32..40) {
+        let (x, y) = (&xs[..], &ys[..]);
+        let host_lop3 = |a: u32, b: u32, c: u32| {
+            (0..32).fold(0u32, |out, bit| {
+                let idx = ((a >> bit) & 1) << 2 | ((b >> bit) & 1) << 1 | ((c >> bit) & 1);
+                out | (u32::from(lut >> idx) & 1) << bit
+            })
+        };
+        prop_assert_eq!(
+            eval2(one(Opcode::LOP3, Modifier::Lut(lut), [r(1), r(2), r(1), NONE]), x, y),
+            zip(x, y, |a, b| host_lop3(a, b, a))
+        );
+        let m = Modifier::None;
+        let imm = Operand::Imm(sh);
+        prop_assert_eq!(
+            eval2(one(Opcode::SHL, m, [r(1), imm, NONE, NONE]), x, y),
+            zip(x, y, |a, _| a.checked_shl(sh).unwrap_or(0))
+        );
+        prop_assert_eq!(
+            eval2(one(Opcode::SHR, m, [r(1), imm, NONE, NONE]), x, y),
+            zip(x, y, |a, _| a.checked_shr(sh).unwrap_or(0))
+        );
+        prop_assert_eq!(
+            eval2(one(Opcode::SHF, m, [r(1), r(2), imm, NONE]), x, y),
+            zip(x, y, |lo, hi| ((u64::from(hi) << 32 | u64::from(lo)) >> (sh & 31)) as u32)
+        );
+    }
+
+    #[test]
+    fn compare_and_select_match_host(
+        xs in warp_words(),
+        ys in warp_words(),
+        cmp in 0usize..6,
+        boolop in 0usize..3,
+    ) {
+        let (x, y) = (&xs[..], &ys[..]);
+        let c = CmpOp::ALL[cmp];
+        let b = [BoolOp::And, BoolOp::Or, BoolOp::Xor][boolop];
+        let mask = |hit: bool| if hit { u32::MAX } else { 0 };
+        // ISETP/FSETP combined with P0's previous value, which is false.
+        let setp = |op| {
+            let mut i = Instr::new(op);
+            i.modifier = Modifier::CmpBool(c, b);
+            i.dsts[0] = Dst::P(PReg(0));
+            i.srcs = [r(1), r(2), Operand::P(PReg(0)), NONE];
+            i
+        };
+        prop_assert_eq!(
+            eval2(setp_sel(setp(Opcode::ISETP)), x, y),
+            zip(x, y, |p, q| mask(b.eval(host_cmp(c, p as i32, q as i32), false)))
+        );
+        prop_assert_eq!(
+            eval2(setp_sel(setp(Opcode::FSETP)), x, y),
+            zip(x, y, |p, q| mask(b.eval(host_cmp(c, f32::from_bits(p), f32::from_bits(q)), false)))
+        );
+        let m = Modifier::Cmp(c);
+        prop_assert_eq!(
+            eval2(one(Opcode::ISET, m, [r(1), r(2), NONE, NONE]), x, y),
+            zip(x, y, |p, q| mask(host_cmp(c, p as i32, q as i32)))
+        );
+        prop_assert_eq!(
+            eval2(one(Opcode::FSET, m, [r(1), r(2), NONE, NONE]), x, y),
+            zip(x, y, |p, q| mask(host_cmp(c, f32::from_bits(p), f32::from_bits(q))))
+        );
+        // SEL/FSEL on a predicate computed from the lane's own inputs.
+        for op in [Opcode::SEL, Opcode::FSEL] {
+            let body = |k: &mut KernelBuilder| {
+                k.isetp_r(PReg(1), c, Reg(1), Reg(2));
+                let mut i = Instr::new(op);
+                i.dsts[0] = Dst::R(Reg(0));
+                i.srcs = [r(1), r(2), Operand::P(PReg(1)), NONE];
+                k.push(i);
+            };
+            prop_assert_eq!(
+                eval2(body, x, y),
+                zip(x, y, |p, q| if host_cmp(c, p as i32, q as i32) { p } else { q })
+            );
+        }
+    }
+}
