@@ -171,7 +171,8 @@ impl BlockState {
                 t.regs.clear_low(self.written_regs);
             }
             t.ret_stack.clear();
-            // Most kernels have no local memory: skip the (empty) fill.
+            // Most kernels have no local memory; an empty `fill` still
+            // calls `memset` (see `SharedMem::zero`).
             if !t.local.is_empty() {
                 t.local.fill(0);
             }

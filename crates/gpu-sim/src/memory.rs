@@ -414,6 +414,8 @@ impl SharedMem {
 
     /// Zero every byte, for the next block of a launch.
     pub(crate) fn zero(&mut self) {
+        // An empty `fill` still calls `memset`, which costs ~150 ns on some
+        // hosts even for zero bytes.
         if !self.data.is_empty() {
             self.data.fill(0);
         }
