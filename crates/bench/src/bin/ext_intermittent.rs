@@ -5,8 +5,8 @@
 //! permanent-like regimes of Figures 2 and 3.
 
 use gpu_runtime::{run_program, RuntimeConfig};
-use nvbitfi::ext::{ActivationPattern, CorruptionFn, ExtFault, ExtInjector};
-use nvbitfi::{classify, golden_run, report, OutcomeCounts};
+use nvbitfi::ext::{ActivationPattern, CorruptionFn, ExtFault};
+use nvbitfi::{classify, golden_run, report, OutcomeCounts, PermanentInjector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,7 +55,7 @@ fn main() {
                 corruption: CorruptionFn::Xor(1u32 << rng.gen_range(0u32..32)),
                 activation,
             };
-            let (tool, handle) = ExtInjector::new(fault);
+            let (tool, handle) = PermanentInjector::extended(fault);
             let out = run_program(program, cfg.clone(), Some(Box::new(tool)));
             counts.add(&classify(&golden, &out, check));
             activations += handle.get().activations;

@@ -14,10 +14,10 @@
 //!   device anomaly.
 
 use gpu_runtime::{run_program, Program, RuntimeConfig};
-use nvbitfi::ext::{CorruptionFn, DictEntry, DictInjector, FaultDictionary};
+use nvbitfi::ext::{CorruptionFn, DictEntry, FaultDictionary};
 use nvbitfi::{
-    classify, golden_run, BitFlipModel, InstrGroup, Outcome, SdcCheck, TransientInjector,
-    TransientParams,
+    classify, golden_run, BitFlipModel, InstrGroup, Outcome, PermanentInjector, SdcCheck,
+    TransientInjector, TransientParams,
 };
 use workloads::Scale;
 
@@ -85,7 +85,7 @@ fn main() {
         gpu_isa::Opcode::IADD32I,
         DictEntry { corruption: CorruptionFn::Xor(1), manifest_prob: 1.0 },
     );
-    let (tool, _h) = DictInjector::new(dict, 0, 3, 7);
+    let (tool, _h) = PermanentInjector::dictionary(dict, 0, 3, 7);
     let out = run_program(&ep, cfg, Some(Box::new(tool)));
     let o = classify(&golden, &out, &ep_check);
     rows.push(vec![

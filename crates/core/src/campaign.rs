@@ -303,7 +303,7 @@ pub(crate) fn attempt_transient(
 ) -> Attempt<(bool, u64)> {
     attempt_here(harness_fault, || {
         let (tool, handle) = TransientInjector::new(params.clone());
-        let upto = golden.target_launch(&params.kernel_name, params.kernel_count);
+        let upto = golden.target_launch(std::slice::from_ref(params));
         let (outcome, skipped) = golden.inject(program, check, Box::new(tool), upto);
         (outcome, (handle.get().injected, skipped))
     })
@@ -386,7 +386,7 @@ pub fn run_transient_campaign_with(
         .enumerate()
         .map(|(i, (p, pruned))| (i, p, pruned))
         .collect();
-    work.sort_by_cached_key(|(i, p, _)| (golden.target_launch(&p.kernel_name, p.kernel_count), *i));
+    work.sort_by_cached_key(|(i, p, _)| (golden.target_launch(std::slice::from_ref(p)), *i));
 
     let reloaded = reload_prior(&mut work, prior);
     let jobs = work

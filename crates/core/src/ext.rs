@@ -1,22 +1,23 @@
-//! Fault-model extensions — the paper's §V "future directions", implemented.
+//! Fault-model extensions — the paper's §V "future directions", as data
+//! for [`PermanentInjector`](crate::PermanentInjector), which injects them
+//! all.
 //!
 //! * **Intermittent faults**: a permanent-style fault that activates only on
-//!   a subset of dynamic instances — a random process or a bursty window.
+//!   a subset of dynamic instances — a random process or a bursty window
+//!   ([`ActivationPattern`]).
 //! * **More complex fault models**: corruption functions beyond XOR
 //!   ([`CorruptionFn`]), multi-register corruption, and permanent faults
-//!   spanning *multiple opcodes* (e.g. every opcode sharing an ALU).
+//!   spanning *multiple opcodes* (e.g. every opcode sharing an ALU,
+//!   [`ExtFault`]).
 //! * **Fault dictionary**: a per-opcode table of corruption behaviours
 //!   ([`FaultDictionary`]), standing in for a dictionary derived from
 //!   circuit/microarchitectural simulation.
 
-use gpu_isa::{Kernel, Opcode};
-use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
-use parking_lot::Mutex;
+use gpu_isa::Opcode;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A corruption function applied to a destination register (§V: "supporting
 /// corruption functions beyond the current set of XOR, random, and zero").
@@ -67,6 +68,20 @@ pub enum ActivationPattern {
     },
 }
 
+impl ActivationPattern {
+    /// Whether the fault is active on the 0-based `opportunity`. `Random`
+    /// draws from `rng`; the other patterns never touch it.
+    pub fn is_active(&self, opportunity: u64, rng: &mut StdRng) -> bool {
+        match *self {
+            ActivationPattern::Always => true,
+            ActivationPattern::Random { prob, .. } => rng.gen_bool(prob.clamp(0.0, 1.0)),
+            ActivationPattern::Burst { start, len } => {
+                opportunity.checked_sub(start).is_some_and(|k| k < len)
+            }
+        }
+    }
+}
+
 /// An extended fault: one or more opcodes at one (SM, lane), with a chosen
 /// corruption function and activation pattern.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,97 +99,12 @@ pub struct ExtFault {
     pub activation: ActivationPattern,
 }
 
-/// Record of an extended-fault run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExtRecord {
-    /// Opportunities: target-opcode executions on the target (SM, lane).
-    pub opportunities: u64,
-    /// Opportunities on which the fault was active (corruptions applied).
-    pub activations: u64,
-}
-
-/// Handle to read the [`ExtRecord`] after the run.
-#[derive(Debug, Clone)]
-pub struct ExtHandle(Arc<Mutex<ExtRecord>>);
-
-impl ExtHandle {
-    /// Snapshot the record.
-    pub fn get(&self) -> ExtRecord {
-        self.0.lock().clone()
-    }
-}
-
-/// The extended injector tool.
-pub struct ExtInjector {
-    fault: ExtFault,
-    rng: StdRng,
-    record: Arc<Mutex<ExtRecord>>,
-}
-
-impl ExtInjector {
-    /// Create an extended injector and its record handle.
-    pub fn new(fault: ExtFault) -> (NvBit<ExtInjector>, ExtHandle) {
-        let seed = match fault.activation {
-            ActivationPattern::Random { seed, .. } => seed,
-            _ => 0,
-        };
-        let record = Arc::new(Mutex::new(ExtRecord::default()));
-        let inj =
-            ExtInjector { fault, rng: StdRng::seed_from_u64(seed), record: Arc::clone(&record) };
-        (NvBit::new(inj), ExtHandle(record))
-    }
-
-    fn active(&mut self, opportunity: u64) -> bool {
-        match &self.fault.activation {
-            ActivationPattern::Always => true,
-            ActivationPattern::Random { prob, .. } => self.rng.gen_bool(prob.clamp(0.0, 1.0)),
-            ActivationPattern::Burst { start, len } => {
-                opportunity >= *start && opportunity < start + len
-            }
-        }
-    }
-}
-
-impl NvBitTool for ExtInjector {
-    fn instrument_kernel(&mut self, kernel: &Kernel, inserter: &mut Inserter<'_>) {
-        for (pc, instr) in kernel.instrs().iter().enumerate() {
-            if self.fault.opcodes.contains(&instr.op) {
-                inserter.insert_call(pc, When::After, 0, Vec::new());
-            }
-        }
-    }
-
-    fn device_call(&mut self, site: &CallSite<'_>, thread: &mut gpu_sim::ThreadCtx<'_>) {
-        if thread.meta.sm != self.fault.sm_id || thread.meta.lane != self.fault.lane_id {
-            return;
-        }
-        let opportunity = {
-            let mut rec = self.record.lock();
-            let o = rec.opportunities;
-            rec.opportunities += 1;
-            o
-        };
-        if !self.active(opportunity) {
-            return;
-        }
-        self.record.lock().activations += 1;
-        // Multi-register corruption: every GPR destination unit is affected.
-        for reg in site.instr.gpr_dests() {
-            let old = thread.read_reg(reg);
-            thread.write_reg(reg, self.fault.corruption.apply(old));
-        }
-    }
-}
-
 /// A fault dictionary: per-opcode corruption behaviour (§V).
 ///
 /// Opcodes absent from the dictionary are unaffected. Each entry can carry
 /// its own activation probability, modeling an error-manifestation rate
 /// derived from lower-level simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultDictionary {
-    entries: BTreeMap<Opcode, DictEntry>,
-}
+pub type FaultDictionary = BTreeMap<Opcode, DictEntry>;
 
 /// One dictionary entry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -185,99 +115,10 @@ pub struct DictEntry {
     pub manifest_prob: f64,
 }
 
-impl FaultDictionary {
-    /// An empty dictionary.
-    pub fn new() -> FaultDictionary {
-        FaultDictionary::default()
-    }
-
-    /// Add or replace an entry.
-    pub fn insert(&mut self, op: Opcode, entry: DictEntry) -> &mut Self {
-        self.entries.insert(op, entry);
-        self
-    }
-
-    /// Look up an opcode.
-    pub fn get(&self, op: Opcode) -> Option<&DictEntry> {
-        self.entries.get(&op)
-    }
-
-    /// The opcodes with entries.
-    pub fn opcodes(&self) -> impl Iterator<Item = Opcode> + '_ {
-        self.entries.keys().copied()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the dictionary has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Injector driven by a [`FaultDictionary`], affecting one (SM, lane).
-pub struct DictInjector {
-    dict: FaultDictionary,
-    sm_id: u32,
-    lane_id: u32,
-    rng: StdRng,
-    record: Arc<Mutex<ExtRecord>>,
-}
-
-impl DictInjector {
-    /// Create a dictionary injector and its record handle.
-    pub fn new(
-        dict: FaultDictionary,
-        sm_id: u32,
-        lane_id: u32,
-        seed: u64,
-    ) -> (NvBit<DictInjector>, ExtHandle) {
-        let record = Arc::new(Mutex::new(ExtRecord::default()));
-        let inj = DictInjector {
-            dict,
-            sm_id,
-            lane_id,
-            rng: StdRng::seed_from_u64(seed),
-            record: Arc::clone(&record),
-        };
-        (NvBit::new(inj), ExtHandle(record))
-    }
-}
-
-impl NvBitTool for DictInjector {
-    fn instrument_kernel(&mut self, kernel: &Kernel, inserter: &mut Inserter<'_>) {
-        for (pc, instr) in kernel.instrs().iter().enumerate() {
-            if self.dict.get(instr.op).is_some() {
-                inserter.insert_call(pc, When::After, 0, Vec::new());
-            }
-        }
-    }
-
-    fn device_call(&mut self, site: &CallSite<'_>, thread: &mut gpu_sim::ThreadCtx<'_>) {
-        if thread.meta.sm != self.sm_id || thread.meta.lane != self.lane_id {
-            return;
-        }
-        let Some(entry) = self.dict.get(site.instr.opcode()).copied() else {
-            return;
-        };
-        self.record.lock().opportunities += 1;
-        if !self.rng.gen_bool(entry.manifest_prob.clamp(0.0, 1.0)) {
-            return;
-        }
-        self.record.lock().activations += 1;
-        for reg in site.instr.gpr_dests() {
-            let old = thread.read_reg(reg);
-            thread.write_reg(reg, entry.corruption.apply(old));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PermanentInjector;
     use gpu_isa::asm::KernelBuilder;
     use gpu_isa::{encode, Module, Reg, SpecialReg};
     use gpu_runtime::{run_program, Program, Runtime, RuntimeConfig, RuntimeError};
@@ -338,7 +179,7 @@ mod tests {
     #[test]
     fn always_pattern_is_permanent() {
         let (tool, handle) =
-            ExtInjector::new(fault(ActivationPattern::Always, CorruptionFn::Xor(0)));
+            PermanentInjector::extended(fault(ActivationPattern::Always, CorruptionFn::Xor(0)));
         let out = run_program(&App { iters: 10 }, cfg(), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
         let rec = handle.get();
@@ -349,7 +190,7 @@ mod tests {
 
     #[test]
     fn burst_pattern_activates_window_only() {
-        let (tool, handle) = ExtInjector::new(fault(
+        let (tool, handle) = PermanentInjector::extended(fault(
             ActivationPattern::Burst { start: 5, len: 4 },
             CorruptionFn::Xor(0),
         ));
@@ -361,9 +202,25 @@ mod tests {
     }
 
     #[test]
+    fn burst_reaching_past_the_last_opportunity_does_not_overflow() {
+        // `start + len` overflows u64 here; the window still covers every
+        // opportunity from `start` on.
+        let burst = ActivationPattern::Burst { start: 5, len: u64::MAX };
+        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        assert!(!burst.is_active(4, &mut rng));
+        assert!(burst.is_active(5, &mut rng));
+        assert!(burst.is_active(u64::MAX, &mut rng));
+        let (tool, handle) = PermanentInjector::extended(fault(burst, CorruptionFn::Xor(0)));
+        let out = run_program(&App { iters: 10 }, cfg(), Some(Box::new(tool)));
+        assert!(out.termination.is_clean());
+        let rec = handle.get();
+        assert_eq!((rec.opportunities, rec.activations), (20, 15));
+    }
+
+    #[test]
     fn random_pattern_is_reproducible_and_rate_shaped() {
         let run_once = || {
-            let (tool, handle) = ExtInjector::new(fault(
+            let (tool, handle) = PermanentInjector::extended(fault(
                 ActivationPattern::Random { prob: 0.5, seed: 99 },
                 CorruptionFn::Xor(0),
             ));
@@ -383,7 +240,7 @@ mod tests {
         // OR with 0x4 forces bit 2 of the loop counters on lane 3; the
         // final accumulator for lane 3 differs from the clean 10.
         let (tool, handle) =
-            ExtInjector::new(fault(ActivationPattern::Always, CorruptionFn::Or(0x4)));
+            PermanentInjector::extended(fault(ActivationPattern::Always, CorruptionFn::Or(0x4)));
         let out = run_program(&App { iters: 10 }, cfg(), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
         assert!(handle.get().activations > 0);
@@ -404,7 +261,7 @@ mod tests {
         );
         assert_eq!(dict.len(), 1);
         assert!(!dict.is_empty());
-        let (tool, handle) = DictInjector::new(dict, 0, 3, 7);
+        let (tool, handle) = PermanentInjector::dictionary(dict, 0, 3, 7);
         let out = run_program(&App { iters: 10 }, cfg(), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
         let rec = handle.get();
@@ -422,7 +279,7 @@ mod tests {
             Opcode::IADD32I,
             DictEntry { corruption: CorruptionFn::Xor(1), manifest_prob: 1.0 },
         );
-        let (tool, handle) = DictInjector::new(dict, 0, 3, 7);
+        let (tool, handle) = PermanentInjector::dictionary(dict, 0, 3, 7);
         let out = run_program(&App { iters: 10 }, cfg(), Some(Box::new(tool)));
         assert_eq!(out.termination, gpu_runtime::Termination::Hang);
         assert!(handle.get().activations > 0);
@@ -435,7 +292,7 @@ mod tests {
             Opcode::IADD32I,
             DictEntry { corruption: CorruptionFn::Set(0), manifest_prob: 0.0 },
         );
-        let (tool, handle) = DictInjector::new(dict, 0, 3, 7);
+        let (tool, handle) = PermanentInjector::dictionary(dict, 0, 3, 7);
         let out = run_program(&App { iters: 10 }, cfg(), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
         assert_eq!(handle.get().activations, 0);

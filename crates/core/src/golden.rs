@@ -2,6 +2,7 @@
 
 use crate::error::FiError;
 use crate::outcome::{classify, Outcome, SdcCheck};
+use crate::params::TransientParams;
 use gpu_runtime::{
     run_program, run_program_fast_forward, run_program_recording, CheckpointStore, Program,
     ProgramOutput, RunSummary, RuntimeConfig, Tool,
@@ -100,13 +101,19 @@ impl PreparedGolden {
         Ok(PreparedGolden { output, checkpoints: store.into_shared(), config })
     }
 
-    /// The global launch index an injection into dynamic instance
-    /// `instance` of `kernel` fast-forwards to. A target the golden run
-    /// never reached (possible with approximate profiles) can never fire,
-    /// so its run fast-forwards through every recorded launch.
-    pub(crate) fn target_launch(&self, kernel: &str, instance: u64) -> u64 {
+    /// The global launch index a run injecting `sites` fast-forwards to:
+    /// the earliest launch any site targets, since launches before it carry
+    /// no injection site. A site the golden run never reached (possible
+    /// with approximate profiles) can never fire and does not bound the
+    /// run; with no reachable site, the run fast-forwards through every
+    /// recorded launch.
+    pub fn target_launch(&self, sites: &[TransientParams]) -> u64 {
         let store = &self.checkpoints;
-        store.find_instance(kernel, instance).unwrap_or(store.len() as u64)
+        sites
+            .iter()
+            .filter_map(|p| store.find_instance(&p.kernel_name, p.kernel_count))
+            .min()
+            .unwrap_or(store.len() as u64)
     }
 
     /// Run `program` with `tool` attached, launches before global index
@@ -188,7 +195,16 @@ mod tests {
         let g = PreparedGolden::new(&Good, RuntimeConfig::default(), false).expect("golden");
         assert!(g.checkpoints.is_empty());
         assert_eq!(g.config.instr_budget, Some(100_000), "budget derived from golden");
-        assert_eq!(g.target_launch("any", 0), 0, "no checkpoints: every run is a full replay");
+        let site = TransientParams {
+            group: crate::InstrGroup::Gp,
+            bit_flip: crate::BitFlipModel::FlipSingleBit,
+            kernel_name: "any".into(),
+            kernel_count: 0,
+            instruction_count: 0,
+            destination_register: 0.0,
+            bit_pattern: 0.0,
+        };
+        assert_eq!(g.target_launch(&[site]), 0, "no checkpoints: every run is a full replay");
         let params = crate::PermanentParams { sm_id: 0, lane_id: 0, bit_mask: 1, opcode_id: 0 };
         let (tool, _) = crate::PermanentInjector::new(params);
         let (outcome, skipped) = g.inject(&Good, &crate::ExactDiff, Box::new(tool), 0);

@@ -18,10 +18,10 @@
 //!    the profiled population of an instruction group ([`InstrGroup`],
 //!    Table II),
 //! 3. **Inject** — run the program with the transient injector
-//!    ([`transient`], `injector.so`) or the permanent injector
-//!    ([`permanent`], `pf_injector.so`) attached; corruption follows the
-//!    bit-flip models of Table II ([`BitFlipModel`]) or the XOR mask of
-//!    Table III,
+//!    ([`transient`], `injector.so`, one or more sites per run) or the
+//!    permanent injector ([`permanent`], `pf_injector.so`) attached;
+//!    corruption follows the bit-flip models of Table II ([`BitFlipModel`])
+//!    or the XOR mask of Table III,
 //! 4. **Classify** ([`outcome`]) — compare against the golden run
 //!    ([`golden_run`]) and classify SDC / DUE / Masked / potential DUE
 //!    (Table V).
@@ -30,8 +30,9 @@
 //! one dispatcher that fans runs out to worker threads or worker
 //! processes; [`stats`] provides the confidence-interval
 //! arithmetic behind the paper's 100- vs 1000-injection guidance; [`ext`]
-//! implements the §V extensions (intermittent faults, richer corruption
-//! functions, multi-opcode permanent faults, and a fault dictionary).
+//! describes the §V extensions (intermittent faults, richer corruption
+//! functions, multi-opcode permanent faults, and a fault dictionary), which
+//! the permanent injector injects.
 //!
 //! ## Quick start
 //!
@@ -94,7 +95,6 @@ mod golden;
 mod igid;
 pub mod journal;
 pub mod logfile;
-pub mod multi;
 pub mod outcome;
 mod params;
 pub mod permanent;
@@ -118,7 +118,6 @@ pub use error::FiError;
 pub use golden::{golden_run, golden_run_recording, GoldenOutput, PreparedGolden};
 pub use igid::InstrGroup;
 pub use journal::{atomic_write, Journal};
-pub use multi::{earliest_target_launch, MultiHandle, MultiRecord, MultiTransientInjector};
 pub use outcome::{
     classify, DueKind, ExactDiff, InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcCheck,
     SdcReason, SdcVerdict,
@@ -129,7 +128,7 @@ pub use pool::{IsolationMode, ProcessIsolation};
 pub use profile::{
     profile_program, FaultSite, KernelProfile, Profile, ProfileHandle, Profiler, ProfilingMode,
 };
-pub use prune::{prune_dead_sites, KernelAnalysis};
+pub use prune::{prune_dead_sites, resolve_sites, KernelAnalysis};
 pub use select::{select_campaign, select_transient};
 pub use transient::{
     select_destination, CorruptedTarget, InjectionDetail, InjectionHandle, InjectionRecord,

@@ -1,26 +1,36 @@
-//! The permanent-fault injector — NVBitFI's `pf_injector.so`.
+//! The permanent-fault injector — NVBitFI's `pf_injector.so`, and the §V
+//! fault models built on it.
 //!
 //! A permanent fault "affects all dynamic instances of an instruction type"
-//! (§III-B): every execution of the target opcode on the target SM and
-//! hardware lane has its destination registers XORed with the same bit
-//! mask. No profile is required, but one makes campaigns efficient by
-//! skipping opcodes the program never executes.
+//! (§III-B): every execution of a target opcode on the target SM and
+//! hardware lane is an *opportunity*, and an active opportunity has its
+//! destination registers corrupted. The injector holds a per-opcode table
+//! of corruption function and activation pattern, so one tool covers
+//! Table III's XOR fault ([`PermanentInjector::new`]), the intermittent,
+//! stuck-at and multi-opcode faults of §V ([`PermanentInjector::extended`])
+//! and a fault dictionary ([`PermanentInjector::dictionary`]). No profile
+//! is required, but one makes campaigns efficient by skipping opcodes the
+//! program never executes.
 
+use crate::ext::{ActivationPattern, CorruptionFn, ExtFault, FaultDictionary};
 use crate::params::PermanentParams;
 use gpu_isa::{Kernel, Opcode};
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What a permanent-fault run did (readable after the run).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PermanentRecord {
-    /// Times the target opcode executed on the target SM and lane (each one
-    /// corrupted).
-    pub activations: u64,
-    /// Times the target opcode executed anywhere (activation opportunity).
+    /// Times a target opcode executed on any SM and lane.
     pub executions: u64,
+    /// Times a target opcode executed on the target SM and lane.
+    pub opportunities: u64,
+    /// Opportunities on which the fault was active (each one corrupted).
+    pub activations: u64,
 }
 
 /// Handle to read the [`PermanentRecord`] after the run.
@@ -34,32 +44,82 @@ impl PermanentHandle {
     }
 }
 
+type Entry = (Opcode, CorruptionFn, ActivationPattern);
+
 /// The permanent injector tool (attachable via [`nvbit::NvBit`]).
 pub struct PermanentInjector {
-    params: PermanentParams,
-    opcode: Opcode,
+    sm_id: u32,
+    lane_id: u32,
+    /// Per target opcode: how it corrupts, and when.
+    table: Vec<Entry>,
+    /// Table III faults with a non-zero mask also flip predicate
+    /// destinations; the §V models corrupt GPRs only.
+    flip_predicates: bool,
+    rng: StdRng,
     record: Arc<Mutex<PermanentRecord>>,
 }
 
 impl PermanentInjector {
-    /// Create an injector for one permanent fault, plus its record handle.
+    /// Create an injector for one Table III permanent fault — XOR with
+    /// `bit_mask`, always active — plus its record handle.
     ///
     /// # Panics
     ///
     /// Panics if `params.opcode_id` is not a valid opcode; call
     /// [`PermanentParams::validate`] first.
     pub fn new(params: PermanentParams) -> (NvBit<PermanentInjector>, PermanentHandle) {
-        let opcode = params.opcode();
+        let entry =
+            (params.opcode(), CorruptionFn::Xor(params.bit_mask), ActivationPattern::Always);
+        PermanentInjector::build(params.sm_id, params.lane_id, vec![entry], params.bit_mask != 0, 0)
+    }
+
+    /// Create an injector for an [`ExtFault`]: its opcodes share one
+    /// corruption and activation pattern, and a burst window counts the
+    /// opportunities of all of them.
+    pub fn extended(fault: ExtFault) -> (NvBit<PermanentInjector>, PermanentHandle) {
+        let seed = match fault.activation {
+            ActivationPattern::Random { seed, .. } => seed,
+            _ => 0,
+        };
+        let table =
+            fault.opcodes.iter().map(|&op| (op, fault.corruption, fault.activation.clone()));
+        PermanentInjector::build(fault.sm_id, fault.lane_id, table.collect(), false, seed)
+    }
+
+    /// Create an injector for a [`FaultDictionary`] at one (SM, lane): each
+    /// entry manifests at random with its own probability, drawn from one
+    /// RNG seeded with `seed`.
+    pub fn dictionary(
+        dict: FaultDictionary,
+        sm_id: u32,
+        lane_id: u32,
+        seed: u64,
+    ) -> (NvBit<PermanentInjector>, PermanentHandle) {
+        let table = dict.into_iter().map(|(op, e)| {
+            (op, e.corruption, ActivationPattern::Random { prob: e.manifest_prob, seed })
+        });
+        PermanentInjector::build(sm_id, lane_id, table.collect(), false, seed)
+    }
+
+    fn build(
+        sm_id: u32,
+        lane_id: u32,
+        table: Vec<(Opcode, CorruptionFn, ActivationPattern)>,
+        flip_predicates: bool,
+        seed: u64,
+    ) -> (NvBit<PermanentInjector>, PermanentHandle) {
         let record = Arc::new(Mutex::new(PermanentRecord::default()));
-        let inj = PermanentInjector { params, opcode, record: Arc::clone(&record) };
-        (NvBit::new(inj), PermanentHandle(record))
+        let rng = StdRng::seed_from_u64(seed);
+        let record_handle = Arc::clone(&record);
+        let inj = PermanentInjector { sm_id, lane_id, table, flip_predicates, rng, record };
+        (NvBit::new(inj), PermanentHandle(record_handle))
     }
 }
 
 impl NvBitTool for PermanentInjector {
     fn instrument_kernel(&mut self, kernel: &Kernel, inserter: &mut Inserter<'_>) {
         for (pc, instr) in kernel.instrs().iter().enumerate() {
-            if instr.op == self.opcode {
+            if self.table.iter().any(|&(op, ..)| op == instr.op) {
                 inserter.insert_call(pc, When::After, 0, Vec::new());
             }
         }
@@ -70,15 +130,26 @@ impl NvBitTool for PermanentInjector {
         rec.executions += 1;
         // The fault lives at one physical (SM, lane): only threads that map
         // there activate it (Table III).
-        if thread.meta.sm != self.params.sm_id || thread.meta.lane != self.params.lane_id {
+        if thread.meta.sm != self.sm_id || thread.meta.lane != self.lane_id {
+            return;
+        }
+        let opportunity = rec.opportunities;
+        rec.opportunities += 1;
+        let op = site.instr.opcode();
+        let Some((_, corruption, activation)) = self.table.iter().find(|e| e.0 == op) else {
+            return;
+        };
+        if !activation.is_active(opportunity, &mut self.rng) {
             return;
         }
         rec.activations += 1;
         drop(rec);
-        for reg in site.instr.gpr_dests() {
-            thread.corrupt_reg(reg, self.params.bit_mask);
+        // Multi-register corruption: every GPR destination unit is affected.
+        for reg in site.instr.instr().dsts.iter().flat_map(|d| d.gpr_units()) {
+            let old = thread.read_reg(reg);
+            thread.write_reg(reg, corruption.apply(old));
         }
-        if self.params.bit_mask != 0 {
+        if self.flip_predicates {
             for p in site.instr.pred_dests() {
                 thread.corrupt_pred(p);
             }
@@ -167,7 +238,8 @@ mod tests {
         let stats = tool.stats_handle();
         let out = run_program(&App, cfg(2), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
-        assert_eq!(handle.get().executions, 0);
+        let rec = handle.get();
+        assert_eq!((rec.executions, rec.activations), (0, 0));
         // No DFMA in the kernel → empty instrumentation → unmodified run.
         assert_eq!(stats.lock().launches_instrumented, 0);
     }
@@ -183,7 +255,8 @@ mod tests {
         let (tool, handle) = PermanentInjector::new(params);
         let out = run_program(&App, cfg(2), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
-        assert!(handle.get().activations > 0);
+        let rec = handle.get();
+        assert_eq!((rec.executions, rec.activations), (128, 2));
         assert!(out.stdout.contains("0 1"), "mask 0 leaves values intact");
     }
 }

@@ -23,13 +23,13 @@
 
 use crate::igid::InstrGroup;
 use crate::params::TransientParams;
-use crate::transient::select_destination;
+use crate::transient::{select_destination, SiteMatcher};
 use gpu_analysis::{cross_lane_uses, Cfg, Liveness, RegSet};
 use gpu_isa::{Kernel, RegSlot};
 use gpu_runtime::{run_program, KernelLaunchInfo, Program, RuntimeConfig};
-use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
+use nvbit::{CallSite, Inserter, NvBit, NvBitTool};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The liveness facts needed to decide deadness of an injection site in
@@ -78,70 +78,71 @@ impl KernelAnalysis {
     }
 }
 
+/// What the [`SiteResolver`] run found.
 #[derive(Default)]
 struct ResolverState {
-    /// `(kernel, instance, group index)` → static pc.
-    resolved: HashMap<(String, u64, u64), u32>,
+    /// Per site, the static pc its dynamic instruction landed on.
+    pcs: Vec<Option<u32>>,
     /// Kernels that carried watched sites, as loaded.
     kernels: HashMap<String, Kernel>,
 }
 
-/// An NVBit tool that maps watched dynamic group indices to static pcs.
+/// An NVBit tool that maps watched dynamic sites to static pcs.
 ///
-/// Instrumentation placement mirrors [`crate::TransientInjector`] exactly
-/// (an `After` callback at every group instruction of a target kernel), so
-/// the dynamic index sequence observed here is the same one the injector
+/// It instruments and counts through the injector's own [`SiteMatcher`],
+/// so the dynamic index sequence observed here is the one the injector
 /// counts — resolution is exact for any site the run reaches.
 struct SiteResolver {
-    group: InstrGroup,
-    /// kernel → instance → watched group indices.
-    wanted: HashMap<String, HashMap<u64, BTreeSet<u64>>>,
-    /// Per (kernel, instance) running group-instruction count.
-    counters: HashMap<(String, u64), u64>,
+    matcher: SiteMatcher,
     state: Arc<Mutex<ResolverState>>,
 }
 
 impl NvBitTool for SiteResolver {
     fn instrument_kernel(&mut self, kernel: &Kernel, inserter: &mut Inserter<'_>) {
-        if !self.wanted.contains_key(kernel.name()) {
-            return;
-        }
-        self.state.lock().kernels.insert(kernel.name().to_string(), kernel.clone());
-        for (pc, instr) in kernel.instrs().iter().enumerate() {
-            if self.group.contains(instr.op) {
-                inserter.insert_call(pc, When::After, 0, Vec::new());
-            }
+        if self.matcher.instrument(kernel, inserter) {
+            self.state.lock().kernels.insert(kernel.name().to_string(), kernel.clone());
         }
     }
 
     fn launch_enabled(&mut self, info: &KernelLaunchInfo<'_>) -> bool {
-        self.wanted
-            .get(info.kernel.name())
-            .is_some_and(|instances| instances.contains_key(&info.instance))
+        self.matcher.launch_enabled(info)
     }
 
     fn device_call(&mut self, site: &CallSite<'_>, _thread: &mut gpu_sim::ThreadCtx<'_>) {
-        let key = (site.kernel.to_string(), site.kernel_instance);
-        let counter = self.counters.entry(key).or_insert(0);
-        let index = *counter;
-        *counter += 1;
-        let watched = self
-            .wanted
-            .get(site.kernel)
-            .and_then(|m| m.get(&site.kernel_instance))
-            .is_some_and(|set| set.contains(&index));
-        if watched {
-            self.state
-                .lock()
-                .resolved
-                .insert((site.kernel.to_string(), site.kernel_instance, index), site.instr.pc());
-        }
+        let pc = site.instr.pc();
+        self.matcher.step(site.instr.opcode(), |id| self.state.lock().pcs[id] = Some(pc));
     }
+}
+
+/// Run `program` once with the [`SiteResolver`] attached; `None` if the
+/// run is not clean.
+fn resolve(
+    program: &dyn Program,
+    run_cfg: RuntimeConfig,
+    sites: &[TransientParams],
+) -> Option<ResolverState> {
+    let state = ResolverState { pcs: vec![None; sites.len()], kernels: HashMap::new() };
+    let state = Arc::new(Mutex::new(state));
+    let resolver = SiteResolver { matcher: SiteMatcher::new(sites), state: Arc::clone(&state) };
+    let out = run_program(program, run_cfg, Some(Box::new(NvBit::new(resolver))));
+    let clean = out.termination.is_clean() && !out.has_anomaly();
+    clean.then(|| std::mem::take(&mut *state.lock()))
+}
+
+/// The static pc of the dynamic instruction each site names — the pc the
+/// injector would corrupt — found with one run of `program`. `None` for a
+/// site the run never reaches, and for every site if the run is not clean.
+pub fn resolve_sites(
+    program: &dyn Program,
+    run_cfg: RuntimeConfig,
+    sites: &[TransientParams],
+) -> Vec<Option<u32>> {
+    resolve(program, run_cfg, sites).map_or_else(|| vec![None; sites.len()], |state| state.pcs)
 }
 
 /// Decide, for each selected fault site, whether it is *statically dead*:
 /// provably Masked without simulation. Returns one flag per site, in
-/// order.
+/// order; a site outside `group` is never dead.
 ///
 /// Runs the program once with the [`SiteResolver`] attached to map dynamic
 /// site coordinates to static pcs, then consults per-kernel liveness. The
@@ -156,47 +157,31 @@ pub fn prune_dead_sites(
     if sites.is_empty() {
         return Vec::new();
     }
-    let mut wanted: HashMap<String, HashMap<u64, BTreeSet<u64>>> = HashMap::new();
-    for s in sites {
-        if s.group == group {
-            wanted
-                .entry(s.kernel_name.clone())
-                .or_default()
-                .entry(s.kernel_count)
-                .or_default()
-                .insert(s.instruction_count);
-        }
-    }
-    let state = Arc::new(Mutex::new(ResolverState::default()));
-    let resolver =
-        SiteResolver { group, wanted, counters: HashMap::new(), state: Arc::clone(&state) };
-    let out = run_program(program, run_cfg, Some(Box::new(NvBit::new(resolver))));
-    if !out.termination.is_clean() || out.has_anomaly() {
+    let Some(state) = resolve(program, run_cfg, sites) else {
         // The golden run was validated clean, so this is unexpected; fail
         // open and prune nothing.
         return vec![false; sites.len()];
-    }
-    let state = state.lock();
+    };
     let analyses: HashMap<&str, KernelAnalysis> =
         state.kernels.iter().map(|(name, k)| (name.as_str(), KernelAnalysis::new(k))).collect();
     sites
         .iter()
-        .map(|s| {
+        .zip(&state.pcs)
+        .map(|(s, pc)| {
             if s.group != group {
                 return false;
             }
+            let Some(pc) = *pc else {
+                // Site beyond the instance's real execution (possible with
+                // approximate profiles) — leave it to the simulator.
+                return false;
+            };
             let Some(analysis) = analyses.get(s.kernel_name.as_str()) else {
                 return false;
             };
             if !analysis.precise() {
                 return false;
             }
-            let key = (s.kernel_name.clone(), s.kernel_count, s.instruction_count);
-            let Some(&pc) = state.resolved.get(&key) else {
-                // Site beyond the instance's real execution (possible with
-                // approximate profiles) — leave it to the simulator.
-                return false;
-            };
             let instr = &analysis.kernel().instrs()[pc as usize];
             match select_destination(instr, s.group, s.destination_register) {
                 // No writable destination: the injector fires but writes

@@ -1,23 +1,25 @@
 //! The transient-fault injector — NVBitFI's `injector.so`.
 //!
-//! Driven by a [`TransientParams`] file, the injector:
+//! Driven by one or more [`TransientParams`] sites (Figure 1's "one or more
+//! injection points"; a single-fault run is a list of one), the injector:
 //!
-//! 1. instruments *only* the target kernel, and only instructions in the
-//!    selected group (everything else runs unmodified — the selectivity the
+//! 1. instruments *only* the target kernels, and only instructions in the
+//!    sites' groups (everything else runs unmodified — the selectivity the
 //!    paper credits for NVBitFI's low injection overhead),
-//! 2. enables instrumentation only for the target *dynamic instance*
+//! 2. enables instrumentation only for the target *dynamic instances*
 //!    (`kernel count`),
 //! 3. counts group instructions as they execute, thread-level, in the
 //!    simulator's deterministic order, and
-//! 4. when the count reaches `instruction count`, corrupts one destination
-//!    register of that dynamic instruction — after its result is written —
-//!    using the bit-flip model's XOR mask.
+//! 4. when a site's count reaches its `instruction count`, corrupts one
+//!    destination register of that dynamic instruction — after its result
+//!    is written — using the bit-flip model's XOR mask.
 
 use crate::bitflip::BitFlipModel;
 use crate::igid::InstrGroup;
 use crate::params::TransientParams;
 use gpu_isa::{Instr, Kernel, Opcode, PReg, Reg, RegSlot};
 use gpu_runtime::KernelLaunchInfo;
+use gpu_sim::ThreadCtx;
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -68,27 +70,38 @@ pub struct InjectionDetail {
     pub target: CorruptedTarget,
 }
 
-/// Outcome of the injector's attempt (readable after the run).
+/// Outcome of the injector's attempt at one site (readable after the run).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectionRecord {
     /// `true` once the fault was injected.
     pub injected: bool,
     /// Details, when injected.
     pub detail: Option<InjectionDetail>,
-    /// Group instructions observed in the target kernel instance (even if
-    /// the target index was never reached — diagnostic for approximate
-    /// profiles that overestimate a kernel's length).
+    /// Group instructions observed in the site's target kernel instance
+    /// (even if the target index was never reached — diagnostic for
+    /// approximate profiles that overestimate a kernel's length).
     pub group_instrs_seen: u64,
 }
 
-/// Handle to read the [`InjectionRecord`] after the run.
+/// Handle to read the per-site [`InjectionRecord`]s after the run.
 #[derive(Debug, Clone)]
-pub struct InjectionHandle(Arc<Mutex<InjectionRecord>>);
+pub struct InjectionHandle(Arc<Mutex<Sites>>);
 
 impl InjectionHandle {
-    /// Snapshot the record.
+    /// Snapshot the first site's record — the whole record of a
+    /// single-fault run.
     pub fn get(&self) -> InjectionRecord {
-        self.0.lock().clone()
+        self.all().into_iter().next().unwrap_or_default()
+    }
+
+    /// Snapshot every site's record, in the order the sites were given.
+    pub fn all(&self) -> Vec<InjectionRecord> {
+        let sites = self.0.lock();
+        let mut records = sites.records.clone();
+        for (id, seen) in sites.matcher.seen() {
+            records[id].group_instrs_seen = seen;
+        }
+        records
     }
 }
 
@@ -120,86 +133,199 @@ pub fn select_destination(
     })
 }
 
-/// The transient injector tool (attachable via [`nvbit::NvBit`]).
-pub struct TransientInjector {
-    params: TransientParams,
+/// The group-instruction count of one dynamic kernel, and the sites it
+/// watches.
+#[derive(Debug)]
+struct Counter {
+    kernel: String,
+    instance: u64,
+    group: InstrGroup,
+    /// Group instructions counted so far.
     seen: u64,
-    record: Arc<Mutex<InjectionRecord>>,
+    /// Watched group indices, ascending, each with its site id.
+    targets: Vec<(u64, usize)>,
+    /// First entry of `targets` not reached yet.
+    next: usize,
 }
+
+/// Matching state for a list of transient sites — the one home of the rule
+/// "site *n* is group instruction *n* of dynamic instance *k*", shared by
+/// the injector (which corrupts a matched site) and the static-pruning site
+/// resolver (which records its pc).
+///
+/// Sites with the same kernel, instance and group share one counter, and
+/// the counters watching a launch are picked once per launch, so a device
+/// call costs one step per watching counter however many sites it carries,
+/// and neither hashes nor allocates.
+#[derive(Debug)]
+pub(crate) struct SiteMatcher {
+    counters: Vec<Counter>,
+    /// Counters watching the current launch.
+    active: Vec<usize>,
+}
+
+impl SiteMatcher {
+    /// Watch `sites`; a site's id is its index in the slice.
+    pub(crate) fn new(sites: &[TransientParams]) -> SiteMatcher {
+        let mut counters: Vec<Counter> = Vec::new();
+        for (id, s) in sites.iter().enumerate() {
+            let same = |c: &Counter| {
+                c.kernel == s.kernel_name && c.instance == s.kernel_count && c.group == s.group
+            };
+            let c = counters.iter().position(same).unwrap_or_else(|| {
+                counters.push(Counter {
+                    kernel: s.kernel_name.clone(),
+                    instance: s.kernel_count,
+                    group: s.group,
+                    seen: 0,
+                    targets: Vec::new(),
+                    next: 0,
+                });
+                counters.len() - 1
+            });
+            counters[c].targets.push((s.instruction_count, id));
+        }
+        for c in &mut counters {
+            c.targets.sort_unstable();
+        }
+        SiteMatcher { counters, active: Vec::new() }
+    }
+
+    /// Insert an `After` callback at every instruction of `kernel` in the
+    /// union of its sites' groups. Returns `false` (inserting nothing) when
+    /// no site targets the kernel.
+    pub(crate) fn instrument(&self, kernel: &Kernel, inserter: &mut Inserter<'_>) -> bool {
+        let groups: Vec<InstrGroup> =
+            self.counters.iter().filter(|c| c.kernel == kernel.name()).map(|c| c.group).collect();
+        for (pc, instr) in kernel.instrs().iter().enumerate() {
+            if groups.iter().any(|g| g.contains(instr.op)) {
+                inserter.insert_call(pc, When::After, 0, Vec::new());
+            }
+        }
+        !groups.is_empty()
+    }
+
+    /// Pick the counters watching this launch; `true` if there are any.
+    pub(crate) fn launch_enabled(&mut self, info: &KernelLaunchInfo<'_>) -> bool {
+        self.active.clear();
+        self.active.extend((0..self.counters.len()).filter(|&c| {
+            let counter = &self.counters[c];
+            counter.instance == info.instance && counter.kernel == info.kernel.name()
+        }));
+        !self.active.is_empty()
+    }
+
+    /// Count one executed instruction of the current launch, calling
+    /// `on_match` with the id of every site it is.
+    #[inline]
+    pub(crate) fn step(&mut self, op: Opcode, mut on_match: impl FnMut(usize)) {
+        for &c in &self.active {
+            let counter = &mut self.counters[c];
+            if !counter.group.contains(op) {
+                continue;
+            }
+            let index = counter.seen;
+            counter.seen += 1;
+            while let Some(&(target, id)) = counter.targets.get(counter.next) {
+                if target != index {
+                    break;
+                }
+                counter.next += 1;
+                on_match(id);
+            }
+        }
+    }
+
+    /// Every site id with the group instructions counted so far in its
+    /// target instance.
+    fn seen(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.counters.iter().flat_map(|c| c.targets.iter().map(move |&(_, id)| (id, c.seen)))
+    }
+}
+
+/// The sites of one injection run and what happened to each.
+#[derive(Debug)]
+struct Sites {
+    params: Vec<TransientParams>,
+    matcher: SiteMatcher,
+    /// Per site; `group_instrs_seen` is read from the matcher.
+    records: Vec<InjectionRecord>,
+}
+
+/// The transient injector tool (attachable via [`nvbit::NvBit`]).
+pub struct TransientInjector(Arc<Mutex<Sites>>);
 
 impl TransientInjector {
     /// Create an injector for one fault, plus the handle to its record.
     pub fn new(params: TransientParams) -> (NvBit<TransientInjector>, InjectionHandle) {
-        let record = Arc::new(Mutex::new(InjectionRecord::default()));
-        let inj = TransientInjector { params, seen: 0, record: Arc::clone(&record) };
-        (NvBit::new(inj), InjectionHandle(record))
+        TransientInjector::with_sites(vec![params])
     }
 
-    fn corrupt(&self, site: &CallSite<'_>, thread: &mut gpu_sim::ThreadCtx<'_>) -> CorruptedTarget {
-        // Table II: destination register ∈ [0,1) selects among candidates.
-        let selected = select_destination(
-            site.instr.instr(),
-            self.params.group,
-            self.params.destination_register,
-        );
-        match selected {
-            None => CorruptedTarget::NoWritableDest,
-            Some(RegSlot::Gpr(reg)) => {
-                let old = thread.read_reg(reg);
-                let mask = self.params.bit_flip.mask(self.params.bit_pattern, old);
-                let new = thread.corrupt_reg(reg, mask) ^ mask;
-                CorruptedTarget::Gpr { reg: reg.0, old, mask, new }
+    /// Create an injector for several faults in one run, plus the handle to
+    /// their records. Sites may live in different kernels, different
+    /// instances of one kernel, or the same dynamic kernel; each fires at
+    /// its own group index, counted as for a single fault.
+    pub fn with_sites(sites: Vec<TransientParams>) -> (NvBit<TransientInjector>, InjectionHandle) {
+        let sites = Sites {
+            matcher: SiteMatcher::new(&sites),
+            records: vec![InjectionRecord::default(); sites.len()],
+            params: sites,
+        };
+        let sites = Arc::new(Mutex::new(sites));
+        (NvBit::new(TransientInjector(Arc::clone(&sites))), InjectionHandle(sites))
+    }
+}
+
+/// Corrupt the destination `p` selects in `instr`'s result for `thread`.
+fn corrupt(p: &TransientParams, instr: &Instr, thread: &mut ThreadCtx<'_>) -> CorruptedTarget {
+    // Table II: destination register ∈ [0,1) selects among candidates.
+    match select_destination(instr, p.group, p.destination_register) {
+        None => CorruptedTarget::NoWritableDest,
+        Some(RegSlot::Gpr(reg)) => {
+            let old = thread.read_reg(reg);
+            let mask = p.bit_flip.mask(p.bit_pattern, old);
+            let new = thread.corrupt_reg(reg, mask) ^ mask;
+            CorruptedTarget::Gpr { reg: reg.0, old, mask, new }
+        }
+        Some(RegSlot::Pred(preg)) => {
+            let old = thread.read_pred(preg);
+            let new = match p.bit_flip {
+                BitFlipModel::ZeroValue => false,
+                BitFlipModel::RandomValue => p.bit_pattern >= 0.5,
+                BitFlipModel::FlipSingleBit | BitFlipModel::FlipTwoBits => !old,
+            };
+            if new != old {
+                thread.corrupt_pred(preg);
             }
-            Some(RegSlot::Pred(p)) => {
-                let old = thread.read_pred(p);
-                let new = match self.params.bit_flip {
-                    BitFlipModel::ZeroValue => false,
-                    BitFlipModel::RandomValue => self.params.bit_pattern >= 0.5,
-                    BitFlipModel::FlipSingleBit | BitFlipModel::FlipTwoBits => !old,
-                };
-                if new != old {
-                    thread.corrupt_pred(p);
-                }
-                CorruptedTarget::Pred { reg: p.0, old, new }
-            }
+            CorruptedTarget::Pred { reg: preg.0, old, new }
         }
     }
 }
 
 impl NvBitTool for TransientInjector {
     fn instrument_kernel(&mut self, kernel: &Kernel, inserter: &mut Inserter<'_>) {
-        // Only the target kernel is instrumented, and only the group's
-        // instructions within it.
-        if kernel.name() != self.params.kernel_name {
-            return;
-        }
-        for (pc, instr) in kernel.instrs().iter().enumerate() {
-            if self.params.group.contains(instr.op) {
-                inserter.insert_call(pc, When::After, 0, Vec::new());
-            }
-        }
+        // Only the target kernels are instrumented, and only the sites'
+        // group instructions within them.
+        self.0.lock().matcher.instrument(kernel, inserter);
     }
 
     fn launch_enabled(&mut self, info: &KernelLaunchInfo<'_>) -> bool {
-        info.kernel.name() == self.params.kernel_name && info.instance == self.params.kernel_count
+        self.0.lock().matcher.launch_enabled(info)
     }
 
-    fn device_call(&mut self, site: &CallSite<'_>, thread: &mut gpu_sim::ThreadCtx<'_>) {
-        let index = self.seen;
-        self.seen += 1;
-        let mut rec = self.record.lock();
-        rec.group_instrs_seen = self.seen;
-        if rec.injected || index != self.params.instruction_count {
-            return;
-        }
-        rec.injected = true;
-        rec.detail = Some(InjectionDetail {
-            kernel: site.kernel.to_string(),
-            instance: site.kernel_instance,
-            pc: site.instr.pc(),
-            opcode: site.instr.opcode(),
-            global_tid: thread.meta.global_tid(),
-            target: self.corrupt(site, thread),
+    fn device_call(&mut self, site: &CallSite<'_>, thread: &mut ThreadCtx<'_>) {
+        let mut sites = self.0.lock();
+        let Sites { params, matcher, records } = &mut *sites;
+        matcher.step(site.instr.opcode(), |id| {
+            records[id].injected = true;
+            records[id].detail = Some(InjectionDetail {
+                kernel: site.kernel.to_string(),
+                instance: site.kernel_instance,
+                pc: site.instr.pc(),
+                opcode: site.instr.opcode(),
+                global_tid: thread.meta.global_tid(),
+                target: corrupt(&params[id], site.instr.instr(), thread),
+            });
         });
     }
 }
@@ -349,5 +475,159 @@ mod tests {
             CorruptedTarget::Gpr { new, .. } => assert_eq!(new, 0),
             other => panic!("expected GPR, got {other:?}"),
         }
+    }
+
+    /// out[tid] = tid + 1, launched three times into separate buffers.
+    struct Thrice;
+    impl Program for Thrice {
+        fn name(&self) -> &str {
+            "app"
+        }
+        fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError> {
+            let mut k = KernelBuilder::new("inc");
+            let (out, tid, off) = (Reg(4), Reg(0), Reg(1));
+            k.ldc(out, 0);
+            k.s2r(tid, SpecialReg::TidX);
+            k.iaddi(Reg(2), tid, 1);
+            k.shli(off, tid, 2);
+            k.iadd(out, out, off);
+            k.stg(out, 0, Reg(2));
+            k.exit();
+            let bytes = encode::encode_module(&Module::new("m", vec![k.finish()]));
+            let m = rt.load_module(&bytes)?;
+            let k = rt.get_kernel(m, "inc")?;
+            let mut sums = Vec::new();
+            for _ in 0..3 {
+                let buf = rt.alloc(32 * 4)?;
+                rt.launch(k, 1u32, 32u32, &[buf.addr()])?;
+                sums.push(rt.read_u32s(buf, 32)?.iter().sum::<u32>());
+            }
+            rt.synchronize()?;
+            rt.println(format!("{sums:?}"));
+            Ok(())
+        }
+    }
+
+    fn fault(instance: u64, icount: u64) -> TransientParams {
+        // IADD32I results occupy group indices 64..96 per instance.
+        params(instance, icount)
+    }
+
+    fn injected_count(records: &[InjectionRecord]) -> usize {
+        records.iter().filter(|r| r.injected).count()
+    }
+
+    #[test]
+    fn injects_multiple_faults_in_one_run() {
+        // Two faults in different instances, one more in the same instance
+        // as the first.
+        let faults = vec![fault(0, 64), fault(2, 70), fault(0, 80)];
+        let (tool, handle) = TransientInjector::with_sites(faults);
+        let out = run_program(&Thrice, RuntimeConfig::default(), Some(Box::new(tool)));
+        assert!(out.termination.is_clean(), "{}", out.stdout);
+        let rec = handle.all();
+        assert_eq!(injected_count(&rec), 3, "{rec:?}");
+        let d0 = rec[0].detail.as_ref().expect("fault 0");
+        let d1 = rec[1].detail.as_ref().expect("fault 1");
+        let d2 = rec[2].detail.as_ref().expect("fault 2");
+        assert_eq!(d0.instance, 0);
+        assert_eq!(d1.instance, 2);
+        assert_eq!(d2.instance, 0);
+        assert_eq!(d0.global_tid, 0, "index 64 is thread 0's IADD32I");
+        assert_eq!(d1.global_tid, 6);
+        assert_eq!(d2.global_tid, 16);
+        // Instance 1 untouched; instances 0 and 2 each off by ±1 per flip.
+        assert!(out.stdout.contains(", 528,"), "{}", out.stdout);
+    }
+
+    #[test]
+    fn unreached_faults_stay_pending() {
+        let faults = vec![fault(0, 64), fault(1, 500_000)];
+        let (tool, handle) = TransientInjector::with_sites(faults);
+        let out = run_program(&Thrice, RuntimeConfig::default(), Some(Box::new(tool)));
+        assert!(out.termination.is_clean());
+        let rec = handle.all();
+        assert_eq!(injected_count(&rec), 1);
+        assert!(rec[0].detail.is_some());
+        assert!(rec[1].detail.is_none());
+    }
+
+    #[test]
+    fn fast_forward_multi_fault_matches_full_run() {
+        use gpu_runtime::run_program_fast_forward;
+
+        let golden =
+            crate::PreparedGolden::new(&Thrice, RuntimeConfig::default(), true).expect("golden");
+        assert_eq!(golden.checkpoints.len(), 3);
+
+        // Faults in instances 1 and 2: launch 0 is pure prefix.
+        let faults = vec![fault(1, 64), fault(2, 70)];
+        let upto = golden.target_launch(&faults);
+        assert_eq!(upto, 1);
+
+        let (tool, full_handle) = TransientInjector::with_sites(faults.clone());
+        let full = run_program(&Thrice, RuntimeConfig::default(), Some(Box::new(tool)));
+
+        let (tool, ff_handle) = TransientInjector::with_sites(faults);
+        let ff = run_program_fast_forward(
+            &Thrice,
+            RuntimeConfig::default(),
+            Some(Box::new(tool)),
+            Arc::clone(&golden.checkpoints),
+            upto,
+        );
+        assert_eq!(ff.stdout, full.stdout);
+        assert_eq!(ff.files, full.files);
+        assert_eq!(ff_handle.all(), full_handle.all(), "identical architectural events");
+        assert!(ff.prefix_instrs_skipped > 0, "prefix launch was replayed, not simulated");
+        assert_eq!(full.prefix_instrs_skipped, 0);
+    }
+
+    #[test]
+    fn target_launch_bounds() {
+        let golden =
+            crate::PreparedGolden::new(&Thrice, RuntimeConfig::default(), true).expect("golden");
+        // No reachable target: the whole run may be fast-forwarded.
+        assert_eq!(golden.target_launch(&[fault(9, 0)]), 3);
+        assert_eq!(golden.target_launch(&[]), 3);
+        // A fault in instance 0 pins the bound to the first launch.
+        assert_eq!(golden.target_launch(&[fault(2, 0), fault(0, 0)]), 0);
+    }
+
+    #[test]
+    fn one_site_list_matches_single_fault_constructor() {
+        let p = fault(1, 64 + 9);
+        let (multi_tool, multi_handle) = TransientInjector::with_sites(vec![p.clone()]);
+        let multi_out = run_program(&Thrice, RuntimeConfig::default(), Some(Box::new(multi_tool)));
+        let (single_tool, single_handle) = TransientInjector::new(p);
+        let single_out =
+            run_program(&Thrice, RuntimeConfig::default(), Some(Box::new(single_tool)));
+        assert_eq!(multi_out.stdout, single_out.stdout);
+        let m = multi_handle.all()[0].detail.clone().expect("fired");
+        let s = single_handle.get().detail.expect("fired");
+        assert_eq!(m, s, "identical architectural event");
+    }
+
+    #[test]
+    fn sites_with_different_groups_in_one_dynamic_kernel_fire_at_their_own_index() {
+        // In `inc`, G_GP covers LDC, S2R, IADD32I, SHL and IADD, and
+        // G_NODEST the STG and EXIT. The union of both groups is
+        // instrumented, and each site counts only its own group.
+        let gp = fault(1, 64 + 5); // thread 5's IADD32I
+        let mut nodest = fault(1, 7); // thread 7's STG
+        nodest.group = InstrGroup::NoDest;
+        let (tool, handle) = TransientInjector::with_sites(vec![gp, nodest]);
+        let stats = tool.stats_handle();
+        let out = run_program(&Thrice, RuntimeConfig::default(), Some(Box::new(tool)));
+        assert!(out.termination.is_clean(), "{}", out.stdout);
+        let rec = handle.all();
+        assert_eq!(injected_count(&rec), 2, "{rec:?}");
+        let (gp, nodest) = (rec[0].detail.as_ref().unwrap(), rec[1].detail.as_ref().unwrap());
+        assert_eq!((gp.instance, gp.opcode, gp.global_tid), (1, Opcode::IADD32I, 5));
+        assert_eq!((nodest.instance, nodest.opcode, nodest.global_tid), (1, Opcode::STG, 7));
+        assert_eq!(nodest.target, CorruptedTarget::NoWritableDest);
+        assert_eq!(rec[0].group_instrs_seen, 5 * 32);
+        assert_eq!(rec[1].group_instrs_seen, 2 * 32);
+        assert_eq!(stats.lock().device_calls, 7 * 32, "all seven instructions are call sites");
     }
 }

@@ -5,11 +5,8 @@
 //! Run with `cargo run --release --example custom_fault_models`.
 
 use gpu_runtime::{run_program, RuntimeConfig};
-use nvbitfi::ext::{
-    ActivationPattern, CorruptionFn, DictEntry, DictInjector, ExtFault, ExtInjector,
-    FaultDictionary,
-};
-use nvbitfi::{classify, golden_run};
+use nvbitfi::ext::{ActivationPattern, CorruptionFn, DictEntry, ExtFault, FaultDictionary};
+use nvbitfi::{classify, golden_run, PermanentInjector};
 use workloads::Scale;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             corruption: CorruptionFn::Xor(1 << 12),
             activation: ActivationPattern::Random { prob, seed: 7 },
         };
-        let (tool, handle) = ExtInjector::new(fault);
+        let (tool, handle) = PermanentInjector::extended(fault);
         let out = run_program(&program, cfg.clone(), Some(Box::new(tool)));
         let rec = handle.get();
         let outcome = classify(&golden, &out, &check);
@@ -47,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         corruption: CorruptionFn::Xor(1 << 12),
         activation: ActivationPattern::Burst { start: 2, len: 3 },
     };
-    let (tool, handle) = ExtInjector::new(fault);
+    let (tool, handle) = PermanentInjector::extended(fault);
     let out = run_program(&program, cfg.clone(), Some(Box::new(tool)));
     let rec = handle.get();
     println!(
@@ -65,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         corruption: CorruptionFn::Or(1 << 3),
         activation: ActivationPattern::Always,
     };
-    let (tool, handle) = ExtInjector::new(fault);
+    let (tool, handle) = PermanentInjector::extended(fault);
     let out = run_program(&program, cfg.clone(), Some(Box::new(tool)));
     println!(
         "\nstuck-at-1 bit 3 on the integer-add ALU (3 opcodes): {} corruptions -> {}",
@@ -88,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gpu_isa::Opcode::SHR,
         DictEntry { corruption: CorruptionFn::Set(0), manifest_prob: 0.05 },
     );
-    let (tool, handle) = DictInjector::new(dict, 0, 21, 99);
+    let (tool, handle) = PermanentInjector::dictionary(dict, 0, 21, 99);
     let out = run_program(&program, cfg, Some(Box::new(tool)));
     let rec = handle.get();
     println!(
