@@ -378,7 +378,7 @@ pub fn run_transient_campaign_with(
     let analysis_wall = if cfg.use_static_prune { t0.elapsed() } else { Duration::ZERO };
 
     // Group sites by target launch: runs sharing a target restore the same
-    // checkpoint, so the store's pages stay warm across consecutive work
+    // checkpoint, so its bytes stay cache-warm across consecutive work
     // items.
     let mut work: Vec<(usize, TransientParams, bool)> = sites
         .into_iter()

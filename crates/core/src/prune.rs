@@ -11,7 +11,7 @@
 //!
 //! Mapping a fault site's *dynamic* coordinates (`kernel name`, `kernel
 //! count`, `instruction count`) back to a *static* program counter needs
-//! one extra instrumented run: the [`SiteResolver`] tool instruments the
+//! one extra instrumented run: the `SiteResolver` tool instruments the
 //! target kernels exactly as the injector would and records which static
 //! pc each watched dynamic index lands on. Because the simulator executes
 //! deterministically, this resolution is exact, not approximate.
@@ -144,7 +144,7 @@ pub fn resolve_sites(
 /// provably Masked without simulation. Returns one flag per site, in
 /// order; a site outside `group` is never dead.
 ///
-/// Runs the program once with the [`SiteResolver`] attached to map dynamic
+/// Runs the program once with the `SiteResolver` tool attached to map dynamic
 /// site coordinates to static pcs, then consults per-kernel liveness. The
 /// extra run is the entire cost of pruning; it replaces however many
 /// injection runs the flags disable.

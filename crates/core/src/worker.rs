@@ -36,6 +36,7 @@ use crate::outcome::{Outcome, OutcomeClass, SdcCheck};
 use crate::params::TransientParams;
 use gpu_runtime::{Program, RuntimeConfig};
 use std::io::{self, Read, Write};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// Maximum frame payload size. Frames are small control messages; a length
@@ -445,27 +446,24 @@ impl Msg {
 pub type Resolver =
     dyn Fn(&str, &str) -> Option<(Box<dyn Program + Send + Sync>, Box<dyn SdcCheck + Send + Sync>)>;
 
-/// Run `work` on a scoped thread while the calling thread writes
-/// [`Msg::Heartbeat`] frames every `interval` — proof of life during a long
-/// (or fault-wedged-but-progressing) simulation. Returns the work's result.
+/// Run `work` on a scoped thread while the calling thread writes one
+/// [`Msg::Heartbeat`] frame per `interval` without a result — proof of life
+/// during a long (or fault-wedged-but-progressing) simulation. Returns the
+/// work's result as soon as it arrives.
 fn run_with_heartbeat<R: Send>(
     interval: Duration,
     output: &mut impl Write,
     work: impl FnOnce() -> R + Send,
 ) -> io::Result<R> {
     std::thread::scope(|s| {
-        let handle = s.spawn(work);
-        let slice = Duration::from_millis(2).min(interval);
-        let mut since_beat = Duration::ZERO;
-        while !handle.is_finished() {
-            std::thread::sleep(slice);
-            since_beat += slice;
-            if since_beat >= interval && !handle.is_finished() {
-                write_frame(output, &Msg::Heartbeat.to_json())?;
-                since_beat = Duration::ZERO;
+        let (tx, rx) = mpsc::channel();
+        s.spawn(move || tx.send(work()));
+        loop {
+            match rx.recv_timeout(interval) {
+                Err(RecvTimeoutError::Timeout) => write_frame(output, &Msg::Heartbeat.to_json())?,
+                done => return Ok(done.expect("worker run thread catches its own panics")),
             }
         }
-        Ok(handle.join().expect("worker run thread catches its own panics"))
     })
 }
 
@@ -653,15 +651,29 @@ mod tests {
         }
     }
 
+    /// Like [`Tiny`], but each run takes about 20 ms of host time.
+    struct Sleepy;
+    impl Program for Sleepy {
+        fn name(&self) -> &str {
+            "sleepy"
+        }
+        fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError> {
+            std::thread::sleep(Duration::from_millis(20));
+            Tiny.run(rt)
+        }
+    }
+
     fn resolve_tiny(
         program: &str,
         scale: &str,
     ) -> Option<(Box<dyn Program + Send + Sync>, Box<dyn SdcCheck + Send + Sync>)> {
-        (program == "tiny" && scale == "test").then(|| {
-            let p: Box<dyn Program + Send + Sync> = Box::new(Tiny);
-            let c: Box<dyn SdcCheck + Send + Sync> = Box::new(ExactDiff);
-            (p, c)
-        })
+        let p: Box<dyn Program + Send + Sync> = match (program, scale) {
+            ("tiny", "test") => Box::new(Tiny),
+            ("sleepy", "test") => Box::new(Sleepy),
+            _ => return None,
+        };
+        let c: Box<dyn SdcCheck + Send + Sync> = Box::new(ExactDiff);
+        Some((p, c))
     }
 
     fn session(frames: &[Msg]) -> Vec<Msg> {
@@ -679,9 +691,9 @@ mod tests {
         replies
     }
 
-    #[test]
-    fn serve_runs_a_session_end_to_end() {
-        let site = TransientParams {
+    /// A site whose kernel never launches: the run is always Masked.
+    fn unreachable_site() -> String {
+        TransientParams {
             group: InstrGroup::Gp,
             bit_flip: BitFlipModel::FlipSingleBit,
             kernel_name: "nonexistent".into(),
@@ -689,18 +701,28 @@ mod tests {
             instruction_count: 0,
             destination_register: 0.5,
             bit_pattern: 0.5,
-        };
-        let replies = session(&[
+        }
+        .to_file()
+    }
+
+    /// The replies to one run of `program` with the given heartbeat.
+    fn single_run(program: &str, heartbeat_ms: u64) -> Vec<Msg> {
+        session(&[
             Msg::Init(WorkerInit {
-                program: "tiny".into(),
+                program: program.into(),
                 scale: "test".into(),
                 use_checkpoints: true,
                 deadline_ms: None,
-                heartbeat_ms: 1000,
+                heartbeat_ms,
             }),
-            Msg::Run { id: 3, site: site.to_file() },
+            Msg::Run { id: 3, site: unreachable_site() },
             Msg::Shutdown,
-        ]);
+        ])
+    }
+
+    #[test]
+    fn serve_runs_a_session_end_to_end() {
+        let replies = single_run("tiny", 1000);
         assert_eq!(replies[0], Msg::Ready);
         // The target kernel never launches, so the fault cannot fire and the
         // run is Masked — what matters here is the protocol, not the fault.
@@ -708,7 +730,17 @@ mod tests {
             Msg::Done { id: 3, outcome, injected: false, .. } => assert_eq!(outcome, "MASKED"),
             other => panic!("expected a Done frame, got {other:?}"),
         }
-        assert_eq!(replies.len(), 2);
+        assert_eq!(replies.len(), 2, "an instant run sends no heartbeat");
+    }
+
+    #[test]
+    fn serve_sends_heartbeats_while_a_run_is_in_flight() {
+        let replies = single_run("sleepy", 1);
+        assert_eq!(replies[0], Msg::Ready);
+        let (done, beats) = replies[1..].split_last().expect("a Done frame");
+        assert!(matches!(done, Msg::Done { id: 3, .. }), "got {done:?}");
+        assert!(!beats.is_empty(), "a 20 ms run with a 1 ms heartbeat must beat");
+        assert!(beats.iter().all(|m| *m == Msg::Heartbeat), "got {beats:?}");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! 1. The golden run executes with checkpoint recording enabled
 //!    ([`crate::Runtime::record_checkpoints`]), capturing a [`Checkpoint`]
 //!    at every launch boundary: the post-launch global-memory state as a
-//!    copy-on-write [`MemSnapshot`] plus the [`LaunchRecord`]. Snapshots
-//!    share pages by refcount, so a store over a whole campaign costs
-//!    roughly one copy of the pages each launch actually dirtied.
+//!    [`MemSnapshot`] (a copy of the allocated bytes) plus the
+//!    [`LaunchRecord`]. A store therefore holds launches × allocated bytes;
+//!    the suite's largest, `354.cg`, is about 1.7 MB.
 //! 2. Each injection run attaches the store with
 //!    [`crate::Runtime::fast_forward`], naming the global launch index of
 //!    its target. The host application replays unmodified (host logic is
@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// after the launch completed, plus the launch's record.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Post-launch global memory (copy-on-write, shared with neighbors).
+    /// Post-launch global memory (a copy of the allocated bytes).
     pub mem: MemSnapshot,
     /// The launch this checkpoint follows.
     pub record: LaunchRecord,

@@ -23,8 +23,8 @@ pub struct RuntimeConfig {
     pub instr_budget: Option<u64>,
     /// Wall-clock deadline for the whole run, measured from
     /// [`Runtime::new`]. Passing it kills the run with
-    /// [`Termination::DeadlineExceeded`] — an infrastructure verdict (the
-    /// harness gave up), distinct from the hang monitor's DUE. `None`
+    /// [`crate::Termination::DeadlineExceeded`] — an infrastructure verdict
+    /// (the harness gave up), distinct from the hang monitor's DUE. `None`
     /// (the default) disables the deadline.
     pub wall_deadline: Option<std::time::Duration>,
     /// Resource-governor caps enforced on every run: global allocations,
@@ -150,9 +150,9 @@ impl Runtime {
     /// The host application still runs in full (its allocations, copies, and
     /// device reads behave exactly as in the golden run, because each
     /// replayed launch restores the recorded post-launch memory image), but
-    /// the pre-injection kernel prefix costs O(pages) per launch instead of
-    /// a full simulation. Launches at or beyond `upto` — the injection
-    /// target and its tail — simulate normally.
+    /// each launch of the pre-injection kernel prefix costs one copy of the
+    /// allocated bytes instead of a full simulation. Launches at or beyond
+    /// `upto` — the injection target and its tail — simulate normally.
     ///
     /// If the observed launch sequence ever diverges from the recorded one
     /// (it cannot before an injection fires, but this is checked), the

@@ -51,7 +51,7 @@ pub use gpu::{Gpu, GpuConfig, Launch, LaunchStats, MAX_BLOCK_THREADS, MAX_PARAM_
 pub use grid::Dim3;
 pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
 pub use limits::ResourceLimits;
-pub use memory::{DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem, PAGE_SIZE};
+pub use memory::{DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem};
 pub use regfile::RegFile;
 pub use trap::{TrapInfo, TrapKind};
 

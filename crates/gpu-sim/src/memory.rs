@@ -9,7 +9,6 @@ use crate::trap::TrapKind;
 use gpu_isa::{MemWidth, Space};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A device pointer into global memory (32-bit address space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,64 +91,46 @@ impl std::error::Error for MemError {}
 
 const NULL_PAGE: u32 = 4096;
 
-/// Page granularity of global memory (one null page's worth).
-pub const PAGE_SIZE: u32 = 4096;
-
-type Page = [u8; PAGE_SIZE as usize];
-
-/// A zero page is represented as `None` — untouched memory costs nothing.
-type PageSlot = Option<Arc<Page>>;
-
-/// An O(resident-pages) copy-on-write snapshot of [`GlobalMem`].
+/// A snapshot of [`GlobalMem`]: a copy of the allocated bytes plus the
+/// allocation break.
 ///
-/// Taking one clones only the page table (one `Arc` pointer per resident
-/// page, `None` per untouched page), never page contents. Restoring swaps
-/// the page table back in; pages are shared until the next write dirties
-/// them. Snapshots are `Send + Sync`, so checkpoint stores can hand the
-/// same snapshot to many injection workers.
+/// Taking or restoring one copies every allocated byte, so its cost grows
+/// with the allocation, not with device capacity. Snapshots are
+/// `Send + Sync`, so checkpoint stores can hand the same snapshot to many
+/// injection workers.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
-    pages: Vec<PageSlot>,
-    brk: u32,
+    bytes: Vec<u8>,
     capacity: u32,
 }
 
 impl MemSnapshot {
-    /// Number of resident (non-zero, materialized) pages captured.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
-    }
-
     /// Allocation break captured by the snapshot.
     pub fn brk(&self) -> u32 {
-        self.brk
+        NULL_PAGE + self.bytes.len() as u32
     }
 }
 
-/// Device global memory: a bump-allocated, bounds-checked address space
-/// backed by copy-on-write pages.
+/// Device global memory: a bump-allocated, bounds-checked address space.
 ///
-/// Pages start as `None` (implicitly all-zero), so a fresh 64 MiB device
-/// memory costs one pointer-sized slot per page rather than 64 MiB of
-/// zeroed bytes. Writes materialize pages; [`GlobalMem::snapshot`] and
-/// [`GlobalMem::restore`] share them by reference count.
+/// One buffer holds exactly the allocated bytes, `[null page, brk)`:
+/// [`GlobalMem::alloc`] grows it with zeros, so a fresh 64 MiB device costs
+/// nothing until programs allocate.
 #[derive(Debug, Clone)]
 pub struct GlobalMem {
-    pages: Vec<PageSlot>,
+    /// Bytes at addresses `NULL_PAGE..brk`; `brk` is `NULL_PAGE + len`.
+    bytes: Vec<u8>,
     capacity: u32,
-    brk: u32,
     alloc_limit: Option<u32>,
 }
 
 impl GlobalMem {
     /// Create a device memory of `capacity` bytes (plus the null page).
+    /// The total saturates at the 32-bit address space.
     pub fn new(capacity: u32) -> GlobalMem {
-        let total = NULL_PAGE as u64 + capacity as u64;
-        let num_pages = total.div_ceil(PAGE_SIZE as u64) as usize;
         GlobalMem {
-            pages: vec![None; num_pages],
-            capacity: total as u32,
-            brk: NULL_PAGE,
+            bytes: Vec::new(),
+            capacity: capacity.saturating_add(NULL_PAGE),
             alloc_limit: None,
         }
     }
@@ -162,6 +143,12 @@ impl GlobalMem {
         self.alloc_limit = limit;
     }
 
+    /// One past the highest allocated address.
+    #[inline]
+    fn brk(&self) -> u32 {
+        NULL_PAGE + self.bytes.len() as u32
+    }
+
     /// Allocate `size` bytes aligned to 256 (like `cudaMalloc`).
     ///
     /// # Errors
@@ -169,7 +156,7 @@ impl GlobalMem {
     /// Returns [`MemError::LimitExceeded`] when a governor cap is armed and
     /// breached, or [`MemError::OutOfMemory`] when capacity is exhausted.
     pub fn alloc(&mut self, size: u32) -> Result<DevPtr, MemError> {
-        let aligned = self.brk.next_multiple_of(256);
+        let aligned = self.brk().next_multiple_of(256);
         let end = aligned as u64 + size as u64;
         if let Some(limit) = self.alloc_limit {
             if end - NULL_PAGE as u64 > limit as u64 {
@@ -182,32 +169,23 @@ impl GlobalMem {
                 available: (self.capacity as u64).saturating_sub(aligned as u64) as u32,
             });
         }
-        self.brk = end as u32;
+        self.bytes.resize((end - NULL_PAGE as u64) as usize, 0);
         Ok(DevPtr(aligned))
     }
 
     /// Bytes currently allocated (excluding the null page).
     pub fn allocated(&self) -> u32 {
-        self.brk - NULL_PAGE
+        self.bytes.len() as u32
     }
 
-    /// Number of materialized (written-to) pages.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Capture a copy-on-write snapshot of the current contents.
-    ///
-    /// Cost is one refcount bump per resident page — independent of how
-    /// many bytes the pages hold.
+    /// Capture a snapshot: a copy of the allocated bytes.
     pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot { pages: self.pages.clone(), brk: self.brk, capacity: self.capacity }
+        MemSnapshot { bytes: self.bytes.clone(), capacity: self.capacity }
     }
 
-    /// Restore contents and allocation state from a snapshot.
-    ///
-    /// The snapshot's pages are shared, not copied; subsequent writes to
-    /// either side dirty only the touched page.
+    /// Restore contents and allocation state from a snapshot, copying its
+    /// bytes into this memory's buffer. Anything allocated since is
+    /// dropped, so a later allocation reads zero again.
     ///
     /// # Panics
     ///
@@ -217,56 +195,18 @@ impl GlobalMem {
             self.capacity, snap.capacity,
             "snapshot restored onto a device of different capacity"
         );
-        self.pages = snap.pages.clone();
-        self.brk = snap.brk;
+        self.bytes.clear();
+        self.bytes.extend_from_slice(&snap.bytes);
     }
 
-    /// Mutable access to the page containing `addr`, materializing or
-    /// un-sharing it as needed (the copy-on-write fault path).
-    #[inline]
-    fn page_mut(&mut self, addr: usize) -> &mut Page {
-        let slot = &mut self.pages[addr / PAGE_SIZE as usize];
-        Arc::make_mut(slot.get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE as usize])))
-    }
-
-    /// Copy `dst.len()` bytes out, spanning pages as needed (range already
-    /// bounds-checked).
-    fn read_bytes(&self, addr: u32, dst: &mut [u8]) {
-        let mut off = addr as usize;
-        let mut done = 0;
-        while done < dst.len() {
-            let in_page = off % PAGE_SIZE as usize;
-            let run = (PAGE_SIZE as usize - in_page).min(dst.len() - done);
-            match &self.pages[off / PAGE_SIZE as usize] {
-                Some(page) => dst[done..done + run].copy_from_slice(&page[in_page..in_page + run]),
-                None => dst[done..done + run].fill(0),
-            }
-            off += run;
-            done += run;
-        }
-    }
-
-    /// Copy `src` in, spanning pages as needed (range already
-    /// bounds-checked).
-    fn write_bytes(&mut self, addr: u32, src: &[u8]) {
-        let mut off = addr as usize;
-        let mut done = 0;
-        while done < src.len() {
-            let in_page = off % PAGE_SIZE as usize;
-            let run = (PAGE_SIZE as usize - in_page).min(src.len() - done);
-            let page = self.page_mut(off);
-            page[in_page..in_page + run].copy_from_slice(&src[done..done + run]);
-            off += run;
-            done += run;
-        }
-    }
-
-    fn check(&self, addr: u32, len: u32) -> Result<usize, MemError> {
+    /// The buffer range of a host copy of `len` bytes at `addr`.
+    fn check(&self, addr: u32, len: usize) -> Result<std::ops::Range<usize>, MemError> {
         let end = addr as u64 + len as u64;
-        if addr < NULL_PAGE || end > self.brk as u64 {
-            Err(MemError::BadCopy { addr, len })
+        if addr < NULL_PAGE || end > self.brk() as u64 {
+            Err(MemError::BadCopy { addr, len: len as u32 })
         } else {
-            Ok(addr as usize)
+            let off = (addr - NULL_PAGE) as usize;
+            Ok(off..off + len)
         }
     }
 
@@ -276,8 +216,8 @@ impl GlobalMem {
     ///
     /// Returns [`MemError::BadCopy`] if the range is not fully allocated.
     pub fn copy_from_host(&mut self, dst: DevPtr, src: &[u8]) -> Result<(), MemError> {
-        self.check(dst.0, src.len() as u32)?;
-        self.write_bytes(dst.0, src);
+        let range = self.check(dst.0, src.len())?;
+        self.bytes[range].copy_from_slice(src);
         Ok(())
     }
 
@@ -287,8 +227,8 @@ impl GlobalMem {
     ///
     /// Returns [`MemError::BadCopy`] if the range is not fully allocated.
     pub fn copy_to_host(&self, src: DevPtr, dst: &mut [u8]) -> Result<(), MemError> {
-        self.check(src.0, dst.len() as u32)?;
-        self.read_bytes(src.0, dst);
+        let range = self.check(src.0, dst.len())?;
+        dst.copy_from_slice(&self.bytes[range]);
         Ok(())
     }
 
@@ -366,12 +306,8 @@ impl GlobalMem {
     #[inline]
     pub fn load(&self, addr: u32, width: MemWidth) -> Result<u64, TrapKind> {
         let w = width.bytes();
-        device_check(Space::Global, addr, w, NULL_PAGE, self.brk)?;
-        // Aligned accesses of ≤ 8 bytes never straddle a page boundary.
-        match &self.pages[addr as usize / PAGE_SIZE as usize] {
-            Some(page) => Ok(load_le(&page[..], addr as usize % PAGE_SIZE as usize, w)),
-            None => Ok(0),
-        }
+        device_check(Space::Global, addr, w, NULL_PAGE, self.brk())?;
+        Ok(load_le(&self.bytes, (addr - NULL_PAGE) as usize, w))
     }
 
     /// Device-side store (bounds- and alignment-checked).
@@ -382,10 +318,8 @@ impl GlobalMem {
     #[inline]
     pub fn store(&mut self, addr: u32, width: MemWidth, value: u64) -> Result<(), TrapKind> {
         let w = width.bytes();
-        device_check(Space::Global, addr, w, NULL_PAGE, self.brk)?;
-        // Aligned accesses of ≤ 8 bytes never straddle a page boundary.
-        let page = self.page_mut(addr as usize);
-        store_le(&mut page[..], addr as usize % PAGE_SIZE as usize, w, value);
+        device_check(Space::Global, addr, w, NULL_PAGE, self.brk())?;
+        store_le(&mut self.bytes, (addr - NULL_PAGE) as usize, w, value);
         Ok(())
     }
 }
@@ -633,21 +567,17 @@ mod tests {
     fn untouched_memory_reads_zero_without_materializing() {
         let mut m = GlobalMem::new(1 << 20);
         let p = m.alloc(64 * 1024).expect("alloc");
-        assert_eq!(m.resident_pages(), 0, "allocation alone must not materialize pages");
         assert_eq!(m.load(p.0, MemWidth::B64).expect("load"), 0);
         assert_eq!(m.read_u32s(p, 4).expect("read"), vec![0; 4]);
-        assert_eq!(m.resident_pages(), 0, "reads must not materialize pages");
-        m.store(p.0, MemWidth::B8, 1).expect("store");
-        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]
     fn host_copy_spans_page_boundary() {
         let mut m = GlobalMem::new(1 << 20);
-        let p = m.alloc(4 * PAGE_SIZE).expect("alloc");
+        let p = m.alloc(4 * 4096).expect("alloc");
         // 256-aligned base, offset so the copy straddles two page edges.
-        let data: Vec<u8> = (0..(2 * PAGE_SIZE + 100) as usize).map(|i| (i % 251) as u8).collect();
-        let dst = p.offset(PAGE_SIZE - 50);
+        let data: Vec<u8> = (0..2 * 4096 + 100).map(|i| (i % 251) as u8).collect();
+        let dst = p.offset(4096 - 50);
         m.copy_from_host(dst, &data).expect("write");
         let mut back = vec![0u8; data.len()];
         m.copy_to_host(dst, &mut back).expect("read");
@@ -660,7 +590,6 @@ mod tests {
         let p = m.alloc(4096).expect("alloc");
         m.write_u32s(p, &[1, 2, 3, 4]).expect("write");
         let snap = m.snapshot();
-        assert_eq!(snap.resident_pages(), 1);
 
         m.write_u32s(p, &[9, 9, 9, 9]).expect("overwrite");
         let q = m.alloc(4096).expect("alloc after snapshot");
@@ -670,6 +599,31 @@ mod tests {
         assert_eq!(m.read_u32s(p, 4).expect("read"), vec![1, 2, 3, 4]);
         assert_eq!(m.allocated(), snap.brk() - NULL_PAGE, "brk restored");
         assert!(m.read_u32s(q, 1).is_err(), "post-snapshot allocation rolled back");
+    }
+
+    #[test]
+    fn restore_drops_bytes_allocated_after_the_snapshot() {
+        let mut m = GlobalMem::new(1 << 20);
+        m.alloc(64).expect("alloc");
+        let snap = m.snapshot();
+        let q = m.alloc(64).expect("alloc after snapshot");
+        m.write_u32s(q, &[0xDEAD_BEEF; 16]).expect("write");
+
+        m.restore(&snap);
+        let again = m.alloc(64).expect("alloc after restore");
+        assert_eq!(again, q, "the bump allocator hands out the same range");
+        assert_eq!(m.read_u32s(again, 16).expect("read"), vec![0; 16], "no stale bytes");
+    }
+
+    #[test]
+    fn capacity_saturates_at_the_address_space() {
+        let mut m = GlobalMem::new(u32::MAX);
+        let p = m.alloc(16).expect("a near-4 GiB device still has room");
+        assert_eq!(p.0, NULL_PAGE);
+        assert!(matches!(
+            m.alloc(u32::MAX),
+            Err(MemError::OutOfMemory { available, .. }) if available == u32::MAX - 4096 - 256
+        ));
     }
 
     #[test]
