@@ -6,6 +6,11 @@
 //! opcodes, as §IV-C describes) and weights outcomes by each opcode's
 //! dynamic instruction share (Figure 3).
 //!
+//! Both take their profile from the golden run's opcode counters
+//! ([`PreparedGolden::profile`]) rather than a separate profiler run, so a
+//! campaign simulates the program once before its first injection — twice
+//! only when static pruning has a kernel it could prune.
+//!
 //! Injection runs are independent processes in the paper; here they are
 //! independent simulator instances, handed to the one campaign dispatcher
 //! (`dispatch.rs`) that runs them in worker threads or worker processes.
@@ -19,7 +24,7 @@ use crate::outcome::{InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcCheck};
 use crate::params::{PermanentParams, TransientParams};
 use crate::permanent::PermanentInjector;
 use crate::pool::{self, IsolationMode, Worker};
-use crate::profile::{profile_program, Profile, ProfilingMode};
+use crate::profile::{Profile, ProfilingMode};
 use crate::prune::prune_dead_sites;
 use crate::select::select_campaign;
 use crate::transient::TransientInjector;
@@ -156,7 +161,8 @@ pub struct InjectionRun {
 pub struct CampaignTiming {
     /// Duration of the uninstrumented golden run.
     pub golden: Duration,
-    /// Duration of the profiling run.
+    /// Duration of building the profile from the golden run's opcode
+    /// counters (no profiler run is involved).
     pub profiling: Duration,
     /// Duration of the static-analysis pass (site resolution plus
     /// liveness), zero when pruning is disabled.
@@ -180,7 +186,8 @@ impl CampaignTiming {
     }
 
     /// Total campaign time: profiling, static analysis, and all
-    /// injections (Figure 5).
+    /// injections (Figure 5). The golden run, which now also yields the
+    /// profile, is not included.
     pub fn total(&self) -> Duration {
         self.profiling + self.analysis + self.injections.iter().sum::<Duration>()
     }
@@ -313,8 +320,8 @@ pub(crate) fn attempt_transient(
 ///
 /// # Errors
 ///
-/// Returns [`FiError`] if the golden or profiling run fails, or if the
-/// selected instruction group has no dynamic instructions in the profile.
+/// Returns [`FiError`] if the golden run fails, or if the selected
+/// instruction group has no dynamic instructions in the profile.
 pub fn run_transient_campaign(
     program: &dyn Program,
     check: &dyn SdcCheck,
@@ -339,8 +346,12 @@ pub fn run_transient_campaign(
 ///
 /// # Errors
 ///
-/// Returns [`FiError`] if the golden or profiling run fails, or if the
-/// selected instruction group has no dynamic instructions in the profile.
+/// Returns [`FiError`] if the golden run fails, or if the selected
+/// instruction group has no dynamic instructions in the profile.
+/// Process isolation returns [`FiError::BadParam`] for a `runtime` whose
+/// `gpu`, `mem_bytes` or `limits` differ from the defaults: its workers
+/// build their golden run from [`RuntimeConfig::default`], so they would
+/// simulate a different device.
 pub fn run_transient_campaign_with(
     program: &dyn Program,
     check: &dyn SdcCheck,
@@ -348,16 +359,29 @@ pub fn run_transient_campaign_with(
     prior: Vec<InjectionRun>,
     hooks: &dyn CampaignHooks,
 ) -> Result<TransientCampaign, FiError> {
-    // Step 0: golden run (also calibrates the hang monitor). With
-    // checkpoints enabled it additionally records the launch-boundary
-    // state every injection run fast-forwards from.
+    if matches!(cfg.isolation, IsolationMode::Process(_)) {
+        let (rt, default) = (&cfg.runtime, RuntimeConfig::default());
+        if rt.gpu != default.gpu || rt.mem_bytes != default.mem_bytes || rt.limits != default.limits
+        {
+            return Err(FiError::BadParam {
+                name: "runtime",
+                reason: "process isolation supports only the default gpu, mem_bytes and limits"
+                    .into(),
+            });
+        }
+    }
+
+    // Step 0: golden run (also calibrates the hang monitor and counts
+    // opcodes for the profile). With checkpoints enabled it additionally
+    // records the launch-boundary state every injection run fast-forwards
+    // from.
     let t0 = Instant::now();
     let mut golden = PreparedGolden::new(program, cfg.runtime.clone(), cfg.use_checkpoints)?;
     let golden_wall = t0.elapsed();
 
-    // Step 1: profile.
+    // Step 1: profile, from the golden run's counters.
     let t0 = Instant::now();
-    let profile = profile_program(program, golden.config.clone(), cfg.profiling)?;
+    let profile = golden.profile(cfg.profiling);
     let profiling_wall = t0.elapsed();
 
     // Step 2: select fault sites. Selection consumes the RNG before any
@@ -368,9 +392,11 @@ pub fn run_transient_campaign_with(
 
     // Step 2b: static dead-fault pruning. One extra resolver run maps
     // each site to its static pc; sites whose corrupted destination is
-    // dead there are provably Masked and skip simulation entirely.
+    // dead there are provably Masked and skip simulation entirely. The
+    // run is skipped when no target kernel has a prunable instruction,
+    // since every flag would be `false`.
     let t0 = Instant::now();
-    let pruned_flags = if cfg.use_static_prune {
+    let pruned_flags = if cfg.use_static_prune && golden.may_prune(cfg.group, &sites) {
         prune_dead_sites(program, golden.config.clone(), cfg.group, &sites)
     } else {
         vec![false; sites.len()]
@@ -411,9 +437,9 @@ pub fn run_transient_campaign_with(
         })
         .collect();
 
-    // The per-run deadline applies to injection runs only: the golden,
-    // profiling, and resolver runs above are campaign prerequisites, not
-    // experiments the harness may abandon.
+    // The per-run deadline applies to injection runs only: the golden and
+    // resolver runs above are campaign prerequisites, not experiments the
+    // harness may abandon.
     golden.config.wall_deadline = cfg.run_deadline;
 
     // Steps 3-4: inject and classify. Each site executes behind an
@@ -572,7 +598,8 @@ pub struct PermanentCampaign {
     pub weighted: WeightedOutcomes,
     /// Per-opcode runs.
     pub runs: Vec<PermanentRun>,
-    /// Duration of the profiling step.
+    /// Duration of the profiling step: building the profile from the
+    /// golden run's opcode counters.
     pub profiling_wall: Duration,
 }
 
@@ -588,7 +615,7 @@ impl PermanentCampaign {
 ///
 /// # Errors
 ///
-/// Returns [`FiError`] if the golden or profiling run fails.
+/// Returns [`FiError`] if the golden run fails.
 pub fn run_permanent_campaign(
     program: &dyn Program,
     check: &dyn SdcCheck,
@@ -597,7 +624,7 @@ pub fn run_permanent_campaign(
     let mut golden = PreparedGolden::new(program, cfg.runtime.clone(), false)?;
 
     let t0 = Instant::now();
-    let profile = profile_program(program, golden.config.clone(), ProfilingMode::Approximate)?;
+    let profile = golden.profile(ProfilingMode::Approximate);
     let profiling_wall = t0.elapsed();
 
     let executed = profile.executed_opcodes();
@@ -751,6 +778,36 @@ mod tests {
         assert!(reloaded.iter().all(|(_, r)| r.resumed && !r.outcome.is_infra()));
         let left: Vec<usize> = work.iter().map(|(i, _, _)| *i).collect();
         assert_eq!(left, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn process_isolation_rejects_a_non_default_device() {
+        struct NeverRuns;
+        impl Program for NeverRuns {
+            fn name(&self) -> &str {
+                "never-runs"
+            }
+            fn run(&self, _: &mut gpu_runtime::Runtime) -> Result<(), gpu_runtime::RuntimeError> {
+                panic!("the configuration is rejected before any run");
+            }
+        }
+        let isolation =
+            IsolationMode::Process(pool::ProcessIsolation::new(vec!["no-such-worker".into()], "t"));
+        let base = CampaignConfig { isolation, ..CampaignConfig::default() };
+        let default = RuntimeConfig::default();
+        let mut gpu = default.gpu;
+        gpu.num_sms = 7;
+        let mut limits = default.limits;
+        limits.max_output_bytes += 1;
+        for runtime in [
+            RuntimeConfig { gpu, ..RuntimeConfig::default() },
+            RuntimeConfig { mem_bytes: 1 << 20, ..RuntimeConfig::default() },
+            RuntimeConfig { limits, ..RuntimeConfig::default() },
+        ] {
+            let cfg = CampaignConfig { runtime, ..base.clone() };
+            let err = run_transient_campaign(&NeverRuns, &crate::ExactDiff, &cfg).unwrap_err();
+            assert!(matches!(err, FiError::BadParam { name: "runtime", .. }), "{err}");
+        }
     }
 
     #[test]

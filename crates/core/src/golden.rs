@@ -1,10 +1,14 @@
 //! The golden (fault-free) reference run — Figure 1's "golden output state".
 
 use crate::error::FiError;
+use crate::igid::InstrGroup;
 use crate::outcome::{classify, Outcome, SdcCheck};
 use crate::params::TransientParams;
+use crate::profile::{Profile, ProfilingMode};
+use crate::prune::sites_may_prune;
+use gpu_isa::{Module, Opcode};
 use gpu_runtime::{
-    run_program, run_program_fast_forward, run_program_recording, CheckpointStore, Program,
+    run_program, run_program_fast_forward, run_program_golden, CheckpointStore, Program,
     ProgramOutput, RunSummary, RuntimeConfig, Tool,
 };
 use std::collections::BTreeMap;
@@ -57,13 +61,17 @@ pub fn golden_run_recording(
     program: &dyn Program,
     cfg: RuntimeConfig,
 ) -> Result<(GoldenOutput, CheckpointStore), FiError> {
-    let (out, store) = run_program_recording(program, cfg);
-    Ok((validate(program, out)?, store))
+    let (out, capture) = run_program_golden(program, cfg, true);
+    Ok((validate(program, out)?, capture.checkpoints))
 }
 
 /// A golden run made ready for injection runs: the reference outputs, the
 /// launch-boundary checkpoints injection runs fast-forward from, and the
-/// budgeted runtime configuration every injection run uses.
+/// budgeted runtime configuration every injection run uses. The same
+/// simulation counts each launch's opcodes and keeps the loaded modules, so
+/// campaign setup takes its profile ([`PreparedGolden::profile`]) and its
+/// pruning pre-check ([`PreparedGolden::may_prune`]) from it instead of
+/// simulating the program again.
 ///
 /// Without checkpoints the store is empty, so every target launch resolves
 /// to index 0 and every injection run is a full replay — the
@@ -78,6 +86,10 @@ pub struct PreparedGolden {
     /// Runtime configuration for injection runs: the golden run's, plus the
     /// hang-detection budget derived from it.
     pub(crate) config: RuntimeConfig,
+    /// Per launch, in launch order, the nonzero executed-opcode counts.
+    opcode_counts: Vec<Vec<(Opcode, u64)>>,
+    /// The modules the golden run loaded.
+    modules: Vec<Arc<Module>>,
 }
 
 impl PreparedGolden {
@@ -91,14 +103,31 @@ impl PreparedGolden {
         cfg: RuntimeConfig,
         record_checkpoints: bool,
     ) -> Result<PreparedGolden, FiError> {
-        let (output, store) = if record_checkpoints {
-            golden_run_recording(program, cfg.clone())?
-        } else {
-            (golden_run(program, cfg.clone())?, CheckpointStore::new())
-        };
+        let (out, capture) = run_program_golden(program, cfg.clone(), record_checkpoints);
+        let output = validate(program, out)?;
         let mut config = cfg;
         config.instr_budget = Some(output.suggested_budget());
-        Ok(PreparedGolden { output, checkpoints: store.into_shared(), config })
+        Ok(PreparedGolden {
+            output,
+            checkpoints: capture.checkpoints.into_shared(),
+            config,
+            opcode_counts: capture.opcode_counts,
+            modules: capture.modules,
+        })
+    }
+
+    /// The program's profile, built from the golden run's opcode counters:
+    /// identical to what [`crate::profile_program`] measures in `mode`,
+    /// without another run.
+    pub fn profile(&self, mode: ProfilingMode) -> Profile {
+        Profile::from_counts(mode, &self.output.summary.launches, &self.opcode_counts)
+    }
+
+    /// `false` when [`crate::prune_dead_sites`] is certain to flag none of
+    /// `sites`, judged statically from the kernels they target — so a
+    /// campaign can skip its resolver run. `true` means it might.
+    pub fn may_prune(&self, group: InstrGroup, sites: &[TransientParams]) -> bool {
+        sites_may_prune(&self.modules, group, sites)
     }
 
     /// The global launch index a run injecting `sites` fast-forwards to:

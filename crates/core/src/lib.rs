@@ -28,7 +28,9 @@
 //!
 //! [`campaign`] orchestrates all four steps across many injections through
 //! one dispatcher that fans runs out to worker threads or worker
-//! processes; [`stats`] provides the confidence-interval
+//! processes. Its golden run also counts opcodes, so a campaign builds its
+//! profile from that run ([`PreparedGolden::profile`]) rather than
+//! attaching the profiler; [`stats`] provides the confidence-interval
 //! arithmetic behind the paper's 100- vs 1000-injection guidance; [`ext`]
 //! describes the §V extensions (intermittent faults, richer corruption
 //! functions, multi-opcode permanent faults, and a fault dictionary), which

@@ -13,6 +13,13 @@
 //! * **approximate** — instruments only the *first* instance of each static
 //!   kernel and assumes later instances repeat its counts (cheap, but the
 //!   profile can drift from reality — the divergence studied in Figure 2).
+//!
+//! A real GPU cannot report per-opcode counts, which is why NVBitFI needs
+//! the profiler run at all. The simulator can: a campaign's golden run
+//! counts opcodes as it executes, and [`crate::PreparedGolden::profile`]
+//! builds either mode's profile from those counters. [`Profiler`] and
+//! [`profile_program`] remain as the paper's `profiler.so`, for the
+//! `profile` command and the Figure 4 overhead measurement.
 
 use crate::error::FiError;
 use crate::igid::InstrGroup;
@@ -119,6 +126,36 @@ impl Profile {
     /// Total dynamic count of one opcode across the program.
     pub fn opcode_total(&self, op: Opcode) -> u64 {
         self.kernels.iter().map(|k| k.counts.get(&op).copied().unwrap_or(0)).sum()
+    }
+
+    /// The profile `mode` would measure, from each launch's executed-opcode
+    /// counts (`counts[i]` belongs to `launches[i]`): exact keeps every
+    /// launch's own counts; approximate gives every later instance of a
+    /// kernel its instance 0's counts, as [`Profiler`] does.
+    pub(crate) fn from_counts(
+        mode: ProfilingMode,
+        launches: &[LaunchRecord],
+        counts: &[Vec<(Opcode, u64)>],
+    ) -> Profile {
+        let mut first: HashMap<&str, &[(Opcode, u64)]> = HashMap::new();
+        let kernels = launches
+            .iter()
+            .zip(counts)
+            .map(|(launch, own)| {
+                let counts = match mode {
+                    ProfilingMode::Exact => own,
+                    ProfilingMode::Approximate => {
+                        *first.entry(launch.kernel.as_str()).or_insert(own)
+                    }
+                };
+                KernelProfile {
+                    kernel: launch.kernel.clone(),
+                    instance: launch.instance,
+                    counts: counts.iter().copied().collect(),
+                }
+            })
+            .collect();
+        Profile { mode, kernels }
     }
 
     /// Map the `n`-th dynamic group instruction (0-based, program order)

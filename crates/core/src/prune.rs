@@ -16,6 +16,13 @@
 //! pc each watched dynamic index lands on. Because the simulator executes
 //! deterministically, this resolution is exact, not approximate.
 //!
+//! Most kernels cannot prune anything: no instruction of the group has a
+//! destination that is dead after it. A static pre-check
+//! ([`KernelAnalysis::may_prune`], asked of the kernels the sites target)
+//! finds those without running the program, and a campaign skips the
+//! resolver run when every target kernel is one of them — the flags would
+//! all be `false` anyway.
+//!
 //! Everything here fails conservative: an unresolved site, a kernel with
 //! an imprecise CFG (indirect branches), a mismatched group, or an
 //! unclean resolver run all mean "don't prune" — the site is simulated as
@@ -23,13 +30,13 @@
 
 use crate::igid::InstrGroup;
 use crate::params::TransientParams;
-use crate::transient::{select_destination, SiteMatcher};
+use crate::transient::{destination_candidates, select_destination, SiteMatcher};
 use gpu_analysis::{cross_lane_uses, Cfg, Liveness, RegSet};
-use gpu_isa::{Kernel, RegSlot};
+use gpu_isa::{Kernel, Module, RegSlot};
 use gpu_runtime::{run_program, KernelLaunchInfo, Program, RuntimeConfig};
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// The liveness facts needed to decide deadness of an injection site in
@@ -76,6 +83,38 @@ impl KernelAnalysis {
             None => false,
         }
     }
+
+    /// `true` if a site in `group` could be pruned in this kernel: some
+    /// instruction of the group has no writable destination, or has one
+    /// that [`select_destination`] can pick and that is dead after it.
+    /// When `false`, [`prune_dead_sites`] flags no site of this kernel.
+    pub fn may_prune(&self, group: InstrGroup) -> bool {
+        self.precise
+            && self.kernel.instrs().iter().enumerate().any(|(pc, instr)| {
+                let slots = destination_candidates(instr, group);
+                group.contains(instr.op)
+                    && (slots.is_empty()
+                        || slots.into_iter().any(|slot| self.dest_is_dead(pc as u32, slot)))
+            })
+    }
+}
+
+/// `false` when [`prune_dead_sites`] is certain to flag none of `sites`:
+/// no kernel of `modules` that a site in `group` targets may prune. Sites
+/// outside `group` never prune, and a kernel name found in several modules
+/// counts if any of them may prune.
+pub(crate) fn sites_may_prune(
+    modules: &[Arc<Module>],
+    group: InstrGroup,
+    sites: &[TransientParams],
+) -> bool {
+    let targets: BTreeSet<&str> =
+        sites.iter().filter(|s| s.group == group).map(|s| s.kernel_name.as_str()).collect();
+    modules
+        .iter()
+        .flat_map(|m| m.kernels())
+        .filter(|k| targets.contains(k.name()))
+        .any(|k| KernelAnalysis::new(k).may_prune(group))
 }
 
 /// What the [`SiteResolver`] run found.
@@ -264,6 +303,24 @@ mod tests {
         let sites = vec![site(dead as u64), site(live_shl as u64), site(live_iadd as u64)];
         let flags = prune_dead_sites(&App, RuntimeConfig::default(), InstrGroup::Gp, &sites);
         assert_eq!(flags, vec![true, false, false]);
+    }
+
+    #[test]
+    fn pre_check_sees_the_dead_write() {
+        let analysis = KernelAnalysis::new(&inc_kernel());
+        assert!(analysis.may_prune(InstrGroup::Gp), "R7 is dead after pc 3");
+        // EXIT has no destination, so a NoDest site there writes nothing.
+        assert!(analysis.may_prune(InstrGroup::NoDest));
+        // No instruction of the kernel writes a predicate or loads.
+        assert!(!analysis.may_prune(InstrGroup::Pr));
+        assert!(!analysis.may_prune(InstrGroup::Ld));
+
+        let mut live = KernelBuilder::new("live");
+        live.movi(Reg(0), 1);
+        live.iaddi(Reg(1), Reg(0), 1);
+        live.stg(Reg(1), 0, Reg(0));
+        live.exit();
+        assert!(!KernelAnalysis::new(&live.finish()).may_prune(InstrGroup::Gp));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::bitflip::BitFlipModel;
 use crate::igid::InstrGroup;
 use crate::params::TransientParams;
-use gpu_isa::{Instr, Kernel, Opcode, PReg, Reg, RegSlot};
+use gpu_isa::{Instr, Kernel, Opcode, RegSlot};
 use gpu_runtime::KernelLaunchInfo;
 use gpu_sim::ThreadCtx;
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
@@ -119,18 +119,22 @@ pub fn select_destination(
     group: InstrGroup,
     destination_register: f64,
 ) -> Option<RegSlot> {
-    let gprs: Vec<Reg> = if group.targets_gprs() { instr.gpr_dests() } else { Vec::new() };
-    let preds: Vec<PReg> = if group.targets_predicates() { instr.pred_dests() } else { Vec::new() };
-    let total = gprs.len() + preds.len();
-    if total == 0 {
-        return None;
+    let slots = destination_candidates(instr, group);
+    let last = slots.len().checked_sub(1)?;
+    Some(slots[((destination_register * slots.len() as f64) as usize).min(last)])
+}
+
+/// Every unit [`select_destination`] can pick for `instr` under `group`
+/// targeting: GPR candidates, then predicate candidates.
+pub(crate) fn destination_candidates(instr: &Instr, group: InstrGroup) -> Vec<RegSlot> {
+    let mut slots = Vec::new();
+    if group.targets_gprs() {
+        slots.extend(instr.gpr_dests().into_iter().map(RegSlot::Gpr));
     }
-    let idx = ((destination_register * total as f64) as usize).min(total - 1);
-    Some(if idx < gprs.len() {
-        RegSlot::Gpr(gprs[idx])
-    } else {
-        RegSlot::Pred(preds[idx - gprs.len()])
-    })
+    if group.targets_predicates() {
+        slots.extend(instr.pred_dests().into_iter().map(RegSlot::Pred));
+    }
+    slots
 }
 
 /// The group-instruction count of one dynamic kernel, and the sites it
@@ -335,7 +339,7 @@ mod tests {
     use super::*;
     use crate::igid::InstrGroup;
     use gpu_isa::asm::KernelBuilder;
-    use gpu_isa::{encode, Module, SpecialReg};
+    use gpu_isa::{encode, Module, Reg, SpecialReg};
     use gpu_runtime::{run_program, Program, Runtime, RuntimeConfig, RuntimeError};
 
     /// out[tid] = tid + 1, launched twice.

@@ -30,8 +30,8 @@ mod tool;
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use error::{KernelFault, RuntimeError};
 pub use program::{
-    run_program, run_program_fast_forward, run_program_recording, Program, ProgramOutput,
-    Termination,
+    run_program, run_program_fast_forward, run_program_golden, GoldenCapture, Program,
+    ProgramOutput, Termination,
 };
 pub use runtime::{KernelHandle, ModuleId, Runtime, RuntimeConfig, OUTPUT_TRUNCATED_MARKER};
 pub use tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
@@ -340,7 +340,8 @@ mod tests {
 
     #[test]
     fn fast_forward_reproduces_the_full_run() {
-        let (golden, store) = run_program_recording(&Chain, small_cfg());
+        let (golden, capture) = run_program_golden(&Chain, small_cfg(), true);
+        let store = capture.checkpoints;
         assert!(golden.termination.is_clean());
         assert_eq!(store.len(), 3);
         assert_eq!(golden.prefix_instrs_skipped, 0);
@@ -358,6 +359,22 @@ mod tests {
             );
             if upto > 0 {
                 assert!(out.prefix_instrs_skipped > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn golden_run_counts_opcodes_per_launch() {
+        for record in [false, true] {
+            let (out, capture) = run_program_golden(&Chain, small_cfg(), record);
+            assert!(out.termination.is_clean());
+            assert_eq!(capture.checkpoints.len(), if record { 3 } else { 0 });
+            assert_eq!(capture.modules.len(), 1);
+            assert_eq!(capture.opcode_counts.len(), out.summary.launches.len());
+            for (counts, launch) in capture.opcode_counts.iter().zip(&out.summary.launches) {
+                assert!(counts.iter().all(|&(_, n)| n > 0), "only nonzero counts are kept");
+                let total: u64 = counts.iter().map(|&(_, n)| n).sum();
+                assert_eq!(total, launch.stats.dyn_instrs);
             }
         }
     }

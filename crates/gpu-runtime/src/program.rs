@@ -4,6 +4,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::error::RuntimeError;
 use crate::runtime::{Runtime, RuntimeConfig};
 use crate::tool::{RunSummary, Tool};
+use gpu_isa::{Module, Opcode};
 use gpu_sim::TrapInfo;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -83,6 +84,19 @@ pub trait Program: Sync {
     fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError>;
 }
 
+/// What a campaign's golden run captures beside its output: everything
+/// campaign setup needs, from one simulation.
+#[derive(Debug, Default)]
+pub struct GoldenCapture {
+    /// Launch-boundary checkpoints (empty unless recorded).
+    pub checkpoints: CheckpointStore,
+    /// Per launch, in launch order, the nonzero `(opcode, thread
+    /// instructions)` counts — the exact profile's raw material.
+    pub opcode_counts: Vec<Vec<(Opcode, u64)>>,
+    /// The modules the program loaded, in load order.
+    pub modules: Vec<Arc<Module>>,
+}
+
 /// Run a program to termination, optionally with an attached tool, and
 /// collect its observable output.
 ///
@@ -93,18 +107,28 @@ pub fn run_program(
     cfg: RuntimeConfig,
     tool: Option<Box<dyn Tool>>,
 ) -> ProgramOutput {
-    drive(program, cfg, tool, false, None).0
+    let mut rt = Runtime::new(cfg);
+    if let Some(t) = tool {
+        rt.attach_tool(t);
+    }
+    drive(program, rt).0
 }
 
-/// Run a program while recording a launch-boundary [`CheckpointStore`] —
-/// how a campaign's golden run captures the state injection runs
-/// fast-forward from.
-pub fn run_program_recording(
+/// Run a program as a campaign's golden run: count each launch's executed
+/// opcodes, keep the loaded modules, and, if `record_checkpoints`, record
+/// the launch-boundary [`CheckpointStore`] injection runs fast-forward
+/// from.
+pub fn run_program_golden(
     program: &dyn Program,
     cfg: RuntimeConfig,
-) -> (ProgramOutput, CheckpointStore) {
-    let (out, store) = drive(program, cfg, None, true, None);
-    (out, store.unwrap_or_default())
+    record_checkpoints: bool,
+) -> (ProgramOutput, GoldenCapture) {
+    let mut rt = Runtime::new(cfg);
+    rt.count_opcodes();
+    if record_checkpoints {
+        rt.record_checkpoints();
+    }
+    drive(program, rt)
 }
 
 /// Run a program with launches below global index `upto` replayed from a
@@ -117,26 +141,17 @@ pub fn run_program_fast_forward(
     store: Arc<CheckpointStore>,
     upto: u64,
 ) -> ProgramOutput {
-    drive(program, cfg, tool, false, Some((store, upto))).0
-}
-
-fn drive(
-    program: &dyn Program,
-    cfg: RuntimeConfig,
-    tool: Option<Box<dyn Tool>>,
-    record_checkpoints: bool,
-    fast_forward: Option<(Arc<CheckpointStore>, u64)>,
-) -> (ProgramOutput, Option<CheckpointStore>) {
     let mut rt = Runtime::new(cfg);
     if let Some(t) = tool {
         rt.attach_tool(t);
     }
-    if record_checkpoints {
-        rt.record_checkpoints();
-    }
-    if let Some((store, upto)) = fast_forward {
-        rt.fast_forward(store, upto);
-    }
+    rt.fast_forward(store, upto);
+    drive(program, rt).0
+}
+
+/// Run `program` against the prepared runtime `rt` and collect what it
+/// observed and captured.
+fn drive(program: &dyn Program, mut rt: Runtime) -> (ProgramOutput, GoldenCapture) {
     let result = program.run(&mut rt);
     let summary = rt.finish();
     let termination = match &result {
@@ -152,11 +167,15 @@ fn drive(
             Termination::Normal { exit_code: 1 }
         }
     };
-    let checkpoints = rt.take_checkpoints();
+    let capture = GoldenCapture {
+        checkpoints: rt.take_checkpoints().unwrap_or_default(),
+        opcode_counts: rt.take_opcode_counts().unwrap_or_default(),
+        modules: rt.modules().to_vec(),
+    };
     let prefix_instrs_skipped = rt.prefix_instrs_skipped();
     let (stdout, files, anomalies) = rt.into_output();
     (
         ProgramOutput { stdout, files, termination, anomalies, summary, prefix_instrs_skipped },
-        checkpoints,
+        capture,
     )
 }

@@ -3,10 +3,10 @@
 use crate::checkpoint::{Checkpoint, CheckpointStore, FastForward};
 use crate::error::{KernelFault, RuntimeError};
 use crate::tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
-use gpu_isa::{encode, Module};
+use gpu_isa::{encode, Module, Opcode, OPCODE_COUNT};
 use gpu_sim::{
-    DevPtr, Dim3, GlobalMem, Gpu, GpuConfig, Instrumentation, Launch, MemError, ResourceLimits,
-    SimError, TrapInfo, TrapKind,
+    DevPtr, Dim3, GlobalMem, Gpu, GpuConfig, Instrumentation, Launch, MemError, OpcodeCounts,
+    ResourceLimits, SimError, TrapInfo, TrapKind,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -85,6 +85,7 @@ pub struct Runtime {
     files: BTreeMap<String, Vec<u8>>,
     hang: Option<TrapInfo>,
     checkpoint_log: Option<CheckpointStore>,
+    opcode_log: Option<OpcodeLog>,
     fast_forward: Option<FastForward>,
     output_bytes: u64,
     output_truncated: bool,
@@ -123,6 +124,7 @@ impl Runtime {
             files: BTreeMap::new(),
             hang: None,
             checkpoint_log: None,
+            opcode_log: None,
             fast_forward: None,
             output_bytes: 0,
             output_truncated: false,
@@ -142,6 +144,22 @@ impl Runtime {
     /// recording. `None` if recording was never enabled.
     pub fn take_checkpoints(&mut self) -> Option<CheckpointStore> {
         self.checkpoint_log.take()
+    }
+
+    /// Count every launch's executed thread instructions per opcode (how
+    /// the golden run produces the profile without a profiler run). Collect
+    /// the result with [`Runtime::take_opcode_counts`]. Launches replayed by
+    /// [`Runtime::fast_forward`] are not simulated, so they get no entry.
+    pub fn count_opcodes(&mut self) {
+        self.opcode_log =
+            Some(OpcodeLog { scratch: Box::new([0; OPCODE_COUNT]), launches: Vec::new() });
+    }
+
+    /// Detach and return each launch's nonzero `(opcode, thread
+    /// instructions)` counts, in launch order, disabling further counting.
+    /// `None` if counting was never enabled.
+    pub fn take_opcode_counts(&mut self) -> Option<Vec<Vec<(Opcode, u64)>>> {
+        self.opcode_log.take().map(|log| log.launches)
     }
 
     /// Replay launches below global index `upto` from a golden checkpoint
@@ -342,7 +360,7 @@ impl Runtime {
             if let Some(tool) = self.tool.as_deref_mut() {
                 tool.after_launch(&record);
             }
-            self.log_checkpoint(&record);
+            self.log_launch(&record);
             self.records.push(record);
             return Ok(());
         }
@@ -384,6 +402,7 @@ impl Runtime {
         let masks: Option<InstrMasks> = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
 
         let launch = Launch { kernel: k, grid, block, params, instr_budget: self.cfg.instr_budget };
+        let opcodes = self.opcode_log.as_mut().map(|log| &mut *log.scratch);
         let result = match (&mut self.tool, masks) {
             (Some(tool), Some(m)) => {
                 let mut ins = Instrumentation {
@@ -392,9 +411,9 @@ impl Runtime {
                     hook: tool.as_mut(),
                     kernel_instance: instance,
                 };
-                self.gpu.launch(&launch, &mut self.mem, Some(&mut ins))
+                self.gpu.launch_counted(&launch, &mut self.mem, Some(&mut ins), opcodes)
             }
-            _ => self.gpu.launch(&launch, &mut self.mem, None),
+            _ => self.gpu.launch_counted(&launch, &mut self.mem, None, opcodes),
         };
 
         let (stats, trap, fatal) = match result {
@@ -429,7 +448,7 @@ impl Runtime {
         if let Some(tool) = self.tool.as_deref_mut() {
             tool.after_launch(&record);
         }
-        self.log_checkpoint(&record);
+        self.log_launch(&record);
         self.records.push(record);
         match fatal {
             Some(e) => Err(e),
@@ -437,10 +456,14 @@ impl Runtime {
         }
     }
 
-    /// Capture a launch-boundary checkpoint if recording is enabled.
-    fn log_checkpoint(&mut self, record: &LaunchRecord) {
+    /// Capture a launch-boundary checkpoint and the launch's opcode counts,
+    /// where enabled.
+    fn log_launch(&mut self, record: &LaunchRecord) {
         if let Some(log) = &mut self.checkpoint_log {
             log.push(Checkpoint { mem: self.mem.snapshot(), record: record.clone() });
+        }
+        if let Some(log) = &mut self.opcode_log {
+            log.drain_launch();
         }
     }
 
@@ -579,8 +602,35 @@ impl Runtime {
         summary
     }
 
+    /// The modules loaded so far, in load order.
+    pub fn modules(&self) -> &[Arc<Module>] {
+        &self.modules
+    }
+
     /// Consume the runtime, yielding `(stdout, files, anomalies)`.
     pub fn into_output(self) -> (String, BTreeMap<String, Vec<u8>>, Vec<TrapInfo>) {
         (self.stdout, self.files, self.anomalies)
+    }
+}
+
+/// Per-launch opcode counts of a counting run: a dense tally the simulator
+/// adds to during a launch, drained into a sparse list at its end.
+struct OpcodeLog {
+    scratch: Box<OpcodeCounts>,
+    /// Per launch, in launch order, the nonzero counts.
+    launches: Vec<Vec<(Opcode, u64)>>,
+}
+
+impl OpcodeLog {
+    /// Move the finished launch's nonzero counts out of the tally.
+    fn drain_launch(&mut self) {
+        let counts = self
+            .scratch
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, n)| **n > 0)
+            .map(|(op, n)| (Opcode::ALL[op], std::mem::take(n)))
+            .collect();
+        self.launches.push(counts);
     }
 }

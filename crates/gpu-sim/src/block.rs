@@ -18,12 +18,15 @@
 
 use crate::cycles::{latency, HOOK_CYCLES};
 use crate::exec::{exec_family, ExecEnv, Flow};
+use crate::gpu::OpcodeCounts;
 use crate::grid::Dim3;
 use crate::hooks::{InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
 use crate::memory::{GlobalMem, SharedMem};
 use crate::regfile::RegFile;
 use crate::trap::{TrapInfo, TrapKind};
-use gpu_isa::{Dst, ExecFamily, Instr, Kernel, Modifier, Operand, Reg, ShflMode, Space, WARP_SIZE};
+use gpu_isa::{
+    Dst, ExecFamily, Instr, Kernel, Modifier, Opcode, Operand, Reg, ShflMode, Space, WARP_SIZE,
+};
 
 pub(crate) struct ThreadState {
     pub regs: RegFile,
@@ -43,8 +46,8 @@ struct Warp {
 }
 
 /// Running totals for one kernel launch.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Counters {
+#[derive(Debug, Default)]
+pub(crate) struct Counters<'a> {
     /// Guard-passing thread-level dynamic instructions executed so far.
     pub executed: u64,
     /// Simulated cycles consumed so far.
@@ -56,6 +59,20 @@ pub(crate) struct Counters {
     /// [`DEADLINE_POLL_INTERVAL`], so the common case costs one branch per
     /// warp instruction.
     pub deadline: Option<std::time::Instant>,
+    /// Per-opcode executed thread instructions, indexed by
+    /// [`Opcode::encode`]; `None` (injection runs) counts nothing.
+    pub opcodes: Option<&'a mut OpcodeCounts>,
+}
+
+impl Counters<'_> {
+    /// Record that dynamic instructions `first..upto` of the launch
+    /// executed `op`.
+    fn retire(&mut self, op: Opcode, first: u64, upto: u64) {
+        self.executed = upto;
+        if let Some(opcodes) = self.opcodes.as_deref_mut() {
+            opcodes[op.encode() as usize] += upto - first;
+        }
+    }
 }
 
 /// How many dynamic instructions run between wall-clock deadline polls.
@@ -199,7 +216,7 @@ impl BlockState {
         kernel: &Kernel,
         global: &mut GlobalMem,
         cmem: &[u8],
-        counters: &mut Counters,
+        counters: &mut Counters<'_>,
         instrumentation: &mut Option<&mut Instrumentation<'_>>,
     ) -> Result<(), TrapInfo> {
         loop {
@@ -238,7 +255,7 @@ impl BlockState {
         kernel: &Kernel,
         global: &mut GlobalMem,
         cmem: &[u8],
-        counters: &mut Counters,
+        counters: &mut Counters<'_>,
         instrumentation: &mut Option<&mut Instrumentation<'_>>,
     ) -> Result<bool, TrapInfo> {
         let BlockState { threads, warps, shared, flat_ctaid, hooked, live, waiting, .. } = self;
@@ -360,7 +377,7 @@ impl BlockState {
                     warp.pcs[lane] = pc + 1;
                 }
                 Err(kind) => {
-                    counters.executed = dyn_index + 1;
+                    counters.retire(instr.op, first, dyn_index + 1);
                     return Err(trap(kind, pc, base + lane));
                 }
             }
@@ -373,7 +390,7 @@ impl BlockState {
             }
             dyn_index += 1;
         }
-        counters.executed = dyn_index;
+        counters.retire(instr.op, first, dyn_index);
         if let Some((_, kind)) = stop {
             let lane = (active & !run).trailing_zeros() as usize;
             return Err(trap(kind, pc, base + lane));

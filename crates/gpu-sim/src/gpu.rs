@@ -5,7 +5,7 @@ use crate::error::SimError;
 use crate::grid::Dim3;
 use crate::hooks::Instrumentation;
 use crate::memory::GlobalMem;
-use gpu_isa::Kernel;
+use gpu_isa::{Kernel, OPCODE_COUNT};
 use serde::{Deserialize, Serialize};
 
 /// Maximum threads per block, matching CUDA.
@@ -13,6 +13,10 @@ pub const MAX_BLOCK_THREADS: u64 = 1024;
 
 /// Maximum bytes of kernel parameters (CUDA's 4 KiB launch-parameter limit).
 pub const MAX_PARAM_BYTES: usize = 4096;
+
+/// Executed thread instructions per opcode, indexed by
+/// [`gpu_isa::Opcode::encode`] — what [`Gpu::launch_counted`] adds to.
+pub type OpcodeCounts = [u64; OPCODE_COUNT];
 
 /// Simulated device configuration.
 ///
@@ -143,7 +147,26 @@ impl Gpu {
         &self,
         l: &Launch<'_>,
         global: &mut GlobalMem,
+        instrumentation: Option<&mut Instrumentation<'_>>,
+    ) -> Result<LaunchStats, SimError> {
+        self.launch_counted(l, global, instrumentation, None)
+    }
+
+    /// [`Gpu::launch`], also adding every executed thread instruction to
+    /// `opcodes` under its opcode: the per-opcode counts NVBitFI's profiler
+    /// collects, at the cost of one add per warp issue. With `None` it is
+    /// exactly [`Gpu::launch`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Gpu::launch`]; a trapped launch's counts cover the
+    /// instructions it executed.
+    pub fn launch_counted(
+        &self,
+        l: &Launch<'_>,
+        global: &mut GlobalMem,
         mut instrumentation: Option<&mut Instrumentation<'_>>,
+        opcodes: Option<&mut OpcodeCounts>,
     ) -> Result<LaunchStats, SimError> {
         let threads = l.block.count();
         if threads == 0 || l.grid.count() == 0 {
@@ -199,6 +222,7 @@ impl Gpu {
             cycles: 0,
             budget: l.instr_budget.unwrap_or(self.cfg.default_instr_budget),
             deadline: self.deadline,
+            opcodes,
         };
         // An already-expired deadline traps before any instruction executes,
         // so even trivially short launches cannot extend a runaway run.

@@ -29,7 +29,10 @@
 //!   each issue decodes the instruction, looks up its hooks and settles
 //!   the budget and deadline once, then runs the active lanes in one
 //!   ascending pass — with the before/after hooks around each lane's
-//!   execution where the pc is instrumented.
+//!   execution where the pc is instrumented,
+//! * **opcode counters** — [`Gpu::launch_counted`] adds each issue's
+//!   executed lanes to a per-opcode tally, so a golden run yields the
+//!   profiler's counts without instrumenting anything.
 //!
 //! See the [`Gpu::launch`] docs for a complete runnable example.
 
@@ -47,7 +50,9 @@ mod trap;
 
 pub use error::SimError;
 pub use exec::{exec_scalar, ExecEnv, Flow};
-pub use gpu::{Gpu, GpuConfig, Launch, LaunchStats, MAX_BLOCK_THREADS, MAX_PARAM_BYTES};
+pub use gpu::{
+    Gpu, GpuConfig, Launch, LaunchStats, OpcodeCounts, MAX_BLOCK_THREADS, MAX_PARAM_BYTES,
+};
 pub use grid::Dim3;
 pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
 pub use limits::ResourceLimits;
@@ -118,6 +123,38 @@ mod integration_tests {
         // 13 instructions × 256 threads, all unconditional.
         assert_eq!(stats.dyn_instrs, 13 * 256);
         assert!(stats.cycles > 0);
+    }
+
+    #[test]
+    fn counted_launch_tallies_each_opcode() {
+        let kernel = vecadd_kernel();
+        let launch = |opcodes: Option<&mut OpcodeCounts>| {
+            let mut mem = GlobalMem::new(1 << 20);
+            let bufs: Vec<u32> =
+                (0..3).map(|_| mem.alloc(256 * 4).expect("alloc").addr()).collect();
+            gpu()
+                .launch_counted(
+                    &Launch {
+                        kernel: &kernel,
+                        grid: Dim3::from(4),
+                        block: Dim3::from(64),
+                        params: &bufs,
+                        instr_budget: None,
+                    },
+                    &mut mem,
+                    None,
+                    opcodes,
+                )
+                .expect("launch")
+        };
+        let mut counts = [0; gpu_isa::OPCODE_COUNT];
+        let stats = launch(Some(&mut counts));
+        assert_eq!(stats, launch(None), "counting changes nothing observable");
+        let count = |op: gpu_isa::Opcode| counts[op.encode() as usize];
+        assert_eq!(count(gpu_isa::Opcode::LDC), 3 * 256);
+        assert_eq!(count(gpu_isa::Opcode::FADD), 256);
+        assert_eq!(count(gpu_isa::Opcode::EXIT), 256);
+        assert_eq!(counts.iter().sum::<u64>(), stats.dyn_instrs);
     }
 
     #[test]
