@@ -1,10 +1,11 @@
 //! Regenerates **Figure 5**: total campaign times — a transient campaign of
-//! N faults (profiling + N injection runs) against a permanent campaign
-//! that uses the profile to skip unused opcodes (one run per executed
-//! opcode). Both campaigns build their profile from the golden run's
-//! opcode counters, so neither total contains a profiler run. The paper's shape: transient campaigns typically take about
-//! twice as long as permanent ones, ranging from ~5× down to slightly
-//! faster, with programs executing 16-41 of the 171 opcodes.
+//! N faults (N injection runs, profile taken from the golden run's
+//! counters) against a permanent campaign that uses the same kind of
+//! profile to skip unused opcodes (one run per executed opcode). Neither
+//! total contains a profiler run. The paper's shape: transient campaigns
+//! typically take about twice as long as permanent ones, ranging from ~5×
+//! down to slightly faster, with programs executing 16-41 of the 171
+//! opcodes.
 
 use nvbitfi::{run_permanent_campaign, run_transient_campaign, ProfilingMode};
 

@@ -186,7 +186,7 @@ impl CampaignTiming {
     }
 
     /// Total campaign time: profiling, static analysis, and all
-    /// injections (Figure 5). The golden run, which now also yields the
+    /// injections (Figure 5). The golden run, which also yields the
     /// profile, is not included.
     pub fn total(&self) -> Duration {
         self.profiling + self.analysis + self.injections.iter().sum::<Duration>()

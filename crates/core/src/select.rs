@@ -10,7 +10,7 @@ use crate::bitflip::BitFlipModel;
 use crate::error::FiError;
 use crate::igid::InstrGroup;
 use crate::params::TransientParams;
-use crate::profile::{FaultSite, Profile};
+use crate::profile::Profile;
 use rand::Rng;
 
 /// Draw one transient fault uniformly over the group's dynamic instructions.
@@ -28,39 +28,15 @@ pub fn select_transient(
     bit_flip: BitFlipModel,
     rng: &mut impl Rng,
 ) -> Result<TransientParams, FiError> {
-    let total = profile.total_in_group(group);
-    if total == 0 {
-        return Err(FiError::EmptyPopulation { group: group.name().to_string() });
-    }
-    let n = rng.gen_range(0..total);
-    let site = profile.locate(group, n).expect("n < total");
-    Ok(params_at(site, group, bit_flip, rng))
-}
-
-/// The fault at `site`, with its destination-register and bit-pattern
-/// values drawn from `rng`.
-fn params_at(
-    site: FaultSite,
-    group: InstrGroup,
-    bit_flip: BitFlipModel,
-    rng: &mut impl Rng,
-) -> TransientParams {
-    TransientParams {
-        group,
-        bit_flip,
-        kernel_name: site.kernel,
-        kernel_count: site.kernel_count,
-        instruction_count: site.instruction_count,
-        destination_register: rng.gen_range(0.0..1.0),
-        bit_pattern: rng.gen_range(0.0..1.0),
-    }
+    let mut sites = select_campaign(profile, group, bit_flip, 1, rng)?;
+    Ok(sites.pop().expect("one site drawn"))
 }
 
 /// Draw `count` independent transient faults (one injection campaign's
-/// worth, e.g. the paper's 100 per program): the same faults, from the
-/// same draws, as `count` calls of [`select_transient`], but the group
-/// population is summed once per kernel and each site found by binary
-/// search.
+/// worth, e.g. the paper's 100 per program). The group population is
+/// summed once per kernel and each site found by binary search over those
+/// sums; each site's destination-register and bit-pattern values are drawn
+/// right after its `n`.
 ///
 /// # Errors
 ///
@@ -91,12 +67,15 @@ pub fn select_campaign(
         let i = ends.partition_point(|&end| end <= n);
         let k = &profile.kernels[i];
         let before = if i == 0 { 0 } else { ends[i - 1] };
-        let site = FaultSite {
-            kernel: k.kernel.clone(),
+        TransientParams {
+            group,
+            bit_flip,
+            kernel_name: k.kernel.clone(),
             kernel_count: k.instance,
             instruction_count: n - before,
-        };
-        params_at(site, group, bit_flip, rng)
+            destination_register: rng.gen_range(0.0..1.0),
+            bit_pattern: rng.gen_range(0.0..1.0),
+        }
     });
     Ok(sites.collect())
 }
@@ -181,36 +160,6 @@ mod tests {
         let err = select_transient(&p, InstrGroup::Fp64, BitFlipModel::FlipSingleBit, &mut rng)
             .unwrap_err();
         assert!(matches!(err, FiError::EmptyPopulation { .. }));
-    }
-
-    #[test]
-    fn campaign_draws_what_repeated_single_draws_would() {
-        // Kernels with no group instructions sit between populated ones.
-        let mut p = profile();
-        let empty = KernelProfile { kernel: "z".into(), instance: 0, counts: BTreeMap::new() };
-        p.kernels.insert(0, empty.clone());
-        p.kernels.insert(2, empty.clone());
-        p.kernels.push(empty);
-        for group in [InstrGroup::Fp32, InstrGroup::GpPr, InstrGroup::NoDest] {
-            let mut r1 = StdRng::seed_from_u64(9);
-            let mut r2 = StdRng::seed_from_u64(9);
-            let batch = select_campaign(&p, group, BitFlipModel::RandomValue, 300, &mut r1)
-                .expect("campaign");
-            let single: Vec<TransientParams> = (0..300)
-                .map(|_| {
-                    select_transient(&p, group, BitFlipModel::RandomValue, &mut r2).expect("select")
-                })
-                .collect();
-            assert_eq!(batch, single, "{group}");
-        }
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(select_campaign(&p, InstrGroup::Fp64, BitFlipModel::FlipSingleBit, 1, &mut rng)
-            .is_err());
-        assert_eq!(
-            select_campaign(&p, InstrGroup::Fp64, BitFlipModel::FlipSingleBit, 0, &mut rng)
-                .expect("nothing to draw"),
-            Vec::new()
-        );
     }
 
     #[test]

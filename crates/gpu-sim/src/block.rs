@@ -46,8 +46,8 @@ struct Warp {
 }
 
 /// Running totals for one kernel launch.
-#[derive(Debug, Default)]
-pub(crate) struct Counters<'a> {
+#[derive(Debug)]
+pub(crate) struct Counters<T> {
     /// Guard-passing thread-level dynamic instructions executed so far.
     pub executed: u64,
     /// Simulated cycles consumed so far.
@@ -59,19 +59,39 @@ pub(crate) struct Counters<'a> {
     /// [`DEADLINE_POLL_INTERVAL`], so the common case costs one branch per
     /// warp instruction.
     pub deadline: Option<std::time::Instant>,
-    /// Per-opcode executed thread instructions, indexed by
-    /// [`Opcode::encode`]; `None` (injection runs) counts nothing.
-    pub opcodes: Option<&'a mut OpcodeCounts>,
+    /// Where executed thread instructions are added per opcode
+    /// ([`NoTally`] for launches that do not count).
+    pub opcodes: T,
 }
 
-impl Counters<'_> {
+impl<T: Tally> Counters<T> {
     /// Record that dynamic instructions `first..upto` of the launch
     /// executed `op`.
     fn retire(&mut self, op: Opcode, first: u64, upto: u64) {
         self.executed = upto;
-        if let Some(opcodes) = self.opcodes.as_deref_mut() {
-            opcodes[op.encode() as usize] += upto - first;
-        }
+        self.opcodes.add(op, upto - first);
+    }
+}
+
+/// Where a launch adds its executed thread instructions per opcode. The
+/// simulator loop is compiled once per implementation, so launches that
+/// count nothing ([`NoTally`]) carry no counting code at all.
+pub(crate) trait Tally {
+    /// Add `n` executed thread instructions of `op`.
+    fn add(&mut self, op: Opcode, n: u64);
+}
+
+/// Counts nothing: the tally of uncounted launches (injection runs).
+#[derive(Debug)]
+pub(crate) struct NoTally;
+
+impl Tally for NoTally {
+    fn add(&mut self, _: Opcode, _: u64) {}
+}
+
+impl Tally for &mut OpcodeCounts {
+    fn add(&mut self, op: Opcode, n: u64) {
+        self[op.encode() as usize] += n;
     }
 }
 
@@ -211,12 +231,12 @@ impl BlockState {
     }
 
     /// Run the armed block to completion.
-    pub fn run(
+    pub fn run<T: Tally>(
         &mut self,
         kernel: &Kernel,
         global: &mut GlobalMem,
         cmem: &[u8],
-        counters: &mut Counters<'_>,
+        counters: &mut Counters<T>,
         instrumentation: &mut Option<&mut Instrumentation<'_>>,
     ) -> Result<(), TrapInfo> {
         loop {
@@ -249,13 +269,13 @@ impl BlockState {
 
     /// Issue one instruction group for warp `w`; `false` if no lane could
     /// run.
-    fn step_warp(
+    fn step_warp<T: Tally>(
         &mut self,
         w: usize,
         kernel: &Kernel,
         global: &mut GlobalMem,
         cmem: &[u8],
-        counters: &mut Counters<'_>,
+        counters: &mut Counters<T>,
         instrumentation: &mut Option<&mut Instrumentation<'_>>,
     ) -> Result<bool, TrapInfo> {
         let BlockState { threads, warps, shared, flat_ctaid, hooked, live, waiting, .. } = self;
@@ -410,7 +430,9 @@ struct Snapshot {
 
 impl Snapshot {
     /// Read `instr`'s first source for the `active` lanes of the warp whose
-    /// threads start at `warp[0]`.
+    /// threads start at `warp[0]`. Always inlined (see
+    /// [`crate::cycles::latency`]).
+    #[inline(always)]
     fn take(instr: &Instr, active: u32, warp: &[ThreadState]) -> Snapshot {
         let mut snap = Snapshot { values: [0; WARP_SIZE], preds: 0, active };
         for lane in lanes(active) {
@@ -438,7 +460,8 @@ impl Snapshot {
 }
 
 /// Execute a cross-lane instruction for one thread, given the warp's
-/// issue-time snapshot.
+/// issue-time snapshot. Always inlined (see [`crate::cycles::latency`]).
+#[inline(always)]
 fn exec_cross_lane(
     instr: &Instr,
     fam: ExecFamily,

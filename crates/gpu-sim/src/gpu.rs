@@ -1,6 +1,6 @@
 //! The device front-end: configuration, launches, and statistics.
 
-use crate::block::{BlockState, Counters};
+use crate::block::{BlockState, Counters, NoTally, Tally};
 use crate::error::SimError;
 use crate::grid::Dim3;
 use crate::hooks::Instrumentation;
@@ -155,7 +155,7 @@ impl Gpu {
     /// [`Gpu::launch`], also adding every executed thread instruction to
     /// `opcodes` under its opcode: the per-opcode counts NVBitFI's profiler
     /// collects, at the cost of one add per warp issue. With `None` it is
-    /// exactly [`Gpu::launch`].
+    /// exactly [`Gpu::launch`], whose warp loop is compiled without the add.
     ///
     /// # Errors
     ///
@@ -165,8 +165,22 @@ impl Gpu {
         &self,
         l: &Launch<'_>,
         global: &mut GlobalMem,
-        mut instrumentation: Option<&mut Instrumentation<'_>>,
+        instrumentation: Option<&mut Instrumentation<'_>>,
         opcodes: Option<&mut OpcodeCounts>,
+    ) -> Result<LaunchStats, SimError> {
+        match opcodes {
+            Some(opcodes) => self.launch_tallied(l, global, instrumentation, opcodes),
+            None => self.launch_tallied(l, global, instrumentation, NoTally),
+        }
+    }
+
+    /// [`Gpu::launch_counted`] with its tally resolved at compile time.
+    fn launch_tallied<T: Tally>(
+        &self,
+        l: &Launch<'_>,
+        global: &mut GlobalMem,
+        mut instrumentation: Option<&mut Instrumentation<'_>>,
+        opcodes: T,
     ) -> Result<LaunchStats, SimError> {
         let threads = l.block.count();
         if threads == 0 || l.grid.count() == 0 {
