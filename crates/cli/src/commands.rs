@@ -85,11 +85,20 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     }
 }
 
-fn scale(args: &Args) -> Result<Scale, String> {
-    match args.get("scale") {
+/// A scale from its name (`--scale`, `# meta scale=`, the worker's init
+/// frame); absent means paper scale.
+fn parse_scale(name: Option<&str>) -> Result<Scale, String> {
+    match name {
         None | Some("paper") => Ok(Scale::Paper),
         Some("test") => Ok(Scale::Test),
-        Some(other) => Err(format!("bad --scale `{other}` (paper|test)")),
+        Some(other) => Err(format!("bad scale `{other}` (paper|test)")),
+    }
+}
+
+fn scale_name(s: Scale) -> &'static str {
+    match s {
+        Scale::Paper => "paper",
+        Scale::Test => "test",
     }
 }
 
@@ -98,11 +107,20 @@ fn entry(args: &Args, scale: Scale) -> Result<BenchEntry, String> {
     workloads::find(scale, name).ok_or_else(|| format!("unknown program `{name}`"))
 }
 
-fn mode(args: &Args) -> Result<ProfilingMode, String> {
-    match args.get("mode") {
+/// A profiling mode from its name (`--mode`, `# meta mode=`); absent means
+/// exact.
+fn parse_mode(name: Option<&str>) -> Result<ProfilingMode, String> {
+    match name {
         None | Some("exact") => Ok(ProfilingMode::Exact),
         Some("approx") | Some("approximate") => Ok(ProfilingMode::Approximate),
-        Some(other) => Err(format!("bad --mode `{other}` (exact|approx)")),
+        Some(other) => Err(format!("bad mode `{other}` (exact|approx)")),
+    }
+}
+
+fn mode_name(m: ProfilingMode) -> &'static str {
+    match m {
+        ProfilingMode::Exact => "exact",
+        ProfilingMode::Approximate => "approx",
     }
 }
 
@@ -136,8 +154,8 @@ fn list() -> Result<(), String> {
 }
 
 fn profile(args: &Args) -> Result<(), String> {
-    let e = entry(args, scale(args)?)?;
-    let mode = mode(args)?;
+    let e = entry(args, parse_scale(args.get("scale"))?)?;
+    let mode = parse_mode(args.get("mode"))?;
     let p = nvbitfi::profile_program(e.program.as_ref(), RuntimeConfig::default(), mode)
         .map_err(|err| err.to_string())?;
     let text = p.to_file();
@@ -197,7 +215,7 @@ fn prepare(e: &BenchEntry) -> Result<PreparedGolden, String> {
 }
 
 fn run_list(args: &Args) -> Result<(), String> {
-    let e = entry(args, scale(args)?)?;
+    let e = entry(args, parse_scale(args.get("scale"))?)?;
     let list_path = args.get("list").ok_or("missing --list FILE")?;
     let text = std::fs::read_to_string(list_path).map_err(|err| err.to_string())?;
     let sites = nvbitfi::logfile::read_injection_list(&text).map_err(|err| err.to_string())?;
@@ -250,7 +268,7 @@ fn run_list(args: &Args) -> Result<(), String> {
 }
 
 fn inject(args: &Args) -> Result<(), String> {
-    let e = entry(args, scale(args)?)?;
+    let e = entry(args, parse_scale(args.get("scale"))?)?;
     let params_path = args.get("params").ok_or("missing --params FILE")?;
     let text = std::fs::read_to_string(params_path).map_err(|err| err.to_string())?;
     let params = TransientParams::from_file(&text).map_err(|err| err.to_string())?;
@@ -306,20 +324,6 @@ impl CampaignHooks for CliHooks {
     }
 }
 
-fn mode_name(m: ProfilingMode) -> &'static str {
-    match m {
-        ProfilingMode::Exact => "exact",
-        ProfilingMode::Approximate => "approx",
-    }
-}
-
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Paper => "paper",
-        Scale::Test => "test",
-    }
-}
-
 /// Build the isolation mode from an `--isolation` value (or the journal's
 /// `# meta isolation=`). Process mode spawns this very binary as the worker
 /// command, with the campaign's scale forwarded for the suite lookup.
@@ -354,12 +358,8 @@ fn worker_cmd() -> Result<(), String> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     nvbitfi::serve(stdin.lock(), stdout.lock(), &|prog, sc| {
-        let sc = match sc {
-            "paper" => Scale::Paper,
-            "test" => Scale::Test,
-            _ => return None,
-        };
-        workloads::find(sc, prog).map(|e| (e.program, e.check))
+        let e = workloads::find(parse_scale(Some(sc)).ok()?, prog)?;
+        Some((e.program, e.check))
     })
     .map_err(|err| format!("worker transport failure: {err}"))
 }
@@ -391,7 +391,7 @@ fn campaign_cfg(args: &Args) -> Result<CampaignConfig, String> {
         seed: args.get_or("seed", 0x5EED_u64)?,
         group: group(args)?,
         bit_flip: bitflip(args)?,
-        profiling: mode(args)?,
+        profiling: parse_mode(args.get("mode"))?,
         use_checkpoints: !args.switch("no-checkpoint"),
         use_static_prune: !args.switch("no-static-prune"),
         max_retries: args.get_or("max-retries", CampaignConfig::default().max_retries)?,
@@ -442,7 +442,7 @@ fn finish_campaign(
 }
 
 fn campaign(args: &Args) -> Result<(), String> {
-    let sc = scale(args)?;
+    let sc = parse_scale(args.get("scale"))?;
     let e = entry(args, sc)?;
     let mut cfg = campaign_cfg(args)?;
     cfg.isolation = parse_isolation(args.get("isolation"), sc)?;
@@ -479,11 +479,7 @@ fn resume(args: &Args) -> Result<(), String> {
         })
     };
 
-    let sc = match args.get("scale").or(get("scale")) {
-        None | Some("paper") => Scale::Paper,
-        Some("test") => Scale::Test,
-        Some(other) => return Err(format!("bad scale `{other}` (paper|test)")),
-    };
+    let sc = parse_scale(args.get("scale").or(get("scale")))?;
     let e = workloads::find(sc, &program)
         .ok_or_else(|| format!("unknown program `{program}` named by the log"))?;
     let group_id: u8 = need("igid")?.parse().map_err(|_| "bad `# meta igid=`".to_string())?;
@@ -495,11 +491,7 @@ fn resume(args: &Args) -> Result<(), String> {
         seed: need("seed")?.parse().map_err(|_| "bad `# meta seed=`".to_string())?,
         group: InstrGroup::from_id(group_id).ok_or("bad `# meta igid=`")?,
         bit_flip: BitFlipModel::from_id(bfm_id).ok_or("bad `# meta bfm=`")?,
-        profiling: match get("mode") {
-            None | Some("exact") => ProfilingMode::Exact,
-            Some("approx") => ProfilingMode::Approximate,
-            Some(other) => return Err(format!("bad `# meta mode={other}`")),
-        },
+        profiling: parse_mode(get("mode"))?,
         use_checkpoints: get("checkpoints") != Some("0"),
         use_static_prune: get("prune") != Some("0"),
         max_retries: match get("max_retries") {
@@ -555,7 +547,7 @@ fn resume(args: &Args) -> Result<(), String> {
 }
 
 fn pf(args: &Args) -> Result<(), String> {
-    let e = entry(args, scale(args)?)?;
+    let e = entry(args, parse_scale(args.get("scale"))?)?;
     let mnemonic = args.get("opcode").ok_or("missing --opcode MNEMONIC")?;
     let opcode = gpu_isa::Opcode::from_mnemonic(mnemonic)
         .ok_or_else(|| format!("unknown opcode `{mnemonic}`"))?;
@@ -577,7 +569,7 @@ fn pf(args: &Args) -> Result<(), String> {
 }
 
 fn pf_campaign(args: &Args) -> Result<(), String> {
-    let e = entry(args, scale(args)?)?;
+    let e = entry(args, parse_scale(args.get("scale"))?)?;
     let cfg = PermanentCampaignConfig {
         seed: args.get_or("seed", 0x5EED_u64)?,
         ..PermanentCampaignConfig::default()
@@ -610,7 +602,7 @@ fn lint(args: &Args) -> Result<(), String> {
         let bytes = std::fs::read(target).map_err(|e| e.to_string())?;
         vec![gpu_isa::encode::decode_module(&bytes).map_err(|e| e.to_string())?]
     } else {
-        let e = entry(args, scale(args)?)?;
+        let e = entry(args, parse_scale(args.get("scale"))?)?;
         let modules = Arc::new(Mutex::new(Vec::new()));
         let tool = NvBit::new(ModuleCapture { modules: Arc::clone(&modules) });
         let out = run_program(e.program.as_ref(), RuntimeConfig::default(), Some(Box::new(tool)));
@@ -643,7 +635,7 @@ fn lint(args: &Args) -> Result<(), String> {
 fn trace(args: &Args) -> Result<(), String> {
     // The classic NVBit example tools, driven together: instr_count,
     // opcode_hist, and a mem_trace sample.
-    let e = entry(args, scale(args)?)?;
+    let e = entry(args, parse_scale(args.get("scale"))?)?;
     let top: usize = args.get_or("top", 10)?;
     let mem_n: usize = args.get_or("mem", 8)?;
 
@@ -727,7 +719,7 @@ impl NvBitTool for DisasmTool {
 }
 
 fn disassemble(args: &Args) -> Result<(), String> {
-    let e = entry(args, scale(args)?)?;
+    let e = entry(args, parse_scale(args.get("scale"))?)?;
     let listings = Arc::new(Mutex::new(Vec::new()));
     let tool = NvBit::new(DisasmTool { listings: Arc::clone(&listings) });
     let out = run_program(e.program.as_ref(), RuntimeConfig::default(), Some(Box::new(tool)));

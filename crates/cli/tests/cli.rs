@@ -322,6 +322,21 @@ fn resume_rejects_logs_without_meta() {
 }
 
 #[test]
+fn resume_accepts_the_mode_names_campaign_does() {
+    let log_path = tmp("approximate-mode.txt");
+    let log = log_path.to_str().expect("utf8");
+    let header = "# nvbitfi results log v5 program=314.omriq\n# meta scale=test\n\
+                  # meta igid=7\n# meta bfm=1\n# meta injections=2\n# meta seed=7\n";
+    for mode in ["approx", "approximate"] {
+        std::fs::write(&log_path, format!("{header}# meta mode={mode}\n")).expect("write");
+        let o = nvbitfi(&["resume", log]);
+        assert!(o.status.success(), "{mode}: {}", String::from_utf8_lossy(&o.stderr));
+        assert!(stdout(&o).contains("2 fresh, 0 resumed"), "{mode}: {}", stdout(&o));
+    }
+    let _ = std::fs::remove_file(log_path);
+}
+
+#[test]
 fn disasm_edit_assemble_roundtrip() {
     // Dump a program's SASS, reassemble it to a binary, and disassemble the
     // binary again: the listings must agree (the nvdisasm↔assembler loop).

@@ -7,10 +7,8 @@
 //! injection list, gather the result logs) the way the paper's
 //! `run_injections.py` does.
 
-use crate::bitflip::BitFlipModel;
 use crate::campaign::{InjectionRun, TransientCampaign};
 use crate::error::FiError;
-use crate::igid::InstrGroup;
 use crate::outcome::{DueKind, InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcReason};
 use crate::params::TransientParams;
 use std::collections::BTreeMap;
@@ -21,16 +19,8 @@ pub fn write_injection_list(sites: &[TransientParams]) -> String {
         "# nvbitfi injection list v1\n# igid\tbfm\tkernel\tkcount\ticount\tdreg\tbitpat\n",
     );
     for p in sites {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            p.group.id(),
-            p.bit_flip.id(),
-            p.kernel_name,
-            p.kernel_count,
-            p.instruction_count,
-            p.destination_register,
-            p.bit_pattern
-        ));
+        out.push_str(&p.write_fields('\t'));
+        out.push('\n');
     }
     out
 }
@@ -41,7 +31,6 @@ pub fn write_injection_list(sites: &[TransientParams]) -> String {
 ///
 /// Returns [`FiError::BadParamFile`] naming the first offending line.
 pub fn read_injection_list(text: &str) -> Result<Vec<TransientParams>, FiError> {
-    let bad = |line: usize, reason: String| FiError::BadParamFile { line, reason };
     let mut sites = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -50,35 +39,12 @@ pub fn read_injection_list(text: &str) -> Result<Vec<TransientParams>, FiError> 
         }
         let fields: Vec<&str> = line.split('\t').collect();
         if fields.len() != 7 {
-            return Err(bad(lineno, format!("expected 7 fields, got {}", fields.len())));
+            return Err(FiError::BadParamFile {
+                line: lineno,
+                reason: format!("expected 7 fields, got {}", fields.len()),
+            });
         }
-        let group = fields[0]
-            .parse::<u8>()
-            .ok()
-            .and_then(InstrGroup::from_id)
-            .ok_or_else(|| bad(lineno, format!("bad igid `{}`", fields[0])))?;
-        let bit_flip = fields[1]
-            .parse::<u8>()
-            .ok()
-            .and_then(BitFlipModel::from_id)
-            .ok_or_else(|| bad(lineno, format!("bad bfm `{}`", fields[1])))?;
-        let parse_u64 = |s: &str, what: &str| {
-            s.parse::<u64>().map_err(|e| bad(lineno, format!("bad {what}: {e}")))
-        };
-        let parse_f64 = |s: &str, what: &str| {
-            s.parse::<f64>().map_err(|e| bad(lineno, format!("bad {what}: {e}")))
-        };
-        let p = TransientParams {
-            group,
-            bit_flip,
-            kernel_name: fields[2].to_string(),
-            kernel_count: parse_u64(fields[3], "kernel count")?,
-            instruction_count: parse_u64(fields[4], "instruction count")?,
-            destination_register: parse_f64(fields[5], "destination register")?,
-            bit_pattern: parse_f64(fields[6], "bit pattern")?,
-        };
-        p.validate().map_err(|e| bad(lineno, e.to_string()))?;
-        sites.push(p);
+        sites.push(TransientParams::parse_fields(fields, |_| lineno)?);
     }
     Ok(sites)
 }
@@ -211,20 +177,13 @@ pub fn results_log_header(program: &str, meta: &[(&str, String)]) -> String {
     out
 }
 
-/// One newline-terminated v4 results row — the unit a durable journal
+/// One newline-terminated v5 results row — the unit a durable journal
 /// appends and flushes as each run completes.
 pub fn results_log_row(run: &InjectionRun) -> String {
-    let p = &run.params;
     format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-        p.group.id(),
-        p.bit_flip.id(),
-        p.kernel_name,
-        p.kernel_count,
-        p.instruction_count,
-        p.destination_register,
-        p.bit_pattern,
-        if run.injected { 1 } else { 0 },
+        "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        run.params.write_fields('\t'),
+        u8::from(run.injected),
         outcome_code(&run.outcome),
         run.wall.as_micros(),
         run.prefix_instrs_skipped,
@@ -266,11 +225,7 @@ pub fn read_results_log(text: &str) -> Result<Vec<LogRow>, FiError> {
         if !(10..=13).contains(&fields.len()) {
             return Err(bad(lineno, format!("expected 10 to 13 fields, got {}", fields.len())));
         }
-        let head = fields[..7].join("\t");
-        let params = read_injection_list(&head)
-            .map_err(|e| bad(lineno, e.to_string()))?
-            .pop()
-            .ok_or_else(|| bad(lineno, "empty params".into()))?;
+        let params = TransientParams::parse_fields(fields[..7].iter().copied(), |_| lineno)?;
         let injected = match fields[7] {
             "1" => true,
             "0" => false,
@@ -366,6 +321,8 @@ pub fn to_runs(rows: Vec<LogRow>) -> Vec<InjectionRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitflip::BitFlipModel;
+    use crate::igid::InstrGroup;
 
     fn site(i: u64) -> TransientParams {
         TransientParams {

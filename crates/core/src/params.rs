@@ -35,6 +35,19 @@ pub struct TransientParams {
     pub bit_pattern: f64,
 }
 
+/// Trim and parse the next of `fields`, which sits on line `line`; an error
+/// names the field (`what`) and reports that line.
+fn field<'a, T>(
+    fields: &mut impl Iterator<Item = &'a str>,
+    line: usize,
+    what: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, FiError> {
+    let bad = |reason| FiError::BadParamFile { line, reason };
+    let raw = fields.next().ok_or_else(|| bad(format!("missing {what}")))?.trim();
+    parse(raw).ok_or_else(|| bad(format!("bad {what} `{raw}`")))
+}
+
 impl TransientParams {
     /// Validate value ranges.
     ///
@@ -43,30 +56,31 @@ impl TransientParams {
     /// Returns [`FiError::BadParam`] if a float parameter is outside
     /// `[0, 1)` or the kernel name is empty.
     pub fn validate(&self) -> Result<(), FiError> {
-        if self.kernel_name.is_empty() {
-            return Err(FiError::BadParam { name: "kernel name", reason: "empty".into() });
+        match self.out_of_range() {
+            Some((_, name, reason)) => Err(FiError::BadParam { name, reason }),
+            None => Ok(()),
         }
-        for (name, v) in [
-            ("destination register", self.destination_register),
-            ("bit-pattern value", self.bit_pattern),
-        ] {
-            if !(0.0..1.0).contains(&v) {
-                return Err(FiError::BadParam {
-                    name: match name {
-                        "destination register" => "destination register",
-                        _ => "bit-pattern value",
-                    },
-                    reason: format!("{v} outside [0,1)"),
-                });
-            }
-        }
-        Ok(())
     }
 
-    /// Serialize in the one-parameter-per-line file format.
-    pub fn to_file(&self) -> String {
+    /// The first out-of-range field: its 1-based number, its name and why.
+    fn out_of_range(&self) -> Option<(usize, &'static str, String)> {
+        if self.kernel_name.is_empty() {
+            return Some((3, "kernel name", "empty".into()));
+        }
+        [
+            (6, "destination register", self.destination_register),
+            (7, "bit-pattern value", self.bit_pattern),
+        ]
+        .into_iter()
+        .find(|&(_, _, v)| !(0.0..1.0).contains(&v))
+        .map(|(n, name, v)| (n, name, format!("{v} outside [0,1)")))
+    }
+
+    /// The seven Table II fields in file order, separated by `sep`: the one
+    /// writer behind parameter files, injection lists and results-log rows.
+    pub(crate) fn write_fields(&self, sep: char) -> String {
         format!(
-            "{}\n{}\n{}\n{}\n{}\n{}\n{}\n",
+            "{}{sep}{}{sep}{}{sep}{}{sep}{}{sep}{}{sep}{}",
             self.group.id(),
             self.bit_flip.id(),
             self.kernel_name,
@@ -77,63 +91,46 @@ impl TransientParams {
         )
     }
 
+    /// Parse and validate the seven Table II fields in file order, each
+    /// trimmed: the one reader behind parameter files, injection lists and
+    /// results-log rows. An error names the field and reports the line
+    /// `line_of` gives for its 1-based number.
+    pub(crate) fn parse_fields<'a>(
+        fields: impl IntoIterator<Item = &'a str>,
+        line_of: impl Fn(usize) -> usize,
+    ) -> Result<TransientParams, FiError> {
+        let f = &mut fields.into_iter();
+        let p = TransientParams {
+            group: field(f, line_of(1), "arch state id", |s| InstrGroup::from_id(s.parse().ok()?))?,
+            bit_flip: field(f, line_of(2), "bit-flip model", |s| {
+                BitFlipModel::from_id(s.parse().ok()?)
+            })?,
+            kernel_name: field(f, line_of(3), "kernel name", |s| Some(s.to_string()))?,
+            kernel_count: field(f, line_of(4), "kernel count", |s| s.parse().ok())?,
+            instruction_count: field(f, line_of(5), "instruction count", |s| s.parse().ok())?,
+            destination_register: field(f, line_of(6), "destination register", |s| s.parse().ok())?,
+            bit_pattern: field(f, line_of(7), "bit-pattern value", |s| s.parse().ok())?,
+        };
+        match p.out_of_range() {
+            Some((n, name, reason)) => {
+                Err(FiError::BadParamFile { line: line_of(n), reason: format!("{name} {reason}") })
+            }
+            None => Ok(p),
+        }
+    }
+
+    /// Serialize in the one-parameter-per-line file format.
+    pub fn to_file(&self) -> String {
+        self.write_fields('\n') + "\n"
+    }
+
     /// Parse the one-parameter-per-line file format.
     ///
     /// # Errors
     ///
     /// Returns [`FiError::BadParamFile`] naming the first offending line.
     pub fn from_file(text: &str) -> Result<TransientParams, FiError> {
-        let mut lines = text.lines();
-        let mut next = |line: usize, what: &str| {
-            lines
-                .next()
-                .ok_or_else(|| FiError::BadParamFile { line, reason: format!("missing {what}") })
-        };
-        let bad = |line: usize, reason: String| FiError::BadParamFile { line, reason };
-
-        let group_raw = next(1, "arch state id")?;
-        let group = group_raw
-            .trim()
-            .parse::<u8>()
-            .ok()
-            .and_then(InstrGroup::from_id)
-            .ok_or_else(|| bad(1, format!("bad arch state id `{group_raw}`")))?;
-        let bf_raw = next(2, "bit-flip model")?;
-        let bit_flip = bf_raw
-            .trim()
-            .parse::<u8>()
-            .ok()
-            .and_then(BitFlipModel::from_id)
-            .ok_or_else(|| bad(2, format!("bad bit-flip model `{bf_raw}`")))?;
-        let kernel_name = next(3, "kernel name")?.trim().to_string();
-        let kernel_count = next(4, "kernel count")?
-            .trim()
-            .parse::<u64>()
-            .map_err(|e| bad(4, format!("bad kernel count: {e}")))?;
-        let instruction_count = next(5, "instruction count")?
-            .trim()
-            .parse::<u64>()
-            .map_err(|e| bad(5, format!("bad instruction count: {e}")))?;
-        let destination_register = next(6, "destination register")?
-            .trim()
-            .parse::<f64>()
-            .map_err(|e| bad(6, format!("bad destination register: {e}")))?;
-        let bit_pattern = next(7, "bit-pattern value")?
-            .trim()
-            .parse::<f64>()
-            .map_err(|e| bad(7, format!("bad bit-pattern value: {e}")))?;
-
-        let p = TransientParams {
-            group,
-            bit_flip,
-            kernel_name,
-            kernel_count,
-            instruction_count,
-            destination_register,
-            bit_pattern,
-        };
-        p.validate().map_err(|e| bad(6, e.to_string()))?;
-        Ok(p)
+        Self::parse_fields(text.lines(), |n| n)
     }
 }
 
@@ -216,32 +213,16 @@ impl PermanentParams {
     ///
     /// Returns [`FiError::BadParamFile`] naming the first offending line.
     pub fn from_file(text: &str) -> Result<PermanentParams, FiError> {
-        let mut lines = text.lines();
-        let mut field = |line: usize, what: &str| -> Result<String, FiError> {
-            lines
-                .next()
-                .map(|s| s.trim().to_string())
-                .ok_or_else(|| FiError::BadParamFile { line, reason: format!("missing {what}") })
-        };
-        let sm_id = field(1, "SM id")?
-            .parse::<u32>()
-            .map_err(|e| FiError::BadParamFile { line: 1, reason: e.to_string() })?;
-        let lane_id = field(2, "lane id")?
-            .parse::<u32>()
-            .map_err(|e| FiError::BadParamFile { line: 2, reason: e.to_string() })?;
-        let mask_s = field(3, "bit mask")?;
-        let bit_mask = if let Some(hex) = mask_s.strip_prefix("0x") {
-            u32::from_str_radix(hex, 16)
-                .map_err(|e| FiError::BadParamFile { line: 3, reason: e.to_string() })?
-        } else {
-            mask_s
-                .parse::<u32>()
-                .map_err(|e| FiError::BadParamFile { line: 3, reason: e.to_string() })?
-        };
-        let opcode_id = field(4, "opcode id")?
-            .parse::<u16>()
-            .map_err(|e| FiError::BadParamFile { line: 4, reason: e.to_string() })?;
-        Ok(PermanentParams { sm_id, lane_id, bit_mask, opcode_id })
+        let l = &mut text.lines();
+        Ok(PermanentParams {
+            sm_id: field(l, 1, "SM id", |s| s.parse().ok())?,
+            lane_id: field(l, 2, "lane id", |s| s.parse().ok())?,
+            bit_mask: field(l, 3, "bit mask", |s| match s.strip_prefix("0x") {
+                Some(hex) => u32::from_str_radix(hex, 16).ok(),
+                None => s.parse().ok(),
+            })?,
+            opcode_id: field(l, 4, "opcode id", |s| s.parse().ok())?,
+        })
     }
 }
 
@@ -292,6 +273,12 @@ mod tests {
 
         let err = TransientParams::from_file("1\n1\nk\n0\n").unwrap_err();
         assert!(matches!(err, FiError::BadParamFile { line: 5, .. }));
+
+        // Range checks name the field's own line.
+        let err = TransientParams::from_file("1\n1\n \n0\n0\n0.5\n0.5\n").unwrap_err();
+        assert!(matches!(err, FiError::BadParamFile { line: 3, .. }), "{err}");
+        let err = TransientParams::from_file("1\n1\nk\n0\n0\n0.5\n1.5\n").unwrap_err();
+        assert!(matches!(err, FiError::BadParamFile { line: 7, .. }), "{err}");
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! child's stdin/stdout:
 //!
 //! * **Framing** — each message is a 4-byte big-endian length prefix
-//!   followed by that many bytes of UTF-8 JSON ([`write_frame`],
+//!   followed by that many bytes of UTF-8 text ([`write_frame`],
 //!   [`read_frame`]). Frames are capped at [`MAX_FRAME`] bytes; a longer
 //!   prefix is protocol corruption, not a large message.
-//! * **Messages** — flat JSON objects with a `type` tag ([`Msg`]). The JSON
-//!   codec is hand-rolled here (the workspace vendors no JSON crate) and
-//!   deliberately tiny: flat objects of strings, integers, booleans and
-//!   `null` are all the protocol needs.
+//! * **Messages** — one line of tab-separated text, the same style as the
+//!   results log ([`Msg`]): the message tag (`init`, `ready`, `run`,
+//!   `heartbeat`, `done`, `error`, `shutdown`), then that message's fields.
+//!   Numbers are decimal, flags `1`/`0` (as in the log's `fired` column), a
+//!   missing deadline `-`; strings escape `\`, tab and newline, so any
+//!   string round-trips. A `run` frame carries the site as its parameter
+//!   file text.
 //! * **Session** — supervisor sends [`Msg::Init`]; the worker resolves the
 //!   workload, replays its own golden run (simulation is deterministic, so
 //!   the worker's golden is bit-identical to the supervisor's) and answers
@@ -163,280 +166,115 @@ pub enum Msg {
     Shutdown,
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON codec: flat objects of strings / u64 / bool / null.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-    Null,
-}
-
-fn escape_into(out: &mut String, s: &str) {
+/// Escape `\`, tab and newline so a string fits in one tab-separated field.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            '\n' => out.push_str("\\n"),
             c => out.push(c),
         }
     }
-}
-
-fn object(fields: &[(&str, Json)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(&mut out, k);
-        out.push_str("\":");
-        match v {
-            Json::Str(s) => {
-                out.push('"');
-                escape_into(&mut out, s);
-                out.push('"');
-            }
-            Json::Num(n) => out.push_str(&n.to_string()),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Null => out.push_str("null"),
-        }
-    }
-    out.push('}');
     out
 }
 
-/// Parse one flat JSON object. Returns `None` on anything else — nesting,
-/// trailing garbage, bad escapes — because the protocol never produces it.
-fn parse_flat_object(text: &str) -> Option<Vec<(String, Json)>> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0usize;
-    let skip_ws = |i: &mut usize| {
-        while *i < chars.len() && chars[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let parse_string = |i: &mut usize| -> Option<String> {
-        if chars.get(*i) != Some(&'"') {
-            return None;
-        }
-        *i += 1;
-        let mut out = String::new();
-        loop {
-            let c = *chars.get(*i)?;
-            *i += 1;
-            match c {
-                '"' => return Some(out),
-                '\\' => {
-                    let e = *chars.get(*i)?;
-                    *i += 1;
-                    match e {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let hex4 = |i: &mut usize| -> Option<u32> {
-                                let mut v = 0u32;
-                                for _ in 0..4 {
-                                    v = v * 16 + chars.get(*i)?.to_digit(16)?;
-                                    *i += 1;
-                                }
-                                Some(v)
-                            };
-                            let hi = hex4(i)?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a low surrogate must follow.
-                                if chars.get(*i) != Some(&'\\') || chars.get(*i + 1) != Some(&'u') {
-                                    return None;
-                                }
-                                *i += 2;
-                                let lo = hex4(i)?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return None;
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c if (c as u32) < 0x20 => return None,
-                c => out.push(c),
-            }
-        }
-    };
-
-    skip_ws(&mut i);
-    if chars.get(i) != Some(&'{') {
-        return None;
-    }
-    i += 1;
-    let mut fields = Vec::new();
-    skip_ws(&mut i);
-    if chars.get(i) == Some(&'}') {
-        i += 1;
-    } else {
-        loop {
-            skip_ws(&mut i);
-            let key = parse_string(&mut i)?;
-            skip_ws(&mut i);
-            if chars.get(i) != Some(&':') {
-                return None;
-            }
-            i += 1;
-            skip_ws(&mut i);
-            let value = match chars.get(i)? {
-                '"' => Json::Str(parse_string(&mut i)?),
-                't' if chars[i..].starts_with(&['t', 'r', 'u', 'e']) => {
-                    i += 4;
-                    Json::Bool(true)
-                }
-                'f' if chars[i..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-                    i += 5;
-                    Json::Bool(false)
-                }
-                'n' if chars[i..].starts_with(&['n', 'u', 'l', 'l']) => {
-                    i += 4;
-                    Json::Null
-                }
-                c if c.is_ascii_digit() => {
-                    let start = i;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    let lexeme: String = chars[start..i].iter().collect();
-                    Json::Num(lexeme.parse().ok()?)
-                }
+/// Invert [`escape`]; `None` for any other escape or a trailing `\`.
+fn unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                '\\' => '\\',
+                't' => '\t',
+                'n' => '\n',
                 _ => return None,
-            };
-            fields.push((key, value));
-            skip_ws(&mut i);
-            match chars.get(i) {
-                Some(',') => i += 1,
-                Some('}') => {
-                    i += 1;
-                    break;
-                }
-                _ => return None,
-            }
-        }
+            },
+            c => c,
+        });
     }
-    skip_ws(&mut i);
-    if i != chars.len() {
-        return None;
-    }
-    Some(fields)
+    Some(out)
 }
 
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// A decimal `u64`: digits only (`str::parse` alone also takes a `+`).
+fn num(s: &str) -> Option<u64> {
+    s.bytes().all(|b| b.is_ascii_digit()).then(|| s.parse().ok())?
 }
 
-fn get_str(fields: &[(String, Json)], key: &str) -> Option<String> {
-    match get(fields, key)? {
-        Json::Str(s) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn get_num(fields: &[(String, Json)], key: &str) -> Option<u64> {
-    match get(fields, key)? {
-        Json::Num(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_bool(fields: &[(String, Json)], key: &str) -> Option<bool> {
-    match get(fields, key)? {
-        Json::Bool(b) => Some(*b),
+/// A `1`/`0` flag, as in the results log's `fired` column.
+fn flag(s: &str) -> Option<bool> {
+    match s {
+        "1" => Some(true),
+        "0" => Some(false),
         _ => None,
     }
 }
 
 impl Msg {
-    /// Serialize to the wire JSON.
+    /// Serialize to the wire text: one line holding the message tag and
+    /// then its fields, tab-separated. Numbers are decimal, flags `1`/`0`,
+    /// a missing deadline `-`, and strings escape `\`, tab and newline.
+    /// (The name predates the text format.)
     pub fn to_json(&self) -> String {
         match self {
-            Msg::Init(init) => object(&[
-                ("type", Json::Str("init".into())),
-                ("program", Json::Str(init.program.clone())),
-                ("scale", Json::Str(init.scale.clone())),
-                ("use_checkpoints", Json::Bool(init.use_checkpoints)),
-                ("deadline_ms", init.deadline_ms.map_or(Json::Null, Json::Num)),
-                ("heartbeat_ms", Json::Num(init.heartbeat_ms)),
-            ]),
-            Msg::Ready => object(&[("type", Json::Str("ready".into()))]),
-            Msg::Run { id, site } => object(&[
-                ("type", Json::Str("run".into())),
-                ("id", Json::Num(*id)),
-                ("site", Json::Str(site.clone())),
-            ]),
-            Msg::Heartbeat => object(&[("type", Json::Str("heartbeat".into()))]),
-            Msg::Done { id, outcome, injected, wall_us, skip_instrs } => object(&[
-                ("type", Json::Str("done".into())),
-                ("id", Json::Num(*id)),
-                ("outcome", Json::Str(outcome.clone())),
-                ("injected", Json::Bool(*injected)),
-                ("wall_us", Json::Num(*wall_us)),
-                ("skip_instrs", Json::Num(*skip_instrs)),
-            ]),
-            Msg::Error { message } => object(&[
-                ("type", Json::Str("error".into())),
-                ("message", Json::Str(message.clone())),
-            ]),
-            Msg::Shutdown => object(&[("type", Json::Str("shutdown".into()))]),
+            Msg::Init(i) => format!(
+                "init\t{}\t{}\t{}\t{}\t{}",
+                escape(&i.program),
+                escape(&i.scale),
+                u8::from(i.use_checkpoints),
+                i.deadline_ms.map_or("-".into(), |d| d.to_string()),
+                i.heartbeat_ms
+            ),
+            Msg::Ready => "ready".into(),
+            Msg::Run { id, site } => format!("run\t{id}\t{}", escape(site)),
+            Msg::Heartbeat => "heartbeat".into(),
+            Msg::Done { id, outcome, injected, wall_us, skip_instrs } => {
+                format!(
+                    "done\t{id}\t{}\t{}\t{wall_us}\t{skip_instrs}",
+                    escape(outcome),
+                    u8::from(*injected)
+                )
+            }
+            Msg::Error { message } => format!("error\t{}", escape(message)),
+            Msg::Shutdown => "shutdown".into(),
         }
     }
 
-    /// Parse a wire JSON message. Returns `None` for anything that is not a
-    /// well-formed protocol message — the caller treats that as corruption.
+    /// Parse the wire text written by [`Msg::to_json`]. Returns `None` for
+    /// anything that is not a well-formed protocol message (unknown tag,
+    /// wrong field count, bad number, flag or escape); the caller treats
+    /// that as corruption.
     pub fn parse(text: &str) -> Option<Msg> {
-        let fields = parse_flat_object(text)?;
-        match get_str(&fields, "type")?.as_str() {
-            "init" => Some(Msg::Init(WorkerInit {
-                program: get_str(&fields, "program")?,
-                scale: get_str(&fields, "scale")?,
-                use_checkpoints: get_bool(&fields, "use_checkpoints")?,
-                deadline_ms: match get(&fields, "deadline_ms")? {
-                    Json::Null => None,
-                    Json::Num(n) => Some(*n),
-                    _ => return None,
+        let mut fields = text.split('\t');
+        let tag = fields.next()?;
+        let fields: Vec<&str> = fields.collect();
+        Some(match (tag, fields.as_slice()) {
+            ("init", [program, scale, ckpt, deadline, heartbeat]) => Msg::Init(WorkerInit {
+                program: unescape(program)?,
+                scale: unescape(scale)?,
+                use_checkpoints: flag(ckpt)?,
+                deadline_ms: match *deadline {
+                    "-" => None,
+                    d => Some(num(d)?),
                 },
-                heartbeat_ms: get_num(&fields, "heartbeat_ms")?,
-            })),
-            "ready" => Some(Msg::Ready),
-            "run" => {
-                Some(Msg::Run { id: get_num(&fields, "id")?, site: get_str(&fields, "site")? })
-            }
-            "heartbeat" => Some(Msg::Heartbeat),
-            "done" => Some(Msg::Done {
-                id: get_num(&fields, "id")?,
-                outcome: get_str(&fields, "outcome")?,
-                injected: get_bool(&fields, "injected")?,
-                wall_us: get_num(&fields, "wall_us")?,
-                skip_instrs: get_num(&fields, "skip_instrs")?,
+                heartbeat_ms: num(heartbeat)?,
             }),
-            "error" => Some(Msg::Error { message: get_str(&fields, "message")? }),
-            "shutdown" => Some(Msg::Shutdown),
-            _ => None,
-        }
+            ("ready", []) => Msg::Ready,
+            ("run", [id, site]) => Msg::Run { id: num(id)?, site: unescape(site)? },
+            ("heartbeat", []) => Msg::Heartbeat,
+            ("done", [id, outcome, injected, wall_us, skip_instrs]) => Msg::Done {
+                id: num(id)?,
+                outcome: unescape(outcome)?,
+                injected: flag(injected)?,
+                wall_us: num(wall_us)?,
+                skip_instrs: num(skip_instrs)?,
+            },
+            ("error", [message]) => Msg::Error { message: unescape(message)? },
+            ("shutdown", []) => Msg::Shutdown,
+            _ => return None,
+        })
     }
 }
 
@@ -635,6 +473,11 @@ mod tests {
             "{\"type\":\"ready\"} trailing",          // trailing garbage
             "{\"type\":\"ready\",\"x\":{\"y\":1}}",   // nested object
             "{\"type\":\"ready\",\"x\":\"\\ud800\"}", // lone surrogate
+            "run\t7",                                 // wrong field count
+            "done\tseven\tMASKED\t1\t5\t0",           // id not a number
+            "done\t7\tMASKED\ttrue\t5\t0",            // bad flag
+            "error\tbad \\q escape",                  // unknown escape
+            "ready\t",                                // trailing field
         ] {
             assert_eq!(Msg::parse(text), None, "must reject: {text}");
         }
