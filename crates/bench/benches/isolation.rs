@@ -3,6 +3,13 @@
 //! pays for child spawns, per-worker golden-run replay, and frame-protocol
 //! round-trips; the acceptance target is staying under 2x the thread-mode
 //! wall clock on this smoke campaign.
+//!
+//! One run of this bench cannot show that a change left the ratio "no
+//! worse": over 12 runs of one build on a 2-core host, the process/thread
+//! ratio ranged from 1.93x to 2.96x (thread 5.7–12.2 ms, process
+//! 15.1–25.5 ms), because each sample is one 24-injection campaign of a
+//! few milliseconds. Compare the medians of alternating runs of both
+//! builds instead of one recorded `BENCH_isolation.json` reading.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvbitfi::{CampaignConfig, IsolationMode, ProcessIsolation, ProfilingMode};

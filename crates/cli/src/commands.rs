@@ -1,14 +1,13 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use gpu_isa::disasm;
-use gpu_runtime::{run_program, RuntimeConfig};
-use nvbit::{CallSite, NvBit, NvBitTool};
+use gpu_isa::{disasm, Module};
+use gpu_runtime::{run_program, run_program_golden, RuntimeConfig};
 use nvbitfi::{
-    atomic_write, report, run_permanent_campaign, run_transient_campaign_with, select_transient,
-    stats, BitFlipModel, CampaignConfig, CampaignHooks, InjectionRun, InstrGroup, IsolationMode,
-    Journal, PermanentCampaignConfig, PermanentInjector, PermanentParams, PreparedGolden,
-    ProcessIsolation, Profile, ProfilingMode, TransientCampaign, TransientInjector,
+    atomic_write, report, run_injection_list, run_permanent_campaign, run_transient_campaign_with,
+    select_transient, stats, BitFlipModel, CampaignConfig, CampaignHooks, InjectionRun, InstrGroup,
+    IsolationMode, Journal, PermanentCampaignConfig, PermanentInjector, PermanentParams,
+    PreparedGolden, ProcessIsolation, Profile, ProfilingMode, TransientCampaign, TransientInjector,
     TransientParams,
 };
 use parking_lot::Mutex;
@@ -26,7 +25,7 @@ commands:
   profile <prog> [--mode exact|approx] [--out FILE] [--scale paper|test]
   select <prog> --profile FILE [--group ID] [--bitflip ID] [--seed S] [--count N] [--out FILE]
   inject <prog> --params FILE [--scale paper|test]
-  run-list <prog> --list FILE [--log FILE]
+  run-list <prog> --list FILE [--log FILE] [--max-retries N] [--deadline-ms MS] [--isolation thread|process] [--no-checkpoint] [--no-static-prune]
   campaign <prog> [--injections N] [--group ID] [--bitflip ID] [--seed S] [--mode exact|approx] [--log FILE] [--max-retries N] [--deadline-ms MS] [--isolation thread|process] [--no-checkpoint] [--no-static-prune]
   resume <LOG> [--scale paper|test] [--isolation thread|process]
   pf <prog> --opcode MNEMONIC [--sm N] [--lane N] [--mask HEX]
@@ -37,10 +36,11 @@ commands:
   disasm-bin --in MODULE.bin
   trace <prog> [--top N] [--mem N]
 
-campaign logs are durable journals: every classified run is flushed to
---log as it completes, Ctrl-C stops dispatching and flushes a partial log,
-and `nvbitfi resume <LOG>` continues an interrupted campaign to the same
-final counts an uninterrupted run would have produced.
+campaign and run-list logs are durable journals: every classified run is
+flushed to --log as it completes, and Ctrl-C stops dispatching and flushes
+a partial log. `nvbitfi resume <LOG>` continues an interrupted campaign to
+the same final counts an uninterrupted run would have produced (a run-list
+log names no selection to resume; run the list again).
 
 --isolation process runs every injection in a supervised disposable worker
 process: a run that segfaults, aborts, or is killed costs one verdict
@@ -215,56 +215,20 @@ fn prepare(e: &BenchEntry) -> Result<PreparedGolden, String> {
 }
 
 fn run_list(args: &Args) -> Result<(), String> {
-    let e = entry(args, parse_scale(args.get("scale"))?)?;
+    let sc = parse_scale(args.get("scale"))?;
+    let e = entry(args, sc)?;
     let list_path = args.get("list").ok_or("missing --list FILE")?;
     let text = std::fs::read_to_string(list_path).map_err(|err| err.to_string())?;
     let sites = nvbitfi::logfile::read_injection_list(&text).map_err(|err| err.to_string())?;
-    println!("running {} faults from {list_path} into {} …", sites.len(), e.name);
-
-    let golden = prepare(&e)?;
-
-    // Journal incrementally: run-list logs are durable the same way
-    // campaign logs are (no resume meta — the list file is the authority).
-    let mut journal = match args.get("log") {
-        Some(path) => {
-            let header = nvbitfi::logfile::results_log_header(e.name, &[]);
-            Some(Journal::create(path, &header).map_err(|err| format!("create {path}: {err}"))?)
-        }
-        None => None,
-    };
+    let cfg = campaign_cfg(args, sc)?;
+    // No resume meta: the list file, not a seed, names the sites.
+    let journal = create_journal(args.get("log"), e.name, &[])?;
     crate::sigint::install();
-
-    let total = sites.len();
-    let mut counts = nvbitfi::OutcomeCounts::default();
-    for (done, params) in sites.into_iter().enumerate() {
-        if crate::sigint::interrupted() {
-            println!("interrupted — stopping after {done} of {total} runs");
-            break;
-        }
-        let t = std::time::Instant::now();
-        let (tool, handle) = TransientInjector::new(params.clone());
-        let (outcome, prefix_instrs_skipped) =
-            golden.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool), 0);
-        counts.add(&outcome);
-        let run = nvbitfi::InjectionRun {
-            params,
-            outcome,
-            injected: handle.get().injected,
-            wall: t.elapsed(),
-            prefix_instrs_skipped,
-            pruned: false,
-            attempts: 1,
-            resumed: false,
-        };
-        if let Some(j) = journal.as_mut() {
-            j.append(&nvbitfi::logfile::results_log_row(&run)).map_err(|err| err.to_string())?;
-        }
-    }
-    println!("{counts}");
-    if let Some(log_path) = args.get("log") {
-        println!("results log written to {log_path}");
-    }
-    Ok(())
+    println!("running {} faults from {list_path} into {} …", sites.len(), e.name);
+    let hooks = CliHooks::new(journal);
+    let result = run_injection_list(e.program.as_ref(), e.check.as_ref(), &cfg, sites, &hooks)
+        .map_err(|err| err.to_string())?;
+    finish_campaign(args.get("log"), false, &result, &hooks)
 }
 
 fn inject(args: &Args) -> Result<(), String> {
@@ -288,8 +252,9 @@ fn inject(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Journal-and-interrupt hooks shared by `campaign` and `resume`: appends
-/// one flushed v4 row per completed run and stops dispatch after Ctrl-C.
+/// Journal-and-interrupt hooks shared by `campaign`, `resume` and
+/// `run-list`: appends one flushed v5 row per completed run and stops
+/// dispatch after Ctrl-C.
 struct CliHooks {
     journal: Option<Mutex<Journal>>,
     io_error: Mutex<Option<String>>,
@@ -385,7 +350,22 @@ fn campaign_meta(sc: Scale, cfg: &CampaignConfig) -> Vec<(&'static str, String)>
     ]
 }
 
-fn campaign_cfg(args: &Args) -> Result<CampaignConfig, String> {
+/// A results journal at `path` (if given) for `program`, headed by `meta`.
+fn create_journal(
+    path: Option<&str>,
+    program: &str,
+    meta: &[(&str, String)],
+) -> Result<Option<Journal>, String> {
+    path.map(|path| {
+        let header = nvbitfi::logfile::results_log_header(program, meta);
+        Journal::create(path, &header).map_err(|err| format!("create {path}: {err}"))
+    })
+    .transpose()
+}
+
+/// The run options `campaign` and `run-list` share, plus the selection
+/// options only `campaign` uses.
+fn campaign_cfg(args: &Args, sc: Scale) -> Result<CampaignConfig, String> {
     Ok(CampaignConfig {
         injections: args.get_or("injections", 100)?,
         seed: args.get_or("seed", 0x5EED_u64)?,
@@ -401,15 +381,18 @@ fn campaign_cfg(args: &Args) -> Result<CampaignConfig, String> {
             )),
             None => None,
         },
+        isolation: parse_isolation(args.get("isolation"), sc)?,
         ..CampaignConfig::default()
     })
 }
 
 /// Report a finished (possibly interrupted) campaign and surface journal
 /// state: robustness counters, the classified-runs confidence margin, any
-/// journal I/O failure, and the resume hint.
+/// journal I/O failure, and — if the log can be `resume`d — the resume
+/// hint.
 fn finish_campaign(
     log_path: Option<&str>,
+    resumable: bool,
     result: &TransientCampaign,
     hooks: &CliHooks,
 ) -> Result<(), String> {
@@ -433,9 +416,14 @@ fn finish_campaign(
         match log_path {
             Some(path) => {
                 println!("interrupted — completed runs are journaled");
-                println!("resume with: nvbitfi resume {path}");
+                if resumable {
+                    println!("resume with: nvbitfi resume {path}");
+                }
             }
-            None => println!("interrupted — partial results (run with --log to make resumable)"),
+            None if resumable => {
+                println!("interrupted — partial results (run with --log to make resumable)")
+            }
+            None => println!("interrupted — partial results"),
         }
     }
     Ok(())
@@ -444,22 +432,15 @@ fn finish_campaign(
 fn campaign(args: &Args) -> Result<(), String> {
     let sc = parse_scale(args.get("scale"))?;
     let e = entry(args, sc)?;
-    let mut cfg = campaign_cfg(args)?;
-    cfg.isolation = parse_isolation(args.get("isolation"), sc)?;
-    let journal = match args.get("log") {
-        Some(path) => {
-            let header = nvbitfi::logfile::results_log_header(e.name, &campaign_meta(sc, &cfg));
-            Some(Journal::create(path, &header).map_err(|err| format!("create {path}: {err}"))?)
-        }
-        None => None,
-    };
+    let cfg = campaign_cfg(args, sc)?;
+    let journal = create_journal(args.get("log"), e.name, &campaign_meta(sc, &cfg))?;
     crate::sigint::install();
     println!("running {} transient injections into {} …", cfg.injections, e.name);
     let hooks = CliHooks::new(journal);
     let result =
         run_transient_campaign_with(e.program.as_ref(), e.check.as_ref(), &cfg, Vec::new(), &hooks)
             .map_err(|err| err.to_string())?;
-    finish_campaign(args.get("log"), &result, &hooks)
+    finish_campaign(args.get("log"), true, &result, &hooks)
 }
 
 fn resume(args: &Args) -> Result<(), String> {
@@ -473,9 +454,7 @@ fn resume(args: &Args) -> Result<(), String> {
     let get = |k: &str| header.meta.get(k).map(String::as_str);
     let need = |k: &str| {
         get(k).ok_or_else(|| {
-            format!(
-                "log is missing `# meta {k}=` (written by campaign --log since v4); cannot resume"
-            )
+            format!("log is missing `# meta {k}=`; only a `campaign --log` journal can be resumed")
         })
     };
 
@@ -543,7 +522,7 @@ fn resume(args: &Args) -> Result<(), String> {
     let result =
         run_transient_campaign_with(e.program.as_ref(), e.check.as_ref(), &cfg, prior, &hooks)
             .map_err(|err| err.to_string())?;
-    finish_campaign(Some(log_path), &result, &hooks)
+    finish_campaign(Some(log_path), true, &result, &hooks)
 }
 
 fn pf(args: &Args) -> Result<(), String> {
@@ -581,16 +560,14 @@ fn pf_campaign(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// A tool that captures every loaded module, for `nvbitfi lint <prog>`.
-struct ModuleCapture {
-    modules: Arc<Mutex<Vec<gpu_isa::Module>>>,
-}
-
-impl NvBitTool for ModuleCapture {
-    fn on_module_load(&mut self, module: &gpu_isa::Module) {
-        self.modules.lock().push(module.clone());
+/// The modules `e` loads, in load order and as a tool sees them (decoded
+/// from their binaries), from one clean run.
+fn loaded_modules(e: &BenchEntry) -> Result<Vec<Arc<Module>>, String> {
+    let (out, capture) = run_program_golden(e.program.as_ref(), RuntimeConfig::default(), false);
+    if !out.termination.is_clean() {
+        return Err(format!("program did not run cleanly: {:?}", out.termination));
     }
-    fn device_call(&mut self, _s: &CallSite<'_>, _t: &mut gpu_sim::ThreadCtx<'_>) {}
+    Ok(capture.modules)
 }
 
 fn lint(args: &Args) -> Result<(), String> {
@@ -598,22 +575,16 @@ fn lint(args: &Args) -> Result<(), String> {
 
     // A path to an encoded module lints the file; anything else is looked
     // up in the workload suite and linted as loaded (post encode/decode).
-    let modules: Vec<gpu_isa::Module> = if std::path::Path::new(target).is_file() {
+    let modules = if std::path::Path::new(target).is_file() {
         let bytes = std::fs::read(target).map_err(|e| e.to_string())?;
-        vec![gpu_isa::encode::decode_module(&bytes).map_err(|e| e.to_string())?]
+        vec![Arc::new(gpu_isa::encode::decode_module(&bytes).map_err(|e| e.to_string())?)]
     } else {
         let e = entry(args, parse_scale(args.get("scale"))?)?;
-        let modules = Arc::new(Mutex::new(Vec::new()));
-        let tool = NvBit::new(ModuleCapture { modules: Arc::clone(&modules) });
-        let out = run_program(e.program.as_ref(), RuntimeConfig::default(), Some(Box::new(tool)));
-        if !out.termination.is_clean() {
-            return Err(format!("program did not run cleanly: {:?}", out.termination));
-        }
-        let m = modules.lock().clone();
-        if m.is_empty() {
+        let modules = loaded_modules(&e)?;
+        if modules.is_empty() {
             return Err(format!("{} loaded no modules", e.name));
         }
-        m
+        modules
     };
 
     let mut findings = Vec::new();
@@ -706,28 +677,10 @@ fn disasm_bin(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// A tool that captures module disassembly, for `nvbitfi disasm`.
-struct DisasmTool {
-    listings: Arc<Mutex<Vec<String>>>,
-}
-
-impl NvBitTool for DisasmTool {
-    fn on_module_load(&mut self, module: &gpu_isa::Module) {
-        self.listings.lock().push(disasm::module(module));
-    }
-    fn device_call(&mut self, _s: &CallSite<'_>, _t: &mut gpu_sim::ThreadCtx<'_>) {}
-}
-
 fn disassemble(args: &Args) -> Result<(), String> {
     let e = entry(args, parse_scale(args.get("scale"))?)?;
-    let listings = Arc::new(Mutex::new(Vec::new()));
-    let tool = NvBit::new(DisasmTool { listings: Arc::clone(&listings) });
-    let out = run_program(e.program.as_ref(), RuntimeConfig::default(), Some(Box::new(tool)));
-    if !out.termination.is_clean() {
-        return Err(format!("program did not run cleanly: {:?}", out.termination));
-    }
-    for text in listings.lock().iter() {
-        print!("{text}");
+    for module in loaded_modules(&e)? {
+        print!("{}", disasm::module(&module));
     }
     Ok(())
 }

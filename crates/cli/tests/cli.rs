@@ -201,6 +201,144 @@ fn split_campaign_via_list_and_log() {
     }
 }
 
+/// A results log's `(parameters, outcome code)` pairs, sorted: journal
+/// rows land in completion order.
+fn verdicts_of(log: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(log).expect("log");
+    let mut rows: Vec<String> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let fields: Vec<&str> = l.split('\t').collect();
+            assert_eq!(fields.len(), 13, "v5 row: {l}");
+            format!("{}\t{}", fields[..7].join("\t"), fields[8])
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn run_list_of_selected_sites_matches_the_campaign() {
+    // The split workflow (select a list, run it) and a campaign with the
+    // same seed classify the same sites identically, in both isolation
+    // modes.
+    let profile_path = tmp("equiv-profile.txt");
+    let list_path = tmp("equiv-list.txt");
+    let (list_log, campaign_log) = (tmp("equiv-list.log"), tmp("equiv-campaign.log"));
+    let path = |p: &PathBuf| p.to_str().expect("utf8").to_string();
+
+    let o = nvbitfi(&["profile", "314.omriq", "--scale", "test", "--out", &path(&profile_path)]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let o = nvbitfi(&[
+        "select",
+        "314.omriq",
+        "--profile",
+        &path(&profile_path),
+        "--count",
+        "8",
+        "--seed",
+        "17",
+        "--out",
+        &path(&list_path),
+    ]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+
+    for isolation in ["thread", "process"] {
+        let common = ["314.omriq", "--scale", "test", "--isolation", isolation];
+        let o = nvbitfi(
+            &[
+                &["run-list"][..],
+                &common,
+                &["--list", &path(&list_path), "--log", &path(&list_log)],
+            ]
+            .concat(),
+        );
+        assert!(o.status.success(), "{isolation}: {}", String::from_utf8_lossy(&o.stderr));
+        assert!(stdout(&o).contains("robustness:"), "dispatcher report: {}", stdout(&o));
+        let o = nvbitfi(
+            &[
+                &["campaign"][..],
+                &common,
+                &["--injections", "8", "--seed", "17", "--log", &path(&campaign_log)],
+            ]
+            .concat(),
+        );
+        assert!(o.status.success(), "{isolation}: {}", String::from_utf8_lossy(&o.stderr));
+
+        let (listed, campaigned) = (verdicts_of(&list_log), verdicts_of(&campaign_log));
+        assert_eq!(listed.len(), 8, "{isolation}");
+        assert!(listed.iter().all(|r| !r.contains("INFRA:")), "{isolation}: {listed:?}");
+        assert_eq!(listed, campaigned, "{isolation}: same sites, same verdicts");
+    }
+
+    for p in [profile_path, list_path, list_log, campaign_log] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn interrupted_run_list_offers_no_resume() {
+    // A run-list journal carries no campaign meta, so `resume` cannot
+    // continue it; an interrupted run-list must not suggest it.
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGINT: i32 = 2;
+    const SITES: usize = 5000;
+
+    let profile_path = tmp("interrupt-profile.txt");
+    let list_path = tmp("interrupt-list.txt");
+    let log_path = tmp("interrupt-log.txt");
+    let path = |p: &PathBuf| p.to_str().expect("utf8").to_string();
+    let o = nvbitfi(&["profile", "314.omriq", "--out", &path(&profile_path)]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let count = SITES.to_string();
+    let o = nvbitfi(&[
+        "select",
+        "314.omriq",
+        "--profile",
+        &path(&profile_path),
+        "--count",
+        &count,
+        "--out",
+        &path(&list_path),
+    ]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+
+    // Paper scale: the whole list takes many seconds, so the interrupt
+    // lands while sites are still undispatched.
+    let child = Command::new(env!("CARGO_BIN_EXE_nvbitfi"))
+        .args(["run-list", "314.omriq", "--list", &path(&list_path), "--log", &path(&log_path)])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // The first journaled row means the Ctrl-C handler is installed.
+    let rows = || {
+        std::fs::read_to_string(&log_path)
+            .map_or(0, |t| t.lines().filter(|l| !l.starts_with('#')).count())
+    };
+    let start = std::time::Instant::now();
+    while rows() == 0 {
+        assert!(start.elapsed() < std::time::Duration::from_secs(60), "no run completed");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(unsafe { kill(child.id() as i32, SIGINT) }, 0);
+    let o = child.wait_with_output().expect("run-list exits");
+
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let out = stdout(&o);
+    assert!(out.contains("interrupted — completed runs are journaled"), "{out}");
+    assert!(!out.contains("nvbitfi resume"), "a run-list log cannot be resumed:\n{out}");
+    let journaled = rows();
+    assert!(journaled > 0 && journaled < SITES, "{journaled} of {SITES} rows journaled");
+
+    for p in [profile_path, list_path, log_path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 /// The deterministic part of a campaign's outcome report: the tally from
 /// "SDC" up to "potential DUEs" (timings vary run to run, counts must not).
 fn counts_of(out: &str) -> String {

@@ -25,7 +25,7 @@ use crate::params::{PermanentParams, TransientParams};
 use crate::permanent::PermanentInjector;
 use crate::pool::{self, IsolationMode, Worker};
 use crate::profile::{Profile, ProfilingMode};
-use crate::prune::prune_dead_sites;
+use crate::prune::prune_sites;
 use crate::select::select_campaign;
 use crate::transient::TransientInjector;
 use gpu_runtime::{Program, RuntimeConfig};
@@ -204,8 +204,8 @@ pub struct TransientCampaign {
     pub golden: GoldenOutput,
     /// Aggregate outcome tally.
     pub counts: OutcomeCounts,
-    /// Per-injection details, in selection order. After an interrupted
-    /// campaign this holds only the sites that completed.
+    /// Per-injection details, in selection (or list) order. After an
+    /// interrupted campaign this holds only the sites that completed.
     pub runs: Vec<InjectionRun>,
     /// Timing for overhead analysis.
     pub timing: CampaignTiming,
@@ -359,49 +359,106 @@ pub fn run_transient_campaign_with(
     prior: Vec<InjectionRun>,
     hooks: &dyn CampaignHooks,
 ) -> Result<TransientCampaign, FiError> {
-    if matches!(cfg.isolation, IsolationMode::Process(_)) {
-        let (rt, default) = (&cfg.runtime, RuntimeConfig::default());
-        if rt.gpu != default.gpu || rt.mem_bytes != default.mem_bytes || rt.limits != default.limits
-        {
-            return Err(FiError::BadParam {
-                name: "runtime",
-                reason: "process isolation supports only the default gpu, mem_bytes and limits"
-                    .into(),
-            });
-        }
-    }
+    let setup = Setup::new(program, cfg)?;
 
-    // Step 0: golden run (also calibrates the hang monitor and counts
-    // opcodes for the profile). With checkpoints enabled it additionally
-    // records the launch-boundary state every injection run fast-forwards
-    // from.
-    let t0 = Instant::now();
-    let mut golden = PreparedGolden::new(program, cfg.runtime.clone(), cfg.use_checkpoints)?;
-    let golden_wall = t0.elapsed();
-
-    // Step 1: profile, from the golden run's counters.
-    let t0 = Instant::now();
-    let profile = golden.profile(cfg.profiling);
-    let profiling_wall = t0.elapsed();
-
-    // Step 2: select fault sites. Selection consumes the RNG before any
-    // pruning happens, so a seed picks the same sites with pruning on or
-    // off — the two configurations differ only in how sites are resolved.
+    // Select fault sites. Selection consumes the RNG before any pruning
+    // happens, so a seed picks the same sites with pruning on or off — the
+    // two configurations differ only in how sites are resolved.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let sites = select_campaign(&profile, cfg.group, cfg.bit_flip, cfg.injections, &mut rng)?;
+    let sites = select_campaign(&setup.profile, cfg.group, cfg.bit_flip, cfg.injections, &mut rng)?;
+    Ok(run_sites(program, check, cfg, setup, sites, prior, hooks))
+}
 
-    // Step 2b: static dead-fault pruning. One extra resolver run maps
-    // each site to its static pc; sites whose corrupted destination is
-    // dead there are provably Masked and skip simulation entirely. The
-    // run is skipped when no target kernel has a prunable instruction,
-    // since every flag would be `false`.
+/// Inject and classify a given list of fault sites — the paper's
+/// `run_injections.py`. The sites run as a campaign's selected sites do
+/// (pruned, fast-forwarded, dispatched under `cfg.isolation`, retried,
+/// deadline-bounded, reported to `hooks`) and come back in list order.
+/// Each site keeps its own group and bit-flip model; the selection fields
+/// of `cfg` (`injections`, `group`, `bit_flip`, `seed`) are unused.
+///
+/// # Errors
+///
+/// As [`run_transient_campaign_with`], less the empty-group case.
+pub fn run_injection_list(
+    program: &dyn Program,
+    check: &dyn SdcCheck,
+    cfg: &CampaignConfig,
+    sites: Vec<TransientParams>,
+    hooks: &dyn CampaignHooks,
+) -> Result<TransientCampaign, FiError> {
+    let setup = Setup::new(program, cfg)?;
+    Ok(run_sites(program, check, cfg, setup, sites, Vec::new(), hooks))
+}
+
+/// A campaign before its first site: the golden run, the profile built
+/// from it, and the time both took.
+struct Setup {
+    golden: PreparedGolden,
+    profile: Profile,
+    timing: CampaignTiming,
+}
+
+impl Setup {
+    fn new(program: &dyn Program, cfg: &CampaignConfig) -> Result<Setup, FiError> {
+        if matches!(cfg.isolation, IsolationMode::Process(_)) {
+            let (rt, default) = (&cfg.runtime, RuntimeConfig::default());
+            if rt.gpu != default.gpu
+                || rt.mem_bytes != default.mem_bytes
+                || rt.limits != default.limits
+            {
+                return Err(FiError::BadParam {
+                    name: "runtime",
+                    reason: "process isolation supports only the default gpu, mem_bytes and \
+                             limits"
+                        .into(),
+                });
+            }
+        }
+
+        // The golden run also calibrates the hang monitor and counts
+        // opcodes for the profile. With checkpoints enabled it additionally
+        // records the launch-boundary state every injection run
+        // fast-forwards from.
+        let t0 = Instant::now();
+        let golden = PreparedGolden::new(program, cfg.runtime.clone(), cfg.use_checkpoints)?;
+        let golden_wall = t0.elapsed();
+
+        let t0 = Instant::now();
+        let profile = golden.profile(cfg.profiling);
+        let timing =
+            CampaignTiming { golden: golden_wall, profiling: t0.elapsed(), ..Default::default() };
+        Ok(Setup { golden, profile, timing })
+    }
+}
+
+/// The site-running half of every transient campaign: prune, order by
+/// target launch, dispatch, settle and time `sites`, with `prior` verdicts
+/// standing in for the sites they match.
+fn run_sites(
+    program: &dyn Program,
+    check: &dyn SdcCheck,
+    cfg: &CampaignConfig,
+    setup: Setup,
+    sites: Vec<TransientParams>,
+    prior: Vec<InjectionRun>,
+    hooks: &dyn CampaignHooks,
+) -> TransientCampaign {
+    let Setup { mut golden, profile, mut timing } = setup;
+
+    // Static dead-fault pruning. One extra resolver run maps each site to
+    // its static pc; sites whose corrupted destination is dead there are
+    // provably Masked and skip simulation entirely. The run is skipped when
+    // no target kernel has a prunable instruction, since every flag would
+    // be `false`.
     let t0 = Instant::now();
-    let pruned_flags = if cfg.use_static_prune && golden.may_prune(cfg.group, &sites) {
-        prune_dead_sites(program, golden.config.clone(), cfg.group, &sites)
+    let pruned_flags = if cfg.use_static_prune && golden.may_prune(&sites) {
+        prune_sites(program, golden.config.clone(), &sites)
     } else {
         vec![false; sites.len()]
     };
-    let analysis_wall = if cfg.use_static_prune { t0.elapsed() } else { Duration::ZERO };
+    if cfg.use_static_prune {
+        timing.analysis = t0.elapsed();
+    }
 
     // Group sites by target launch: runs sharing a target restore the same
     // checkpoint, so its bytes stay cache-warm across consecutive work
@@ -442,10 +499,10 @@ pub fn run_transient_campaign_with(
     // harness may abandon.
     golden.config.wall_deadline = cfg.run_deadline;
 
-    // Steps 3-4: inject and classify. Each site executes behind an
-    // isolation boundary: a worker panic, a worker death, or a deadline
-    // overrun costs (after `max_retries` further attempts) only that site's
-    // verdict — recorded as InfraError — never the campaign.
+    // Inject and classify. Each site executes behind an isolation
+    // boundary: a worker panic, a worker death, or a deadline overrun costs
+    // (after `max_retries` further attempts) only that site's verdict —
+    // recorded as InfraError — never the campaign.
     let plan = Plan {
         workers: cfg.workers,
         max_retries: cfg.max_retries,
@@ -492,7 +549,8 @@ pub fn run_transient_campaign_with(
             )
         }
     };
-    // Report in selection order, with reloaded prior verdicts merged back in.
+    // Report in the sites' order, with reloaded prior verdicts merged back
+    // in.
     tagged.extend(reloaded);
     tagged.sort_by_key(|&(orig, _)| orig);
     let runs: Vec<InjectionRun> = tagged.into_iter().map(|(_, r)| r).collect();
@@ -501,14 +559,9 @@ pub fn run_transient_campaign_with(
     for r in &runs {
         counts.add(&r.outcome);
     }
-    let timing = CampaignTiming {
-        golden: golden_wall,
-        profiling: profiling_wall,
-        analysis: analysis_wall,
-        injections: runs.iter().map(|r| r.wall).collect(),
-        prefix_instrs_skipped: runs.iter().map(|r| r.prefix_instrs_skipped).sum(),
-    };
-    Ok(TransientCampaign {
+    timing.injections = runs.iter().map(|r| r.wall).collect();
+    timing.prefix_instrs_skipped = runs.iter().map(|r| r.prefix_instrs_skipped).sum();
+    TransientCampaign {
         program: program.name().to_string(),
         profile,
         golden: golden.output,
@@ -516,7 +569,7 @@ pub fn run_transient_campaign_with(
         runs,
         timing,
         interrupted,
-    })
+    }
 }
 
 /// Configuration of a permanent-fault campaign.

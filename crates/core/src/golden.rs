@@ -1,7 +1,6 @@
 //! The golden (fault-free) reference run — Figure 1's "golden output state".
 
 use crate::error::FiError;
-use crate::igid::InstrGroup;
 use crate::outcome::{classify, Outcome, SdcCheck};
 use crate::params::TransientParams;
 use crate::profile::{Profile, ProfilingMode};
@@ -123,11 +122,11 @@ impl PreparedGolden {
         Profile::from_counts(mode, &self.output.summary.launches, &self.opcode_counts)
     }
 
-    /// `false` when [`crate::prune_dead_sites`] is certain to flag none of
-    /// `sites`, judged statically from the kernels they target — so a
-    /// campaign can skip its resolver run. `true` means it might.
-    pub fn may_prune(&self, group: InstrGroup, sites: &[TransientParams]) -> bool {
-        sites_may_prune(&self.modules, group, sites)
+    /// `false` when static pruning is certain to flag none of `sites`, each
+    /// judged in its own group from the kernel it targets — so a campaign
+    /// can skip its resolver run. `true` means it might.
+    pub fn may_prune(&self, sites: &[TransientParams]) -> bool {
+        sites_may_prune(&self.modules, sites)
     }
 
     /// The global launch index a run injecting `sites` fast-forwards to:

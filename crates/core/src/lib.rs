@@ -28,9 +28,10 @@
 //!
 //! [`campaign`] orchestrates all four steps across many injections through
 //! one dispatcher that fans runs out to worker threads or worker
-//! processes. Its golden run also counts opcodes, so a campaign builds its
-//! profile from that run ([`PreparedGolden::profile`]) rather than
-//! attaching the profiler; [`stats`] provides the confidence-interval
+//! processes, for sites it selects itself or for a given injection list
+//! ([`run_injection_list`]). Its golden run also counts opcodes, so a
+//! campaign builds its profile from that run ([`PreparedGolden::profile`])
+//! rather than attaching the profiler; [`stats`] provides the confidence-interval
 //! arithmetic behind the paper's 100- vs 1000-injection guidance; [`ext`]
 //! describes the §V extensions (intermittent faults, richer corruption
 //! functions, multi-opcode permanent faults, and a fault dictionary), which
@@ -112,9 +113,10 @@ pub mod worker;
 pub use avf::{AvfEstimate, GroupAvf};
 pub use bitflip::BitFlipModel;
 pub use campaign::{
-    run_permanent_campaign, run_transient_campaign, run_transient_campaign_with, CampaignConfig,
-    CampaignHooks, CampaignTiming, FaultHook, InjectionRun, NoHooks, PermanentCampaign,
-    PermanentCampaignConfig, PermanentRun, TransientCampaign, WeightedOutcomes,
+    run_injection_list, run_permanent_campaign, run_transient_campaign,
+    run_transient_campaign_with, CampaignConfig, CampaignHooks, CampaignTiming, FaultHook,
+    InjectionRun, NoHooks, PermanentCampaign, PermanentCampaignConfig, PermanentRun,
+    TransientCampaign, WeightedOutcomes,
 };
 pub use error::FiError;
 pub use golden::{golden_run, golden_run_recording, GoldenOutput, PreparedGolden};

@@ -7,7 +7,7 @@
 //! injection list, gather the result logs) the way the paper's
 //! `run_injections.py` does.
 
-use crate::campaign::{InjectionRun, TransientCampaign};
+use crate::campaign::InjectionRun;
 use crate::error::FiError;
 use crate::outcome::{DueKind, InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcReason};
 use crate::params::TransientParams;
@@ -113,15 +113,13 @@ pub struct LogRow {
     pub injected: bool,
     /// Run duration in microseconds.
     pub wall_us: u64,
-    /// Dynamic instructions the run skipped via checkpoint fast-forward
-    /// (0 in v1 logs, which predate the column).
+    /// Dynamic instructions the run skipped via checkpoint fast-forward.
     pub prefix_instrs_skipped: u64,
     /// Whether the outcome came from static dead-fault pruning rather
-    /// than simulation (`false` in v1/v2 logs, which predate the column).
+    /// than simulation.
     pub pruned: bool,
     /// Execution attempts this verdict took, counting retries after worker
-    /// panics or deadline overruns (`1` in v1–v3 logs, which predate the
-    /// column).
+    /// panics or deadline overruns.
     pub attempts: u32,
 }
 
@@ -162,7 +160,7 @@ pub fn parse_log_header(text: &str) -> LogHeader {
 
 /// The results-log header: version line, one `# meta key=value` line per
 /// pair, and the column-name comment. This is what a journaling campaign
-/// writes before its first row; [`write_results_log`] uses it with empty
+/// writes before its first row; a `run-list` journal writes it with empty
 /// meta.
 ///
 /// Keys and values must not contain newlines (they are written verbatim).
@@ -178,7 +176,12 @@ pub fn results_log_header(program: &str, meta: &[(&str, String)]) -> String {
 }
 
 /// One newline-terminated v5 results row — the unit a durable journal
-/// appends and flushes as each run completes.
+/// appends and flushes as each run completes. v5 rows have 13 fields: the
+/// seven parameter-file values, then `fired`, `outcome`, `wall_us`,
+/// `skip_instrs` (dynamic instructions skipped by checkpoint
+/// fast-forward), `pruned` (`static` for statically-pruned sites, `-` for
+/// simulated runs) and `attempts` (executions the verdict took, counting
+/// retries).
 pub fn results_log_row(run: &InjectionRun) -> String {
     format!(
         "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
@@ -192,23 +195,9 @@ pub fn results_log_row(run: &InjectionRun) -> String {
     )
 }
 
-/// Serialize a campaign's per-run results, one line per injection. The v2
-/// format appended a `skip_instrs` column (dynamic instructions skipped by
-/// checkpoint fast-forward); v3 appended a `pruned` column (`static` for
-/// statically-pruned sites, `-` for simulated runs); v4 appended an
-/// `attempts` column (executions the verdict took, counting retries) and
-/// admitted `# meta key=value` header lines; v5 adds no columns but admits
-/// the `isolation=` meta key and the `INFRA:died` outcome code recorded by
-/// process-isolated campaigns. The reader still accepts v1–v4 rows.
-pub fn write_results_log(c: &TransientCampaign) -> String {
-    let mut out = results_log_header(&c.program, &[]);
-    for run in &c.runs {
-        out.push_str(&results_log_row(run));
-    }
-    out
-}
-
-/// Parse a results log produced by [`write_results_log`].
+/// Parse a results log: a [`results_log_header`] followed by
+/// [`results_log_row`] lines. Only v5 rows are accepted; the older 10- to
+/// 12-field layouts are rejected.
 ///
 /// # Errors
 ///
@@ -222,8 +211,8 @@ pub fn read_results_log(text: &str) -> Result<Vec<LogRow>, FiError> {
             continue;
         }
         let fields: Vec<&str> = line.split('\t').collect();
-        if !(10..=13).contains(&fields.len()) {
-            return Err(bad(lineno, format!("expected 10 to 13 fields, got {}", fields.len())));
+        if fields.len() != 13 {
+            return Err(bad(lineno, format!("expected 13 fields, got {}", fields.len())));
         }
         let params = TransientParams::parse_fields(fields[..7].iter().copied(), |_| lineno)?;
         let injected = match fields[7] {
@@ -235,28 +224,18 @@ pub fn read_results_log(text: &str) -> Result<Vec<LogRow>, FiError> {
             .ok_or_else(|| bad(lineno, format!("bad outcome `{}`", fields[8])))?;
         let wall_us =
             fields[9].parse::<u64>().map_err(|e| bad(lineno, format!("bad wall_us: {e}")))?;
-        let prefix_instrs_skipped = match fields.get(10) {
-            Some(s) => {
-                s.parse::<u64>().map_err(|e| bad(lineno, format!("bad skip_instrs: {e}")))?
-            }
-            None => 0, // v1 row
+        let prefix_instrs_skipped =
+            fields[10].parse::<u64>().map_err(|e| bad(lineno, format!("bad skip_instrs: {e}")))?;
+        let pruned = match fields[11] {
+            "static" => true,
+            "-" => false,
+            other => return Err(bad(lineno, format!("bad pruned flag `{other}`"))),
         };
-        let pruned = match fields.get(11) {
-            Some(&"static") => true,
-            Some(&"-") => false,
-            Some(other) => return Err(bad(lineno, format!("bad pruned flag `{other}`"))),
-            None => false, // v1/v2 row
-        };
-        let attempts = match fields.get(12) {
-            Some(s) => {
-                let n = s.parse::<u32>().map_err(|e| bad(lineno, format!("bad attempts: {e}")))?;
-                if n == 0 {
-                    return Err(bad(lineno, "attempts must be >= 1".into()));
-                }
-                n
-            }
-            None => 1, // v1-v3 row
-        };
+        let attempts =
+            fields[12].parse::<u32>().map_err(|e| bad(lineno, format!("bad attempts: {e}")))?;
+        if attempts == 0 {
+            return Err(bad(lineno, "attempts must be >= 1".into()));
+        }
         rows.push(LogRow {
             params,
             outcome,
@@ -415,35 +394,20 @@ mod tests {
                 resumed: false,
             })
             .collect();
-        let campaign = TransientCampaign {
-            program: "test.prog".into(),
-            profile: crate::profile::Profile {
-                mode: crate::profile::ProfilingMode::Exact,
-                kernels: vec![],
-            },
-            golden: crate::golden::GoldenOutput {
-                stdout: String::new(),
-                files: Default::default(),
-                summary: Default::default(),
-            },
-            counts: {
-                let mut c = OutcomeCounts::default();
-                for r in &runs {
-                    c.add(&r.outcome);
-                }
-                c
-            },
-            runs,
-            timing: Default::default(),
-            interrupted: false,
-        };
-        let text = write_results_log(&campaign);
+        let mut text = results_log_header("test.prog", &[]);
+        for run in &runs {
+            text.push_str(&results_log_row(run));
+        }
         assert!(text.starts_with("# nvbitfi results log v5 program=test.prog"));
         let rows = read_results_log(&text).expect("parse");
         assert_eq!(rows.len(), 10);
-        assert_eq!(tally(&rows), campaign.counts);
+        let mut counts = OutcomeCounts::default();
+        for r in &runs {
+            counts.add(&r.outcome);
+        }
+        assert_eq!(tally(&rows), counts);
         let back = to_runs(rows);
-        for (a, b) in back.iter().zip(&campaign.runs) {
+        for (a, b) in back.iter().zip(&runs) {
             assert_eq!(a.params, b.params);
             assert_eq!(a.injected, b.injected);
             assert_eq!(a.wall, b.wall);
@@ -451,21 +415,6 @@ mod tests {
             assert_eq!(a.pruned, b.pruned);
             assert_eq!(a.attempts, b.attempts);
         }
-    }
-
-    #[test]
-    fn results_log_accepts_v3_rows_without_attempts_column() {
-        let header = "# nvbitfi results log v3 program=x\n";
-        let rows =
-            read_results_log(&format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t42\t-"))
-                .expect("v3 row parses");
-        assert_eq!(rows[0].attempts, 1);
-        let v4 = format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tINFRA:panic\t5\t42\t-\t3");
-        let rows = read_results_log(&v4).expect("v4 row parses");
-        assert_eq!(rows[0].attempts, 3);
-        assert!(rows[0].outcome.is_infra());
-        let zero = format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t42\t-\t0");
-        assert!(read_results_log(&zero).is_err());
     }
 
     #[test]
@@ -516,35 +465,27 @@ mod tests {
     }
 
     #[test]
-    fn results_log_accepts_v1_rows_without_skip_column() {
-        let header = "# nvbitfi results log v1 program=x\n";
-        let rows = read_results_log(&format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5"))
-            .expect("v1 row parses");
-        assert_eq!(rows[0].prefix_instrs_skipped, 0);
-        assert_eq!(rows[0].wall_us, 5);
-        assert!(!rows[0].pruned);
-    }
-
-    #[test]
-    fn results_log_accepts_v2_rows_without_pruned_column() {
-        let header = "# nvbitfi results log v2 program=x\n";
-        let rows = read_results_log(&format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t42"))
-            .expect("v2 row parses");
-        assert_eq!(rows[0].prefix_instrs_skipped, 42);
-        assert!(!rows[0].pruned);
-        let v3 = format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t42\tstatic");
-        assert!(read_results_log(&v3).expect("v3 row parses")[0].pruned);
-        let junk = format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t42\tmaybe");
-        assert!(read_results_log(&junk).is_err());
-    }
-
-    #[test]
     fn results_log_rejects_bad_rows() {
-        let header = "# nvbitfi results log v1 program=x\n";
-        assert!(
-            read_results_log(&format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t2\tMASKED\t5")).is_err()
-        );
-        assert!(read_results_log(&format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tWAT\t5")).is_err());
-        assert!(read_results_log(&format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED")).is_err());
+        let header = "# nvbitfi results log v5 program=x\n";
+        let good = "1\t1\tk\t0\t0\t0.1\t0.1\t1\tINFRA:panic\t5\t42\tstatic\t3";
+        let row = &read_results_log(&format!("{header}{good}")).expect("v5 row parses")[0];
+        assert!(row.outcome.is_infra() && row.pruned);
+        assert_eq!((row.prefix_instrs_skipped, row.attempts), (42, 3));
+        for bad in [
+            "1\t1\tk\t0\t0\t0.1\t0.1\t2\tMASKED\t5\t0\t-\t1", // fired flag
+            "1\t1\tk\t0\t0\t0.1\t0.1\t1\tWAT\t5\t0\t-\t1",    // outcome
+            "1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t0\tmaybe\t1", // pruned flag
+            "1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t0\t-\t0", // attempts
+            "1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5\t0\t-",    // 12 fields
+        ] {
+            assert!(read_results_log(&format!("{header}{bad}")).is_err(), "{bad}");
+        }
+        // A v1 row (10 fields, no skip/pruned/attempts columns) is rejected
+        // and named by its line.
+        let v1 = format!("{header}1\t1\tk\t0\t0\t0.1\t0.1\t1\tMASKED\t5");
+        assert!(matches!(
+            read_results_log(&v1),
+            Err(FiError::BadParamFile { line: 2, reason }) if reason == "expected 13 fields, got 10"
+        ));
     }
 }

@@ -131,7 +131,8 @@ impl Profile {
     /// The profile `mode` would measure, from each launch's executed-opcode
     /// counts (`counts[i]` belongs to `launches[i]`): exact keeps every
     /// launch's own counts; approximate gives every later instance of a
-    /// kernel its instance 0's counts, as [`Profiler`] does.
+    /// kernel its instance 0's counts. [`Profiler`] and
+    /// [`crate::PreparedGolden::profile`] both build their profiles here.
     pub(crate) fn from_counts(
         mode: ProfilingMode,
         launches: &[LaunchRecord],
@@ -250,10 +251,11 @@ impl Profile {
 pub struct Profiler {
     mode: ProfilingMode,
     current: Box<[u64; OPCODE_COUNT]>,
-    /// Counts of the first instance of each static kernel (approximate mode).
-    first_instance: HashMap<String, BTreeMap<Opcode, u64>>,
-    /// Dynamic kernels in launch order.
-    kernels: Vec<KernelProfile>,
+    /// Completed launches, in launch order.
+    launches: Vec<LaunchRecord>,
+    /// Per completed launch, the nonzero counts it drained (none for the
+    /// instances approximate mode does not instrument).
+    counts: Vec<Vec<(Opcode, u64)>>,
     sink: Arc<Mutex<Option<Profile>>>,
 }
 
@@ -275,18 +277,18 @@ impl Profiler {
         let p = Profiler {
             mode,
             current: Box::new([0; OPCODE_COUNT]),
-            first_instance: HashMap::new(),
-            kernels: Vec::new(),
+            launches: Vec::new(),
+            counts: Vec::new(),
             sink: Arc::clone(&sink),
         };
         (NvBit::new(p), ProfileHandle(sink))
     }
 
-    fn drain_current(&mut self) -> BTreeMap<Opcode, u64> {
-        let mut counts = BTreeMap::new();
+    fn drain_current(&mut self) -> Vec<(Opcode, u64)> {
+        let mut counts = Vec::new();
         for (idx, n) in self.current.iter_mut().enumerate() {
             if *n > 0 {
-                counts.insert(Opcode::decode(idx as u16).expect("valid index"), *n);
+                counts.push((Opcode::decode(idx as u16).expect("valid index"), *n));
                 *n = 0;
             }
         }
@@ -311,29 +313,13 @@ impl NvBitTool for Profiler {
     }
 
     fn on_kernel_complete(&mut self, record: &LaunchRecord) {
-        let counts = match self.mode {
-            ProfilingMode::Exact => self.drain_current(),
-            ProfilingMode::Approximate => {
-                if record.instance == 0 {
-                    let counts = self.drain_current();
-                    self.first_instance.insert(record.kernel.clone(), counts.clone());
-                    counts
-                } else {
-                    // Extrapolate: assume this instance repeats the first.
-                    self.first_instance.get(&record.kernel).cloned().unwrap_or_default()
-                }
-            }
-        };
-        self.kernels.push(KernelProfile {
-            kernel: record.kernel.clone(),
-            instance: record.instance,
-            counts,
-        });
+        let counts = self.drain_current();
+        self.launches.push(record.clone());
+        self.counts.push(counts);
     }
 
     fn on_exit(&mut self, _summary: &RunSummary) {
-        *self.sink.lock() =
-            Some(Profile { mode: self.mode, kernels: std::mem::take(&mut self.kernels) });
+        *self.sink.lock() = Some(Profile::from_counts(self.mode, &self.launches, &self.counts));
     }
 }
 

@@ -36,7 +36,7 @@ use gpu_isa::{Kernel, Module, RegSlot};
 use gpu_runtime::{run_program, KernelLaunchInfo, Program, RuntimeConfig};
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The liveness facts needed to decide deadness of an injection site in
@@ -99,22 +99,20 @@ impl KernelAnalysis {
     }
 }
 
-/// `false` when [`prune_dead_sites`] is certain to flag none of `sites`:
-/// no kernel of `modules` that a site in `group` targets may prune. Sites
-/// outside `group` never prune, and a kernel name found in several modules
-/// counts if any of them may prune.
-pub(crate) fn sites_may_prune(
-    modules: &[Arc<Module>],
-    group: InstrGroup,
-    sites: &[TransientParams],
-) -> bool {
-    let targets: BTreeSet<&str> =
-        sites.iter().filter(|s| s.group == group).map(|s| s.kernel_name.as_str()).collect();
-    modules
-        .iter()
-        .flat_map(|m| m.kernels())
-        .filter(|k| targets.contains(k.name()))
-        .any(|k| KernelAnalysis::new(k).may_prune(group))
+/// `false` when [`prune_sites`] is certain to flag none of `sites`: no
+/// kernel of `modules` that a site targets may prune in that site's group.
+/// A kernel name found in several modules counts if any of them may prune.
+pub(crate) fn sites_may_prune(modules: &[Arc<Module>], sites: &[TransientParams]) -> bool {
+    let targets: HashSet<(&str, InstrGroup)> =
+        sites.iter().map(|s| (s.kernel_name.as_str(), s.group)).collect();
+    modules.iter().flat_map(|m| m.kernels()).any(|k| {
+        let groups: Vec<InstrGroup> =
+            targets.iter().filter(|(name, _)| *name == k.name()).map(|&(_, g)| g).collect();
+        !groups.is_empty() && {
+            let analysis = KernelAnalysis::new(k);
+            groups.into_iter().any(|g| analysis.may_prune(g))
+        }
+    })
 }
 
 /// What the [`SiteResolver`] run found.
@@ -179,9 +177,9 @@ pub fn resolve_sites(
     resolve(program, run_cfg, sites).map_or_else(|| vec![None; sites.len()], |state| state.pcs)
 }
 
-/// Decide, for each selected fault site, whether it is *statically dead*:
-/// provably Masked without simulation. Returns one flag per site, in
-/// order; a site outside `group` is never dead.
+/// Decide, for each fault site, whether it is *statically dead*: provably
+/// Masked without simulation. Returns one flag per site, in order; a site
+/// outside `group` is never dead.
 ///
 /// Runs the program once with the `SiteResolver` tool attached to map dynamic
 /// site coordinates to static pcs, then consults per-kernel liveness. The
@@ -191,6 +189,17 @@ pub fn prune_dead_sites(
     program: &dyn Program,
     run_cfg: RuntimeConfig,
     group: InstrGroup,
+    sites: &[TransientParams],
+) -> Vec<bool> {
+    let flags = prune_sites(program, run_cfg, sites);
+    flags.into_iter().zip(sites).map(|(dead, s)| dead && s.group == group).collect()
+}
+
+/// [`prune_dead_sites`] with each site judged in its own group — the form
+/// campaigns use, since an injection list may mix groups.
+pub(crate) fn prune_sites(
+    program: &dyn Program,
+    run_cfg: RuntimeConfig,
     sites: &[TransientParams],
 ) -> Vec<bool> {
     if sites.is_empty() {
@@ -207,9 +216,6 @@ pub fn prune_dead_sites(
         .iter()
         .zip(&state.pcs)
         .map(|(s, pc)| {
-            if s.group != group {
-                return false;
-            }
             let Some(pc) = *pc else {
                 // Site beyond the instance's real execution (possible with
                 // approximate profiles) — leave it to the simulator.

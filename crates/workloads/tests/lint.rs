@@ -3,46 +3,27 @@
 //! The campaign's dead-fault pruning trusts the analyses behind `fi lint`,
 //! so the suite's own kernels are held to the zero-defect bar: no
 //! uninitialized reads, no unreachable code, no missing `EXIT`, no dead
-//! writes. Modules are captured the same way a real tool sees them — at
-//! load time, as decoded binaries — so the encode/decode round-trip is
-//! linted, not the builder output.
+//! writes. Modules are linted as the runtime loaded them — decoded from
+//! their binaries — so the encode/decode round-trip is linted, not the
+//! builder output.
 
 use gpu_analysis::{lint_module, render_text, Severity};
-use gpu_isa::Module;
-use gpu_runtime::{run_program, RuntimeConfig, Tool};
-use gpu_sim::ExecHook;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use gpu_runtime::{run_program_golden, RuntimeConfig};
 use workloads::{suite, Scale};
-
-/// A tool that records every module the program loads.
-struct ModuleCapture {
-    modules: Arc<Mutex<Vec<Module>>>,
-}
-
-impl ExecHook for ModuleCapture {}
-
-impl Tool for ModuleCapture {
-    fn on_module_load(&mut self, module: &Module) {
-        self.modules.lock().push(module.clone());
-    }
-}
 
 #[test]
 fn all_suite_kernels_lint_clean() {
     let mut failures = String::new();
     for entry in suite(Scale::Test) {
-        let modules = Arc::new(Mutex::new(Vec::new()));
-        let capture = ModuleCapture { modules: Arc::clone(&modules) };
-        let out =
-            run_program(entry.program.as_ref(), RuntimeConfig::default(), Some(Box::new(capture)));
+        let (out, capture) =
+            run_program_golden(entry.program.as_ref(), RuntimeConfig::default(), false);
         assert!(
             out.termination.is_clean(),
             "{}: golden run failed: {:?}",
             entry.name,
             out.termination
         );
-        let modules = modules.lock();
+        let modules = capture.modules;
         assert!(!modules.is_empty(), "{}: no modules captured", entry.name);
         for module in modules.iter() {
             let findings = lint_module(module);

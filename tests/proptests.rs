@@ -283,31 +283,23 @@ proptest! {
     #[test]
     fn results_log_roundtrips_every_version(
         runs in prop::collection::vec(arb_log_run(), 1..10),
-        version_cols in 10usize..14,
     ) {
-        // Serialize each run as v4, then truncate rows to the column count
-        // of an earlier log version: 10 = v1, 11 = v2, 12 = v3, 13 = v4.
-        // The reader must accept all of them, defaulting the missing tail.
+        // v5 is the only results-log version the reader accepts: every
+        // field of every row survives the round trip.
         let mut text = logfile::results_log_header("fuzz.prog", &[("seed", "7".to_string())]);
         for r in &runs {
-            let full = logfile::results_log_row(r);
-            let cols: Vec<&str> = full.trim_end_matches('\n').split('\t').collect();
-            text.push_str(&cols[..version_cols].join("\t"));
-            text.push('\n');
+            text.push_str(&logfile::results_log_row(r));
         }
-        let rows = logfile::read_results_log(&text).expect("every version parses");
+        let rows = logfile::read_results_log(&text).expect("v5 log parses");
         prop_assert_eq!(rows.len(), runs.len());
         for (row, run) in rows.iter().zip(&runs) {
             prop_assert_eq!(&row.params, &run.params);
             prop_assert_eq!(&row.outcome, &run.outcome);
             prop_assert_eq!(row.injected, run.injected);
             prop_assert_eq!(row.wall_us, run.wall.as_micros() as u64);
-            prop_assert_eq!(
-                row.prefix_instrs_skipped,
-                if version_cols >= 11 { run.prefix_instrs_skipped } else { 0 }
-            );
-            prop_assert_eq!(row.pruned, version_cols >= 12 && run.pruned);
-            prop_assert_eq!(row.attempts, if version_cols >= 13 { run.attempts } else { 1 });
+            prop_assert_eq!(row.prefix_instrs_skipped, run.prefix_instrs_skipped);
+            prop_assert_eq!(row.pruned, run.pruned);
+            prop_assert_eq!(row.attempts, run.attempts);
         }
         let header = logfile::parse_log_header(&text);
         prop_assert_eq!(header.program.as_deref(), Some("fuzz.prog"));

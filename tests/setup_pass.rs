@@ -32,7 +32,7 @@ fn pre_check_never_hides_a_prunable_site() {
             else {
                 continue; // the program executes nothing in this group
             };
-            if golden.may_prune(group, &sites) {
+            if golden.may_prune(&sites) {
                 resolved += 1;
                 continue;
             }
