@@ -1,37 +1,56 @@
-//! Minimal flag parsing (`--key value` pairs plus positionals).
+//! Strict flag parsing against a command's usage line.
 
 use std::collections::HashMap;
 
-/// Flags that take no value.
-const SWITCHES: &[&str] = &["no-checkpoint", "no-static-prune", "json"];
-
-/// Parsed command-line: positionals plus `--key value` options.
+/// Parsed command-line: positionals, and `--key value` options with each
+/// switch present as an option with an empty value.
 #[derive(Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
     options: HashMap<String, String>,
-    switches: Vec<String>,
 }
 
 impl Args {
-    /// Parse everything after the subcommand.
+    /// Parse everything after the subcommand against `usage`, the command's
+    /// usage line, which declares what it accepts: each `<name>` is a
+    /// positional, `--key VALUE` a flag that takes a value, and `[--key]` a
+    /// switch. Brackets mark what is optional.
     ///
     /// # Errors
     ///
-    /// Returns a message if a `--flag` has no value.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Returns a message naming the token for an undeclared flag, a flag
+    /// without its value, or a positional beyond those declared.
+    pub fn parse(argv: &[String], usage: &str) -> Result<Args, String> {
+        let (mut positionals, mut values, mut switches) = (0, Vec::new(), Vec::new());
+        for word in usage.split_whitespace().map(|w| w.trim_start_matches('[')) {
+            if word.starts_with('<') {
+                positionals += 1;
+            } else if let Some(key) = word.strip_prefix("--") {
+                match key.strip_suffix(']') {
+                    Some(switch) => switches.push(switch),
+                    None => values.push(key),
+                }
+            }
+        }
         let mut args = Args::default();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
-                if SWITCHES.contains(&key) {
-                    args.switches.push(key.to_string());
-                    continue;
-                }
-                let value = it.next().ok_or_else(|| format!("flag --{key} requires a value"))?;
-                args.options.insert(key.to_string(), value.clone());
-            } else {
+                let value = if switches.contains(&key) {
+                    String::new()
+                } else if !values.contains(&key) {
+                    return Err(format!("unknown flag `{a}`"));
+                } else {
+                    match it.next() {
+                        Some(v) if !v.starts_with("--") => v.clone(),
+                        _ => return Err(format!("flag `{a}` requires a value")),
+                    }
+                };
+                args.options.insert(key.to_string(), value);
+            } else if args.positional.len() < positionals {
                 args.positional.push(a.clone());
+            } else {
+                return Err(format!("unexpected argument `{a}`"));
             }
         }
         Ok(args)
@@ -39,7 +58,7 @@ impl Args {
 
     /// Whether a valueless `--switch` was present.
     pub fn switch(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
+        self.options.contains_key(key)
     }
 
     /// The `i`-th positional argument.
@@ -52,16 +71,30 @@ impl Args {
         self.options.get(key).map(String::as_str)
     }
 
+    /// An option read by `parse`, with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when `parse` rejects the value.
+    pub fn get_with<T>(
+        &self,
+        key: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => parse(v).ok_or_else(|| format!("bad value for --{key}: `{v}`")),
+        }
+    }
+
     /// A parsed option with a default.
     ///
     /// # Errors
     ///
     /// Returns a message naming the flag when the value does not parse.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: `{v}`")),
-        }
+        self.get_with(key, default, |v| v.parse().ok())
     }
 
     /// A u32 option accepting `0x` hex, with a default.
@@ -70,17 +103,10 @@ impl Args {
     ///
     /// Returns a message naming the flag when the value does not parse.
     pub fn get_u32_or(&self, key: &str, default: u32) -> Result<u32, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => {
-                let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                    u32::from_str_radix(hex, 16)
-                } else {
-                    v.parse()
-                };
-                parsed.map_err(|_| format!("bad value for --{key}: `{v}`"))
-            }
-        }
+        self.get_with(key, default, |v| match v.strip_prefix("0x") {
+            Some(hex) => u32::from_str_radix(hex, 16).ok(),
+            None => v.parse().ok(),
+        })
     }
 }
 
@@ -88,13 +114,15 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn sv(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    const USAGE: &str = "<prog> [--seed S] [--mode exact|approx] [--mask HEX] [--no-checkpoint]";
+
+    fn parse(v: &[&str]) -> Result<Args, String> {
+        Args::parse(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>(), USAGE)
     }
 
     #[test]
     fn positionals_and_flags() {
-        let a = Args::parse(&sv(&["354.cg", "--seed", "7", "--mode", "approx"])).expect("parse");
+        let a = parse(&["354.cg", "--seed", "7", "--mode", "approx"]).expect("parse");
         assert_eq!(a.positional(0), Some("354.cg"));
         assert_eq!(a.get("mode"), Some("approx"));
         assert_eq!(a.get_or("seed", 0u64).expect("seed"), 7);
@@ -103,29 +131,43 @@ mod tests {
 
     #[test]
     fn hex_values() {
-        let a = Args::parse(&sv(&["--mask", "0x8000"])).expect("parse");
+        let a = parse(&["--mask", "0x8000"]).expect("parse");
         assert_eq!(a.get_u32_or("mask", 0).expect("mask"), 0x8000);
-        let a = Args::parse(&sv(&["--mask", "255"])).expect("parse");
+        let a = parse(&["--mask", "255"]).expect("parse");
         assert_eq!(a.get_u32_or("mask", 0).expect("mask"), 255);
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&sv(&["--seed"])).is_err());
+        assert!(parse(&["--seed"]).is_err());
     }
 
     #[test]
     fn switches_take_no_value() {
-        let a = Args::parse(&sv(&["prog", "--no-checkpoint", "--seed", "7"])).expect("parse");
+        let a = parse(&["prog", "--no-checkpoint", "--seed", "7"]).expect("parse");
         assert!(a.switch("no-checkpoint"));
         assert_eq!(a.get_or("seed", 0u64).expect("seed"), 7);
-        assert!(!Args::parse(&sv(&["prog"])).expect("parse").switch("no-checkpoint"));
+        assert!(!parse(&["prog"]).expect("parse").switch("no-checkpoint"));
     }
 
     #[test]
     fn bad_parse_names_flag() {
-        let a = Args::parse(&sv(&["--seed", "banana"])).expect("parse");
+        let a = parse(&["--seed", "banana"]).expect("parse");
         let err = a.get_or("seed", 0u64).unwrap_err();
         assert!(err.contains("--seed"));
+    }
+
+    #[test]
+    fn undeclared_tokens_are_rejected_by_name() {
+        for (argv, token) in [
+            (&["prog", "--frobnicate", "1"][..], "`--frobnicate`"),
+            (&["prog", "--no-checkpoints", "--seed", "7"], "`--no-checkpoints`"),
+            (&["prog", "extra"], "`extra`"),
+            (&["prog", "--seed", "--mode", "exact"], "`--seed`"),
+            (&["prog", "--mode"], "`--mode`"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains(token), "{argv:?}: {err}");
+        }
     }
 }

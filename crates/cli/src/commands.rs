@@ -3,12 +3,14 @@
 use crate::args::Args;
 use gpu_isa::{disasm, Module};
 use gpu_runtime::{run_program, run_program_golden, RuntimeConfig};
+use nvbitfi::logfile::{
+    parse_bit_flip, parse_deadline_ms, parse_group, parse_mode, CampaignSettings,
+};
 use nvbitfi::{
     atomic_write, report, run_injection_list, run_permanent_campaign, run_transient_campaign_with,
-    select_transient, stats, BitFlipModel, CampaignConfig, CampaignHooks, InjectionRun, InstrGroup,
-    IsolationMode, Journal, PermanentCampaignConfig, PermanentInjector, PermanentParams,
-    PreparedGolden, ProcessIsolation, Profile, ProfilingMode, TransientCampaign, TransientInjector,
-    TransientParams,
+    stats, CampaignConfig, CampaignHooks, InjectionRun, IsolationMode, Journal,
+    PermanentCampaignConfig, PermanentInjector, PermanentParams, PreparedGolden, ProcessIsolation,
+    Profile, ProfilingMode, TransientCampaign, TransientInjector, TransientParams,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -17,25 +19,44 @@ use std::sync::Arc;
 use std::time::Duration;
 use workloads::{BenchEntry, Scale};
 
-const USAGE: &str = "\
-usage: nvbitfi <command> [args]
+type Command = fn(&Args) -> Result<(), String>;
 
-commands:
-  list                          list the benchmark programs
-  profile <prog> [--mode exact|approx] [--out FILE] [--scale paper|test]
-  select <prog> --profile FILE [--group ID] [--bitflip ID] [--seed S] [--count N] [--out FILE]
-  inject <prog> --params FILE [--scale paper|test]
-  run-list <prog> --list FILE [--log FILE] [--max-retries N] [--deadline-ms MS] [--isolation thread|process] [--no-checkpoint] [--no-static-prune]
-  campaign <prog> [--injections N] [--group ID] [--bitflip ID] [--seed S] [--mode exact|approx] [--log FILE] [--max-retries N] [--deadline-ms MS] [--isolation thread|process] [--no-checkpoint] [--no-static-prune]
-  resume <LOG> [--scale paper|test] [--isolation thread|process]
-  pf <prog> --opcode MNEMONIC [--sm N] [--lane N] [--mask HEX]
-  pf-campaign <prog> [--seed S]
-  lint <prog|MODULE.bin> [--json] [--scale paper|test]
-  disasm <prog>
-  assemble --in LISTING --out MODULE.bin
-  disasm-bin --in MODULE.bin
-  trace <prog> [--top N] [--mem N]
+/// Every command with its usage line. A usage line is also the command's
+/// declaration: [`Args::parse`] accepts exactly the positionals, flags and
+/// switches it names, so the help text cannot drift from what is parsed.
+const COMMANDS: &[(&str, &str, Command)] = &[
+    ("list", "", |_| list()),
+    ("profile", "<prog> [--mode exact|approx] [--out FILE] [--scale paper|test]", profile),
+    (
+        "select",
+        "<prog> --profile FILE [--group ID] [--bitflip ID] [--seed S] [--count N] [--out FILE]",
+        select,
+    ),
+    ("inject", "<prog> --params FILE [--scale paper|test]", inject),
+    (
+        "run-list",
+        "<prog> --list FILE [--log FILE] [--scale paper|test] [--max-retries N] \
+         [--deadline-ms MS] [--isolation thread|process] [--no-checkpoint] [--no-static-prune]",
+        run_list,
+    ),
+    (
+        "campaign",
+        "<prog> [--injections N] [--group ID] [--bitflip ID] [--seed S] [--mode exact|approx] \
+         [--log FILE] [--scale paper|test] [--max-retries N] [--deadline-ms MS] \
+         [--isolation thread|process] [--no-checkpoint] [--no-static-prune]",
+        campaign,
+    ),
+    ("resume", "<LOG> [--scale paper|test] [--isolation thread|process]", resume),
+    ("pf", "<prog> --opcode MNEMONIC [--sm N] [--lane N] [--mask HEX] [--scale paper|test]", pf),
+    ("pf-campaign", "<prog> [--seed S] [--scale paper|test]", pf_campaign),
+    ("lint", "<prog|MODULE.bin> [--json] [--scale paper|test]", lint),
+    ("disasm", "<prog> [--scale paper|test]", disassemble),
+    ("assemble", "--in LISTING --out MODULE.bin", assemble),
+    ("disasm-bin", "--in MODULE.bin", disasm_bin),
+    ("trace", "<prog> [--top N] [--mem N] [--scale paper|test]", trace),
+];
 
+const NOTES: &str = "\
 campaign and run-list logs are durable journals: every classified run is
 flushed to --log as it completes, and Ctrl-C stops dispatching and flushes
 a partial log. `nvbitfi resume <LOG>` continues an interrupted campaign to
@@ -47,6 +68,15 @@ process: a run that segfaults, aborts, or is killed costs one verdict
 (recorded INFRA:died and re-run by resume), never the campaign.
 ";
 
+fn usage() -> String {
+    let mut out = String::from("usage: nvbitfi <command> [args]\n\ncommands:\n");
+    for (name, line, _) in COMMANDS {
+        out.push_str(format!("  {name} {line}").trim_end());
+        out.push('\n');
+    }
+    format!("{out}\n{NOTES}")
+}
+
 /// Dispatch a parsed command line.
 ///
 /// # Errors
@@ -54,34 +84,23 @@ process: a run that segfaults, aborts, or is killed costs one verdict
 /// Returns a human-readable message for unknown commands, bad flags, or
 /// failed campaigns.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let Some(cmd) = argv.first() else {
-        print!("{USAGE}");
-        return Ok(());
-    };
-    let args = Args::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "list" => list(),
-        "profile" => profile(&args),
-        "select" => select(&args),
-        "inject" => inject(&args),
-        "run-list" => run_list(&args),
-        "campaign" => campaign(&args),
-        "resume" => resume(&args),
-        "pf" => pf(&args),
-        "pf-campaign" => pf_campaign(&args),
-        "lint" => lint(&args),
-        "disasm" => disassemble(&args),
-        "assemble" => assemble(&args),
-        "trace" => trace(&args),
-        "disasm-bin" => disasm_bin(&args),
+    let cmd = argv.first().map_or("help", String::as_str);
+    match cmd {
         // Hidden: the process-isolation worker entry point, spawned by
-        // `campaign --isolation process` — never by hand, so not in USAGE.
+        // `campaign --isolation process` — never by hand, so not in usage.
         "worker" => worker_cmd(),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        _ => {
+            let Some((_, line, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+                return Err(format!("unknown command `{cmd}`\n{}", usage()));
+            };
+            let args = Args::parse(&argv[1..], line)
+                .map_err(|err| format!("{err}\nusage: nvbitfi {cmd} {line}"))?;
+            run(&args)
+        }
     }
 }
 
@@ -95,43 +114,9 @@ fn parse_scale(name: Option<&str>) -> Result<Scale, String> {
     }
 }
 
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Paper => "paper",
-        Scale::Test => "test",
-    }
-}
-
 fn entry(args: &Args, scale: Scale) -> Result<BenchEntry, String> {
     let name = args.positional(0).ok_or("missing program name; try `nvbitfi list`")?;
     workloads::find(scale, name).ok_or_else(|| format!("unknown program `{name}`"))
-}
-
-/// A profiling mode from its name (`--mode`, `# meta mode=`); absent means
-/// exact.
-fn parse_mode(name: Option<&str>) -> Result<ProfilingMode, String> {
-    match name {
-        None | Some("exact") => Ok(ProfilingMode::Exact),
-        Some("approx") | Some("approximate") => Ok(ProfilingMode::Approximate),
-        Some(other) => Err(format!("bad mode `{other}` (exact|approx)")),
-    }
-}
-
-fn mode_name(m: ProfilingMode) -> &'static str {
-    match m {
-        ProfilingMode::Exact => "exact",
-        ProfilingMode::Approximate => "approx",
-    }
-}
-
-fn group(args: &Args) -> Result<InstrGroup, String> {
-    let id: u8 = args.get_or("group", InstrGroup::GpPr.id())?;
-    InstrGroup::from_id(id).ok_or_else(|| format!("bad --group {id} (1..8, see Table II)"))
-}
-
-fn bitflip(args: &Args) -> Result<BitFlipModel, String> {
-    let id: u8 = args.get_or("bitflip", BitFlipModel::FlipSingleBit.id())?;
-    BitFlipModel::from_id(id).ok_or_else(|| format!("bad --bitflip {id} (1..4, see Table II)"))
 }
 
 fn list() -> Result<(), String> {
@@ -155,22 +140,27 @@ fn list() -> Result<(), String> {
 
 fn profile(args: &Args) -> Result<(), String> {
     let e = entry(args, parse_scale(args.get("scale"))?)?;
-    let mode = parse_mode(args.get("mode"))?;
+    let mode = args.get_with("mode", ProfilingMode::Exact, parse_mode)?;
     let p = nvbitfi::profile_program(e.program.as_ref(), RuntimeConfig::default(), mode)
         .map_err(|err| err.to_string())?;
-    let text = p.to_file();
-    match args.get("out") {
-        Some(path) => {
-            atomic_write(path, &text).map_err(|err| err.to_string())?;
-            println!(
-                "wrote {} dynamic kernels ({} dynamic instructions, {mode} profiling) to {path}",
-                p.kernels.len(),
-                p.total()
-            );
-        }
-        None => print!("{text}"),
+    if let Some(path) = write_out(args, &p.to_file())? {
+        println!(
+            "wrote {} dynamic kernels ({} dynamic instructions, {mode} profiling) to {path}",
+            p.kernels.len(),
+            p.total()
+        );
     }
     Ok(())
+}
+
+/// Write `text` to `--out` if given, else print it; the path written to.
+fn write_out<'a>(args: &'a Args, text: &str) -> Result<Option<&'a str>, String> {
+    let Some(path) = args.get("out") else {
+        print!("{text}");
+        return Ok(None);
+    };
+    atomic_write(path, text).map_err(|err| err.to_string())?;
+    Ok(Some(path))
 }
 
 fn select(args: &Args) -> Result<(), String> {
@@ -179,30 +169,19 @@ fn select(args: &Args) -> Result<(), String> {
     let profile = Profile::from_file(&text).map_err(|e| e.to_string())?;
     let mut rng = StdRng::seed_from_u64(args.get_or("seed", 0x5EED_u64)?);
     let count: usize = args.get_or("count", 1)?;
-    if count == 1 {
-        let params = select_transient(&profile, group(args)?, bitflip(args)?, &mut rng)
-            .map_err(|e| e.to_string())?;
-        match args.get("out") {
-            Some(path) => {
-                atomic_write(path, params.to_file()).map_err(|e| e.to_string())?;
-                println!("wrote fault parameters to {path}: {params}");
-            }
-            None => print!("{}", params.to_file()),
+    let d = CampaignConfig::default();
+    let group = args.get_with("group", d.group, parse_group)?;
+    let bit_flip = args.get_with("bitflip", d.bit_flip, parse_bit_flip)?;
+    let sites = nvbitfi::select_campaign(&profile, group, bit_flip, count, &mut rng)
+        .map_err(|e| e.to_string())?;
+    if let [params] = &sites[..] {
+        if let Some(path) = write_out(args, &params.to_file())? {
+            println!("wrote fault parameters to {path}: {params}");
         }
-    } else {
-        // Multiple faults: write an injection list (the split-campaign
-        // workflow — ship the list, run it elsewhere with `run-list`).
-        let sites =
-            nvbitfi::select_campaign(&profile, group(args)?, bitflip(args)?, count, &mut rng)
-                .map_err(|e| e.to_string())?;
-        let text = nvbitfi::logfile::write_injection_list(&sites);
-        match args.get("out") {
-            Some(path) => {
-                atomic_write(path, text).map_err(|e| e.to_string())?;
-                println!("wrote {count} faults to {path}");
-            }
-            None => print!("{text}"),
-        }
+    } else if let Some(path) = write_out(args, &nvbitfi::logfile::write_injection_list(&sites))? {
+        // Multiple faults: an injection list (the split-campaign workflow —
+        // ship the list, run it elsewhere with `run-list`).
+        println!("wrote {count} faults to {path}");
     }
     Ok(())
 }
@@ -215,12 +194,11 @@ fn prepare(e: &BenchEntry) -> Result<PreparedGolden, String> {
 }
 
 fn run_list(args: &Args) -> Result<(), String> {
-    let sc = parse_scale(args.get("scale"))?;
+    let (sc, cfg) = runnable(args, campaign_cfg(args)?)?;
     let e = entry(args, sc)?;
     let list_path = args.get("list").ok_or("missing --list FILE")?;
     let text = std::fs::read_to_string(list_path).map_err(|err| err.to_string())?;
     let sites = nvbitfi::logfile::read_injection_list(&text).map_err(|err| err.to_string())?;
-    let cfg = campaign_cfg(args, sc)?;
     // No resume meta: the list file, not a seed, names the sites.
     let journal = create_journal(args.get("log"), e.name, &[])?;
     crate::sigint::install();
@@ -289,31 +267,6 @@ impl CampaignHooks for CliHooks {
     }
 }
 
-/// Build the isolation mode from an `--isolation` value (or the journal's
-/// `# meta isolation=`). Process mode spawns this very binary as the worker
-/// command, with the campaign's scale forwarded for the suite lookup.
-fn parse_isolation(choice: Option<&str>, sc: Scale) -> Result<IsolationMode, String> {
-    match choice {
-        None | Some("thread") => Ok(IsolationMode::Thread),
-        Some("process") => {
-            let exe = std::env::current_exe()
-                .map_err(|err| format!("cannot locate own executable to spawn workers: {err}"))?;
-            Ok(IsolationMode::Process(ProcessIsolation::new(
-                vec![exe.to_string_lossy().into_owned(), "worker".to_string()],
-                scale_name(sc),
-            )))
-        }
-        Some(other) => Err(format!("bad isolation `{other}` (thread|process)")),
-    }
-}
-
-fn isolation_name(mode: &IsolationMode) -> &'static str {
-    match mode {
-        IsolationMode::Thread => "thread",
-        IsolationMode::Process(_) => "process",
-    }
-}
-
 /// Hidden subcommand: one process-isolation worker session over
 /// stdin/stdout. See `nvbitfi::worker` for the protocol.
 fn worker_cmd() -> Result<(), String> {
@@ -329,27 +282,6 @@ fn worker_cmd() -> Result<(), String> {
     .map_err(|err| format!("worker transport failure: {err}"))
 }
 
-/// The `# meta` pairs a results journal records so `resume` can rebuild the
-/// identical seed-deterministic campaign without the original command line.
-fn campaign_meta(sc: Scale, cfg: &CampaignConfig) -> Vec<(&'static str, String)> {
-    vec![
-        ("scale", scale_name(sc).to_string()),
-        ("igid", cfg.group.id().to_string()),
-        ("bfm", cfg.bit_flip.id().to_string()),
-        ("injections", cfg.injections.to_string()),
-        ("seed", cfg.seed.to_string()),
-        ("mode", mode_name(cfg.profiling).to_string()),
-        ("checkpoints", u8::from(cfg.use_checkpoints).to_string()),
-        ("prune", u8::from(cfg.use_static_prune).to_string()),
-        ("max_retries", cfg.max_retries.to_string()),
-        (
-            "deadline_ms",
-            cfg.run_deadline.map_or_else(|| "-".to_string(), |d| d.as_millis().to_string()),
-        ),
-        ("isolation", isolation_name(&cfg.isolation).to_string()),
-    ]
-}
-
 /// A results journal at `path` (if given) for `program`, headed by `meta`.
 fn create_journal(
     path: Option<&str>,
@@ -363,27 +295,52 @@ fn create_journal(
     .transpose()
 }
 
-/// The run options `campaign` and `run-list` share, plus the selection
-/// options only `campaign` uses.
-fn campaign_cfg(args: &Args, sc: Scale) -> Result<CampaignConfig, String> {
-    Ok(CampaignConfig {
-        injections: args.get_or("injections", 100)?,
-        seed: args.get_or("seed", 0x5EED_u64)?,
-        group: group(args)?,
-        bit_flip: bitflip(args)?,
-        profiling: parse_mode(args.get("mode"))?,
+/// The campaign settings from flags. `run-list` declares only the run
+/// options, so its selection keeps the defaults, which it does not use.
+fn campaign_cfg(args: &Args) -> Result<CampaignSettings, String> {
+    let d = CampaignSettings::default();
+    let c = &d.config;
+    let config = CampaignConfig {
+        injections: args.get_or("injections", c.injections)?,
+        seed: args.get_or("seed", c.seed)?,
+        group: args.get_with("group", c.group, parse_group)?,
+        bit_flip: args.get_with("bitflip", c.bit_flip, parse_bit_flip)?,
+        profiling: args.get_with("mode", c.profiling, parse_mode)?,
         use_checkpoints: !args.switch("no-checkpoint"),
         use_static_prune: !args.switch("no-static-prune"),
-        max_retries: args.get_or("max-retries", CampaignConfig::default().max_retries)?,
-        run_deadline: match args.get("deadline-ms") {
-            Some(v) => Some(Duration::from_millis(
-                v.parse().map_err(|_| format!("bad value for --deadline-ms: `{v}`"))?,
-            )),
-            None => None,
-        },
-        isolation: parse_isolation(args.get("isolation"), sc)?,
-        ..CampaignConfig::default()
+        max_retries: args.get_or("max-retries", c.max_retries)?,
+        run_deadline: args.get_with("deadline-ms", None, |v| {
+            Some(parse_deadline_ms(v)?.map(Duration::from_millis))
+        })?,
+        ..d.config
+    };
+    Ok(CampaignSettings {
+        scale: args.get("scale").map_or(d.scale, str::to_string),
+        isolation: args.get("isolation").map_or(d.isolation, str::to_string),
+        config,
     })
+}
+
+/// The scale and the config a campaign with settings `s` runs, where
+/// `--scale` and `--isolation` override `s`. Process isolation spawns this
+/// very binary as the worker command, with the scale forwarded for the
+/// suite lookup.
+fn runnable(args: &Args, s: CampaignSettings) -> Result<(Scale, CampaignConfig), String> {
+    let scale = args.get("scale").unwrap_or(&s.scale);
+    let sc = parse_scale(Some(scale))?;
+    let isolation = match args.get("isolation").unwrap_or(&s.isolation) {
+        "thread" => IsolationMode::Thread,
+        "process" => {
+            let exe = std::env::current_exe()
+                .map_err(|err| format!("cannot locate own executable to spawn workers: {err}"))?;
+            IsolationMode::Process(ProcessIsolation::new(
+                vec![exe.to_string_lossy().into_owned(), "worker".to_string()],
+                scale,
+            ))
+        }
+        other => return Err(format!("bad isolation `{other}` (thread|process)")),
+    };
+    Ok((sc, CampaignConfig { isolation, ..s.config }))
 }
 
 /// Report a finished (possibly interrupted) campaign and surface journal
@@ -430,10 +387,11 @@ fn finish_campaign(
 }
 
 fn campaign(args: &Args) -> Result<(), String> {
-    let sc = parse_scale(args.get("scale"))?;
+    let settings = campaign_cfg(args)?;
+    let meta = settings.meta();
+    let (sc, cfg) = runnable(args, settings)?;
     let e = entry(args, sc)?;
-    let cfg = campaign_cfg(args, sc)?;
-    let journal = create_journal(args.get("log"), e.name, &campaign_meta(sc, &cfg))?;
+    let journal = create_journal(args.get("log"), e.name, &meta)?;
     crate::sigint::install();
     println!("running {} transient injections into {} …", cfg.injections, e.name);
     let hooks = CliHooks::new(journal);
@@ -451,43 +409,13 @@ fn resume(args: &Args) -> Result<(), String> {
         .program
         .clone()
         .ok_or("log has no `program=` header line; is this a results log?")?;
-    let get = |k: &str| header.meta.get(k).map(String::as_str);
-    let need = |k: &str| {
-        get(k).ok_or_else(|| {
-            format!("log is missing `# meta {k}=`; only a `campaign --log` journal can be resumed")
-        })
-    };
-
-    let sc = parse_scale(args.get("scale").or(get("scale")))?;
+    let settings = CampaignSettings::from_meta(&header).map_err(|err| err.to_string())?;
+    // The header goes back as it was read; `--scale` and `--isolation`
+    // override how this resume runs, not what the journal records.
+    let mut content = nvbitfi::logfile::results_log_header(&program, &settings.meta());
+    let (sc, cfg) = runnable(args, settings)?;
     let e = workloads::find(sc, &program)
         .ok_or_else(|| format!("unknown program `{program}` named by the log"))?;
-    let group_id: u8 = need("igid")?.parse().map_err(|_| "bad `# meta igid=`".to_string())?;
-    let bfm_id: u8 = need("bfm")?.parse().map_err(|_| "bad `# meta bfm=`".to_string())?;
-    let cfg = CampaignConfig {
-        injections: need("injections")?
-            .parse()
-            .map_err(|_| "bad `# meta injections=`".to_string())?,
-        seed: need("seed")?.parse().map_err(|_| "bad `# meta seed=`".to_string())?,
-        group: InstrGroup::from_id(group_id).ok_or("bad `# meta igid=`")?,
-        bit_flip: BitFlipModel::from_id(bfm_id).ok_or("bad `# meta bfm=`")?,
-        profiling: parse_mode(get("mode"))?,
-        use_checkpoints: get("checkpoints") != Some("0"),
-        use_static_prune: get("prune") != Some("0"),
-        max_retries: match get("max_retries") {
-            Some(v) => v.parse().map_err(|_| "bad `# meta max_retries=`".to_string())?,
-            None => CampaignConfig::default().max_retries,
-        },
-        run_deadline: match get("deadline_ms") {
-            None | Some("-") => None,
-            Some(v) => Some(Duration::from_millis(
-                v.parse().map_err(|_| "bad `# meta deadline_ms=`".to_string())?,
-            )),
-        },
-        // The journal records how the campaign executed; a resume
-        // reconstructs the same isolation mode unless overridden.
-        isolation: parse_isolation(args.get("isolation").or(get("isolation")), sc)?,
-        ..CampaignConfig::default()
-    };
 
     let (rows, torn) =
         nvbitfi::logfile::recover_results_log(&text).map_err(|err| err.to_string())?;
@@ -501,11 +429,8 @@ fn resume(args: &Args) -> Result<(), String> {
     }
 
     // Rewrite the journal duplicate-free before appending: keep the header
-    // (meta intact) and every honored verdict; drop the torn tail and any
-    // infra rows being re-run. Atomic, so a crash here cannot lose the log.
-    let meta_pairs: Vec<(&str, String)> =
-        header.meta.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-    let mut content = nvbitfi::logfile::results_log_header(&program, &meta_pairs);
+    // and every honored verdict; drop the torn tail and any infra rows being
+    // re-run. Atomic, so a crash here cannot lose the log.
     let kept = prior.iter().filter(|r| !r.outcome.is_infra()).count();
     for run in prior.iter().filter(|r| !r.outcome.is_infra()) {
         content.push_str(&nvbitfi::logfile::results_log_row(run));

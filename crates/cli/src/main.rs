@@ -1,20 +1,7 @@
 //! `nvbitfi` — command-line driver, the analog of the upstream NVBitFI
 //! convenience scripts (`test.sh`, `run_profiler.py`, `run_injections.py`).
 //!
-//! ```text
-//! nvbitfi list
-//! nvbitfi profile  <program> [--mode exact|approx] [--out FILE]
-//! nvbitfi select   <program> --profile FILE [--group ID] [--bitflip ID] [--seed S] [--out FILE]
-//! nvbitfi inject   <program> --params FILE
-//! nvbitfi campaign <program> [--injections N] [--group ID] [--bitflip ID] [--seed S] [--mode exact|approx] [--log FILE] [--max-retries N] [--deadline-ms MS] [--isolation thread|process]
-//! nvbitfi resume   <LOG> [--scale paper|test] [--isolation thread|process]
-//! nvbitfi pf       <program> --sm N --lane N --mask HEX --opcode MNEMONIC
-//! nvbitfi pf-campaign <program> [--seed S]
-//! nvbitfi disasm   <program>
-//! ```
-//!
-//! Programs are the 15 suite entries (`nvbitfi list`); `--scale test`
-//! switches to tiny inputs.
+//! `nvbitfi help` prints every command with the flags it accepts.
 
 mod args;
 mod commands;

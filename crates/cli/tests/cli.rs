@@ -408,6 +408,9 @@ fn campaign_journal_resumes_after_crash() {
         6,
         "journal is duplicate-free after resume:\n{text}"
     );
+    let resumed: String =
+        text.lines().filter(|l| l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+    assert_eq!(resumed, header, "resume writes the header back as it was");
 
     // Resuming an already-complete log reloads everything, runs nothing.
     let o = nvbitfi(&["resume", log]);
@@ -457,6 +460,67 @@ fn resume_rejects_logs_without_meta() {
         String::from_utf8_lossy(&o.stderr)
     );
     let _ = std::fs::remove_file(log_path);
+}
+
+#[test]
+fn resume_rejects_a_meta_flag_other_than_0_or_1() {
+    let log_path = tmp("banana.txt");
+    let header = "# nvbitfi results log v5 program=314.omriq\n# meta scale=test\n\
+                  # meta igid=7\n# meta bfm=1\n# meta injections=2\n# meta seed=7\n\
+                  # meta checkpoints=banana\n";
+    std::fs::write(&log_path, header).expect("write");
+    let o = nvbitfi(&["resume", log_path.to_str().expect("utf8")]);
+    assert!(!o.status.success(), "{}", stdout(&o));
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains("`# meta checkpoints=`") && err.contains("banana"), "{err}");
+    assert_eq!(std::fs::read_to_string(&log_path).expect("log"), header, "log left as it was");
+    let _ = std::fs::remove_file(log_path);
+}
+
+#[test]
+fn undeclared_flags_and_arguments_fail_before_any_run() {
+    let profile_path = tmp("strict-profile.txt");
+    let list_path = tmp("strict-list.txt");
+    let log_path = tmp("strict-log.txt");
+    let (profile, list, log) = (
+        profile_path.to_str().expect("utf8"),
+        list_path.to_str().expect("utf8"),
+        log_path.to_str().expect("utf8"),
+    );
+    let o = nvbitfi(&["profile", "314.omriq", "--scale", "test", "--out", profile]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let o = nvbitfi(&["select", "314.omriq", "--profile", profile, "--count", "8", "--out", list]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+
+    let run_list = ["run-list", "314.omriq", "--scale", "test", "--list", list];
+    let cases: [(Vec<&str>, &str); 6] = [
+        // Selection flags belong to `campaign`, not to a list run.
+        (
+            [&run_list[..], &["--injections", "3", "--seed", "99", "--log", log]].concat(),
+            "--injections",
+        ),
+        // A typo'd switch must not swallow the next flag as its value.
+        ([&run_list[..], &["--no-checkpoints", "--log", log]].concat(), "--no-checkpoints"),
+        (
+            vec!["campaign", "314.omriq", "--scale", "test", "--frobnicate", "1", "--log", log],
+            "--frobnicate",
+        ),
+        (vec!["campaign", "314.omriq", "extra", "--scale", "test", "--log", log], "extra"),
+        (vec!["campaign", "314.omriq", "--scale", "test", "--log"], "--log"),
+        (vec!["pf-campaign", "314.omriq", "--scale", "test", "--injections", "5"], "--injections"),
+    ];
+    for (argv, token) in cases {
+        let o = nvbitfi(&argv);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(!o.status.success(), "{argv:?} succeeded:\n{}", stdout(&o));
+        assert!(err.contains(&format!("`{token}`")), "{argv:?}: {err}");
+        assert!(!log_path.exists(), "{argv:?} created a journal");
+        assert!(!stdout(&o).contains("running"), "{argv:?} started a run:\n{}", stdout(&o));
+    }
+
+    for p in [profile_path, list_path] {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 #[test]

@@ -39,6 +39,14 @@ pub enum FiError {
         /// What was wrong.
         reason: String,
     },
+    /// A results log's `# meta key=value` line is missing or its value
+    /// does not parse.
+    BadLogMeta {
+        /// The meta key.
+        key: &'static str,
+        /// What was wrong.
+        reason: String,
+    },
 }
 
 impl fmt::Display for FiError {
@@ -57,6 +65,7 @@ impl fmt::Display for FiError {
                 write!(f, "golden run of `{program}` failed: {reason}")
             }
             FiError::BadParam { name, reason } => write!(f, "parameter `{name}`: {reason}"),
+            FiError::BadLogMeta { key, reason } => write!(f, "`# meta {key}=`: {reason}"),
         }
     }
 }

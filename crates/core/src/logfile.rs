@@ -6,12 +6,59 @@
 //! round-trip exactly, so campaigns can be split across machines (ship the
 //! injection list, gather the result logs) the way the paper's
 //! `run_injections.py` does.
+//!
+//! A campaign's results log is its journal: `# meta` lines record its
+//! [`CampaignSettings`], the analog of the upstream `params.py`. Each value
+//! syntax they share with flags and worker frames has one parser here.
 
-use crate::campaign::InjectionRun;
+use crate::bitflip::BitFlipModel;
+use crate::campaign::{CampaignConfig, InjectionRun};
 use crate::error::FiError;
+use crate::igid::InstrGroup;
 use crate::outcome::{DueKind, InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcReason};
 use crate::params::TransientParams;
+use crate::profile::ProfilingMode;
 use std::collections::BTreeMap;
+use std::time::Duration;
+
+/// A Table II *arch state id* (`--group`, `# meta igid=`, parameter files).
+pub fn parse_group(s: &str) -> Option<InstrGroup> {
+    InstrGroup::from_id(s.parse().ok()?)
+}
+
+/// A Table II bit-flip model id (`--bitflip`, `# meta bfm=`, parameter files).
+pub fn parse_bit_flip(s: &str) -> Option<BitFlipModel> {
+    BitFlipModel::from_id(s.parse().ok()?)
+}
+
+/// A profiling mode name: `exact`, `approx` or `approximate` (`--mode`,
+/// `# meta mode=`).
+pub fn parse_mode(s: &str) -> Option<ProfilingMode> {
+    match s {
+        "exact" => Some(ProfilingMode::Exact),
+        "approx" | "approximate" => Some(ProfilingMode::Approximate),
+        _ => None,
+    }
+}
+
+/// A `1`/`0` flag (`# meta checkpoints=` and `prune=`, the results log's
+/// `fired` column, worker frames).
+pub fn parse_flag(s: &str) -> Option<bool> {
+    match s {
+        "1" => Some(true),
+        "0" => Some(false),
+        _ => None,
+    }
+}
+
+/// A deadline in milliseconds, or `-` for none (`--deadline-ms`,
+/// `# meta deadline_ms=`, the worker `init` frame).
+pub fn parse_deadline_ms(s: &str) -> Option<Option<u64>> {
+    match s {
+        "-" => Some(None),
+        ms => Some(Some(ms.parse().ok()?)),
+    }
+}
 
 /// Serialize an injection list: a header plus one fault per line.
 pub fn write_injection_list(sites: &[TransientParams]) -> String {
@@ -126,15 +173,120 @@ pub struct LogRow {
 /// Parsed results-log header: the program name and any `# meta key=value`
 /// lines recorded when the log was started.
 ///
-/// Meta lines carry the campaign configuration a `resume` needs to rebuild
-/// the identical (seed-deterministic) injection selection; the core reader
-/// treats keys as opaque.
+/// A campaign journal's meta lines carry its [`CampaignSettings`]; this
+/// reader treats keys as opaque and [`CampaignSettings::from_meta`] reads
+/// them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogHeader {
     /// `program=` from the version line, if present.
     pub program: Option<String>,
     /// `key=value` pairs from `# meta` lines, in first-seen order per key.
     pub meta: BTreeMap<String, String>,
+}
+
+/// The settings a campaign journal records in its `# meta` lines: what
+/// `resume` needs to rebuild the identical, seed-deterministic campaign.
+#[derive(Debug, Clone)]
+pub struct CampaignSettings {
+    /// Workload scale name (`paper` or `test`).
+    pub scale: String,
+    /// Isolation name (`thread` or `process`). Only the binary can name a
+    /// worker command, so it turns this into `config.isolation`.
+    pub isolation: String,
+    /// The campaign. A journal records its selection and run options; the
+    /// other fields (`isolation` among them) read back as defaults.
+    pub config: CampaignConfig,
+}
+
+impl Default for CampaignSettings {
+    fn default() -> Self {
+        CampaignSettings {
+            scale: "paper".into(),
+            isolation: "thread".into(),
+            config: CampaignConfig::default(),
+        }
+    }
+}
+
+impl CampaignSettings {
+    /// The `# meta` pairs, in the order a journal writes them.
+    pub fn meta(&self) -> Vec<(&'static str, String)> {
+        let c = &self.config;
+        let mode = match c.profiling {
+            ProfilingMode::Exact => "exact",
+            ProfilingMode::Approximate => "approx",
+        };
+        vec![
+            ("scale", self.scale.clone()),
+            ("igid", c.group.id().to_string()),
+            ("bfm", c.bit_flip.id().to_string()),
+            ("injections", c.injections.to_string()),
+            ("seed", c.seed.to_string()),
+            ("mode", mode.to_string()),
+            ("checkpoints", u8::from(c.use_checkpoints).to_string()),
+            ("prune", u8::from(c.use_static_prune).to_string()),
+            ("max_retries", c.max_retries.to_string()),
+            ("deadline_ms", c.run_deadline.map_or("-".into(), |d| d.as_millis().to_string())),
+            ("isolation", self.isolation.clone()),
+        ]
+    }
+
+    /// Read the settings [`CampaignSettings::meta`] wrote back from a parsed
+    /// header. `igid`, `bfm`, `injections` and `seed` are required; the
+    /// other keys default as a campaign's flags do.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FiError::BadLogMeta`] naming the first key that is
+    /// missing or whose value does not parse.
+    pub fn from_meta(header: &LogHeader) -> Result<CampaignSettings, FiError> {
+        fn parsed<T: std::str::FromStr>(s: &str) -> Option<T> {
+            s.parse().ok()
+        }
+        let d = CampaignSettings::default();
+        let c = &d.config;
+        let deadline = |s: &str| Some(parse_deadline_ms(s)?.map(Duration::from_millis));
+        Ok(CampaignSettings {
+            scale: header.value("scale", Some(d.scale), parsed)?,
+            config: CampaignConfig {
+                group: header.value("igid", None, parse_group)?,
+                bit_flip: header.value("bfm", None, parse_bit_flip)?,
+                injections: header.value("injections", None, parsed)?,
+                seed: header.value("seed", None, parsed)?,
+                profiling: header.value("mode", Some(c.profiling), parse_mode)?,
+                use_checkpoints: header.value(
+                    "checkpoints",
+                    Some(c.use_checkpoints),
+                    parse_flag,
+                )?,
+                use_static_prune: header.value("prune", Some(c.use_static_prune), parse_flag)?,
+                max_retries: header.value("max_retries", Some(c.max_retries), parsed)?,
+                run_deadline: header.value("deadline_ms", Some(c.run_deadline), deadline)?,
+                ..d.config
+            },
+            isolation: header.value("isolation", Some(d.isolation), parsed)?,
+        })
+    }
+}
+
+impl LogHeader {
+    /// The value of `# meta key=` parsed by `parse`, or `default` when the
+    /// line is absent (`None`: the key is required).
+    fn value<T>(
+        &self,
+        key: &'static str,
+        default: Option<T>,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, FiError> {
+        let bad = |reason: String| FiError::BadLogMeta { key, reason };
+        match (self.meta.get(key), default) {
+            (Some(v), _) => parse(v).ok_or_else(|| bad(format!("bad value `{v}`"))),
+            (None, Some(d)) => Ok(d),
+            (None, None) => {
+                Err(bad("missing; only a `campaign --log` journal can be resumed".into()))
+            }
+        }
+    }
 }
 
 /// Parse the comment header of a results log (version line and `# meta`
@@ -215,11 +367,8 @@ pub fn read_results_log(text: &str) -> Result<Vec<LogRow>, FiError> {
             return Err(bad(lineno, format!("expected 13 fields, got {}", fields.len())));
         }
         let params = TransientParams::parse_fields(fields[..7].iter().copied(), |_| lineno)?;
-        let injected = match fields[7] {
-            "1" => true,
-            "0" => false,
-            other => return Err(bad(lineno, format!("bad fired flag `{other}`"))),
-        };
+        let injected = parse_flag(fields[7])
+            .ok_or_else(|| bad(lineno, format!("bad fired flag `{}`", fields[7])))?;
         let outcome = parse_outcome(fields[8])
             .ok_or_else(|| bad(lineno, format!("bad outcome `{}`", fields[8])))?;
         let wall_us =
@@ -436,6 +585,89 @@ mod tests {
         let parsed = parse_log_header(&plain);
         assert_eq!(parsed.program.as_deref(), Some("q"));
         assert!(parsed.meta.is_empty());
+    }
+
+    #[test]
+    fn campaign_settings_read_back_what_they_wrote() {
+        let mut grid = Vec::new();
+        for (i, (group, bit_flip)) in
+            InstrGroup::ALL.into_iter().zip(BitFlipModel::ALL.into_iter().cycle()).enumerate()
+        {
+            for profiling in [ProfilingMode::Exact, ProfilingMode::Approximate] {
+                let flags = i % 4;
+                grid.push(CampaignSettings {
+                    scale: ["paper", "test"][i % 2].into(),
+                    isolation: ["thread", "process"][flags % 2].into(),
+                    config: CampaignConfig {
+                        injections: 1 + i * 37,
+                        group,
+                        bit_flip,
+                        profiling,
+                        seed: u64::MAX - i as u64,
+                        use_checkpoints: flags & 1 == 0,
+                        use_static_prune: flags & 2 == 0,
+                        max_retries: i as u32,
+                        run_deadline: (i % 3 > 0).then(|| Duration::from_millis(i as u64 * 250)),
+                        ..CampaignConfig::default()
+                    },
+                });
+            }
+        }
+        for settings in grid {
+            let meta = settings.meta();
+            let header = parse_log_header(&results_log_header("p", &meta));
+            let back = CampaignSettings::from_meta(&header).expect("read back");
+            assert_eq!(back.meta(), meta);
+        }
+    }
+
+    #[test]
+    fn campaign_settings_reject_bad_or_missing_meta_by_key() {
+        let text = results_log_header("p", &CampaignSettings::default().meta());
+        let header = parse_log_header(&text);
+        assert!(CampaignSettings::from_meta(&header).is_ok());
+        for (key, value) in [
+            ("igid", "9"),
+            ("bfm", "x"),
+            ("injections", "-1"),
+            ("seed", ""),
+            ("mode", "fast"),
+            ("checkpoints", "banana"),
+            ("prune", "2"),
+            ("max_retries", "many"),
+            ("deadline_ms", "soon"),
+        ] {
+            let mut bad = header.clone();
+            bad.meta.insert(key.to_string(), value.to_string());
+            let err = CampaignSettings::from_meta(&bad).unwrap_err().to_string();
+            assert!(err.contains(&format!("`# meta {key}=`")), "{key}: {err}");
+        }
+        for key in ["igid", "bfm", "injections", "seed"] {
+            let mut missing = header.clone();
+            missing.meta.remove(key);
+            let err = CampaignSettings::from_meta(&missing).unwrap_err().to_string();
+            assert!(err.contains(&format!("`# meta {key}=`")), "{key}: {err}");
+        }
+        // Optional keys default as a campaign's flags do; both mode
+        // spellings read.
+        let mut sparse = LogHeader::default();
+        for (k, v) in [("igid", "7"), ("bfm", "1"), ("injections", "2"), ("seed", "7")] {
+            sparse.meta.insert(k.into(), v.into());
+        }
+        let read = CampaignSettings::from_meta(&sparse).expect("sparse");
+        assert_eq!(
+            read.meta(),
+            CampaignSettings {
+                config: CampaignConfig { injections: 2, seed: 7, ..CampaignConfig::default() },
+                ..CampaignSettings::default()
+            }
+            .meta()
+        );
+        for mode in ["approx", "approximate"] {
+            sparse.meta.insert("mode".into(), mode.into());
+            let read = CampaignSettings::from_meta(&sparse).expect(mode);
+            assert_eq!(read.config.profiling, ProfilingMode::Approximate);
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::bitflip::BitFlipModel;
 use crate::error::FiError;
 use crate::igid::InstrGroup;
+use crate::logfile::{parse_bit_flip, parse_group};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -101,10 +102,8 @@ impl TransientParams {
     ) -> Result<TransientParams, FiError> {
         let f = &mut fields.into_iter();
         let p = TransientParams {
-            group: field(f, line_of(1), "arch state id", |s| InstrGroup::from_id(s.parse().ok()?))?,
-            bit_flip: field(f, line_of(2), "bit-flip model", |s| {
-                BitFlipModel::from_id(s.parse().ok()?)
-            })?,
+            group: field(f, line_of(1), "arch state id", parse_group)?,
+            bit_flip: field(f, line_of(2), "bit-flip model", parse_bit_flip)?,
             kernel_name: field(f, line_of(3), "kernel name", |s| Some(s.to_string()))?,
             kernel_count: field(f, line_of(4), "kernel count", |s| s.parse().ok())?,
             instruction_count: field(f, line_of(5), "instruction count", |s| s.parse().ok())?,

@@ -206,13 +206,10 @@ impl Profile {
         let bad = |line: usize, reason: String| FiError::BadProfileFile { line, reason };
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or_else(|| bad(1, "empty profile".into()))?;
-        let mode = if header.contains("mode=exact") {
-            ProfilingMode::Exact
-        } else if header.contains("mode=approximate") {
-            ProfilingMode::Approximate
-        } else {
-            return Err(bad(1, format!("bad header `{header}`")));
-        };
+        let mode = header
+            .strip_prefix("# nvbitfi profile mode=")
+            .and_then(|name| crate::logfile::parse_mode(name.trim()))
+            .ok_or_else(|| bad(1, format!("bad header `{header}`")))?;
         let mut kernels = Vec::new();
         for (idx, line) in lines {
             let lineno = idx + 1;

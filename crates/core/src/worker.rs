@@ -34,7 +34,7 @@
 use crate::campaign::attempt_transient;
 use crate::dispatch::Attempt;
 use crate::golden::PreparedGolden;
-use crate::logfile::outcome_code;
+use crate::logfile::{outcome_code, parse_deadline_ms, parse_flag};
 use crate::outcome::{Outcome, OutcomeClass, SdcCheck};
 use crate::params::TransientParams;
 use gpu_runtime::{Program, RuntimeConfig};
@@ -203,15 +203,6 @@ fn num(s: &str) -> Option<u64> {
     s.bytes().all(|b| b.is_ascii_digit()).then(|| s.parse().ok())?
 }
 
-/// A `1`/`0` flag, as in the results log's `fired` column.
-fn flag(s: &str) -> Option<bool> {
-    match s {
-        "1" => Some(true),
-        "0" => Some(false),
-        _ => None,
-    }
-}
-
 impl Msg {
     /// Serialize to the wire text: one line holding the message tag and
     /// then its fields, tab-separated. Numbers are decimal, flags `1`/`0`,
@@ -254,11 +245,8 @@ impl Msg {
             ("init", [program, scale, ckpt, deadline, heartbeat]) => Msg::Init(WorkerInit {
                 program: unescape(program)?,
                 scale: unescape(scale)?,
-                use_checkpoints: flag(ckpt)?,
-                deadline_ms: match *deadline {
-                    "-" => None,
-                    d => Some(num(d)?),
-                },
+                use_checkpoints: parse_flag(ckpt)?,
+                deadline_ms: parse_deadline_ms(deadline)?,
                 heartbeat_ms: num(heartbeat)?,
             }),
             ("ready", []) => Msg::Ready,
@@ -267,7 +255,7 @@ impl Msg {
             ("done", [id, outcome, injected, wall_us, skip_instrs]) => Msg::Done {
                 id: num(id)?,
                 outcome: unescape(outcome)?,
-                injected: flag(injected)?,
+                injected: parse_flag(injected)?,
                 wall_us: num(wall_us)?,
                 skip_instrs: num(skip_instrs)?,
             },

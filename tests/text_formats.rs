@@ -1,6 +1,7 @@
 //! The exact bytes of every text format the system writes: a Table II
 //! parameter file, an injection-list line, a results-log header and rows,
-//! and one worker-protocol frame of each message kind.
+//! a campaign journal's `# meta` settings, and one worker-protocol frame of
+//! each message kind.
 //!
 //! Files written by earlier builds must stay readable, and new ones
 //! byte-identical to them, so the parameter-file and log texts below change
@@ -8,12 +9,12 @@
 //! wire format.
 
 use nvbitfi::logfile::{
-    read_injection_list, read_results_log, results_log_header, results_log_row,
-    write_injection_list,
+    parse_log_header, read_injection_list, read_results_log, results_log_header, results_log_row,
+    write_injection_list, CampaignSettings,
 };
 use nvbitfi::{
-    BitFlipModel, InjectionRun, InstrGroup, Msg, Outcome, OutcomeClass, SdcReason, TransientParams,
-    WorkerInit,
+    BitFlipModel, CampaignConfig, InjectionRun, InstrGroup, Msg, Outcome, OutcomeClass,
+    ProfilingMode, SdcReason, TransientParams, WorkerInit,
 };
 use std::time::Duration;
 
@@ -122,4 +123,44 @@ fn every_text_format_is_byte_exact() {
         assert_eq!(msg.to_json(), text);
         assert_eq!(Msg::parse(text), Some(msg));
     }
+}
+
+#[test]
+fn campaign_journal_header_is_byte_exact() {
+    // Every setting away from its default, as `campaign --scale test
+    // --injections 3 --group 2 --bitflip 3 --seed 99 --mode approx
+    // --no-checkpoint --no-static-prune --max-retries 4 --deadline-ms 12345
+    // --isolation process` writes it.
+    let settings = CampaignSettings {
+        scale: "test".into(),
+        isolation: "process".into(),
+        config: CampaignConfig {
+            injections: 3,
+            group: InstrGroup::Fp32,
+            bit_flip: BitFlipModel::RandomValue,
+            profiling: ProfilingMode::Approximate,
+            seed: 99,
+            use_checkpoints: false,
+            use_static_prune: false,
+            max_retries: 4,
+            run_deadline: Some(Duration::from_millis(12345)),
+            ..CampaignConfig::default()
+        },
+    };
+    let header = "# nvbitfi results log v5 program=314.omriq\n\
+                  # meta scale=test\n\
+                  # meta igid=2\n\
+                  # meta bfm=3\n\
+                  # meta injections=3\n\
+                  # meta seed=99\n\
+                  # meta mode=approx\n\
+                  # meta checkpoints=0\n\
+                  # meta prune=0\n\
+                  # meta max_retries=4\n\
+                  # meta deadline_ms=12345\n\
+                  # meta isolation=process\n\
+                  # igid\tbfm\tkernel\tkcount\ticount\tdreg\tbitpat\tfired\toutcome\twall_us\tskip_instrs\tpruned\tattempts\n";
+    assert_eq!(results_log_header("314.omriq", &settings.meta()), header);
+    let back = CampaignSettings::from_meta(&parse_log_header(header)).expect("read");
+    assert_eq!(back.meta(), settings.meta());
 }
