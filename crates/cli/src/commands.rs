@@ -164,6 +164,9 @@ fn write_out<'a>(args: &'a Args, text: &str) -> Result<Option<&'a str>, String> 
 }
 
 fn select(args: &Args) -> Result<(), String> {
+    // The profile names the sites; the program must still be one the suite
+    // can run them on.
+    entry(args, Scale::Paper)?;
     let profile_path = args.get("profile").ok_or("missing --profile FILE")?;
     let text = std::fs::read_to_string(profile_path).map_err(|e| e.to_string())?;
     let profile = Profile::from_file(&text).map_err(|e| e.to_string())?;
@@ -217,7 +220,7 @@ fn inject(args: &Args) -> Result<(), String> {
     println!("injecting: {params}");
 
     let (tool, handle) = TransientInjector::new(params);
-    let (outcome, _) = prepare(&e)?.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool), 0);
+    let (outcome, _) = prepare(&e)?.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool));
     let rec = handle.get();
     println!("injected: {}", rec.injected);
     if let Some(d) = rec.detail {
@@ -417,12 +420,11 @@ fn resume(args: &Args) -> Result<(), String> {
     let e = workloads::find(sc, &program)
         .ok_or_else(|| format!("unknown program `{program}` named by the log"))?;
 
-    let (rows, torn) =
+    let (prior, torn) =
         nvbitfi::logfile::recover_results_log(&text).map_err(|err| err.to_string())?;
     if torn {
         println!("note: dropped a torn final line (crash mid-append); its run re-executes");
     }
-    let prior = nvbitfi::logfile::to_runs(rows);
     let reran_infra = prior.iter().filter(|r| r.outcome.is_infra()).count();
     if reran_infra > 0 {
         println!("note: {reran_infra} prior infra-error run(s) get a fresh attempt");
@@ -465,7 +467,7 @@ fn pf(args: &Args) -> Result<(), String> {
     println!("injecting: {params}");
 
     let (tool, handle) = PermanentInjector::new(params);
-    let (outcome, _) = prepare(&e)?.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool), 0);
+    let (outcome, _) = prepare(&e)?.inject(e.program.as_ref(), e.check.as_ref(), Box::new(tool));
     let rec = handle.get();
     println!("activations: {} of {} executions", rec.activations, rec.executions);
     println!("outcome: {outcome}");

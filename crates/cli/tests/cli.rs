@@ -50,6 +50,23 @@ fn unknown_program_fails_cleanly() {
 }
 
 #[test]
+fn select_rejects_an_unknown_program() {
+    // A valid profile does not make a program name valid: `select` checks
+    // the name against the suite before it reads the profile.
+    let profile_path = tmp("select-unknown-profile.txt");
+    let profile = profile_path.to_str().expect("utf8");
+    let o = nvbitfi(&["profile", "314.omriq", "--scale", "test", "--out", profile]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+
+    let o = nvbitfi(&["select", "999.nope", "--profile", profile, "--seed", "3"]);
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown program `999.nope`"), "{err}");
+    assert!(o.stdout.is_empty(), "no site printed: {}", stdout(&o));
+    let _ = std::fs::remove_file(profile_path);
+}
+
+#[test]
 fn profile_select_inject_pipeline() {
     // Figure 1 as three CLI invocations with real files in between.
     let profile_path = tmp("profile.txt");

@@ -310,8 +310,7 @@ pub(crate) fn attempt_transient(
 ) -> Attempt<(bool, u64)> {
     attempt_here(harness_fault, || {
         let (tool, handle) = TransientInjector::new(params.clone());
-        let upto = golden.target_launch(std::slice::from_ref(params));
-        let (outcome, skipped) = golden.inject(program, check, Box::new(tool), upto);
+        let (outcome, skipped) = golden.inject(program, check, Box::new(tool));
         (outcome, (handle.get().injected, skipped))
     })
 }
@@ -334,7 +333,7 @@ pub fn run_transient_campaign(
 /// reporting progress through `hooks`.
 ///
 /// `prior` rows (reloaded from a crashed campaign's journal via
-/// [`crate::logfile::recover_results_log`] and [`crate::logfile::to_runs`])
+/// [`crate::logfile::recover_results_log`])
 /// are matched against the freshly-selected sites by parameter equality;
 /// matched sites keep their recorded verdict (marked
 /// [`InjectionRun::resumed`]) and are not re-executed. Prior
@@ -460,16 +459,18 @@ fn run_sites(
         timing.analysis = t0.elapsed();
     }
 
-    // Group sites by target launch: runs sharing a target restore the same
-    // checkpoint, so its bytes stay cache-warm across consecutive work
-    // items.
+    // Dispatch sites by target launch: an earlier target leaves a longer
+    // tail to simulate, so this order starts the long runs first.
+    let store = &golden.checkpoints;
     let mut work: Vec<(usize, TransientParams, bool)> = sites
         .into_iter()
         .zip(pruned_flags)
         .enumerate()
         .map(|(i, (p, pruned))| (i, p, pruned))
         .collect();
-    work.sort_by_cached_key(|(i, p, _)| (golden.target_launch(std::slice::from_ref(p)), *i));
+    work.sort_by_cached_key(|(i, p, _)| {
+        (store.find_instance(&p.kernel_name, p.kernel_count).unwrap_or(store.len() as u64), *i)
+    });
 
     let reloaded = reload_prior(&mut work, prior);
     let jobs = work
@@ -555,10 +556,7 @@ fn run_sites(
     tagged.sort_by_key(|&(orig, _)| orig);
     let runs: Vec<InjectionRun> = tagged.into_iter().map(|(_, r)| r).collect();
 
-    let mut counts = OutcomeCounts::default();
-    for r in &runs {
-        counts.add(&r.outcome);
-    }
+    let counts = crate::logfile::tally(&runs);
     timing.injections = runs.iter().map(|r| r.wall).collect();
     timing.prefix_instrs_skipped = runs.iter().map(|r| r.prefix_instrs_skipped).sum();
     TransientCampaign {
@@ -731,7 +729,7 @@ pub fn run_permanent_campaign(
         |_: &mut (), _, &(params, _): &(PermanentParams, u64), fault| {
             attempt_here(fault, || {
                 let (tool, handle) = PermanentInjector::new(params);
-                let (outcome, _) = golden.inject(program, check, Box::new(tool), 0);
+                let (outcome, _) = golden.inject(program, check, Box::new(tool));
                 (outcome, handle.get().activations)
             })
         },

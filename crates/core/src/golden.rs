@@ -72,10 +72,9 @@ pub fn golden_run_recording(
 /// pruning pre-check ([`PreparedGolden::may_prune`]) from it instead of
 /// simulating the program again.
 ///
-/// Without checkpoints the store is empty, so every target launch resolves
-/// to index 0 and every injection run is a full replay — the
-/// `--no-checkpoint` escape hatch is a parameter of the one run path, not a
-/// second path.
+/// Without checkpoints the store is empty, so nothing replays and every
+/// injection run simulates in full — the `--no-checkpoint` escape hatch is
+/// a parameter of the one run path, not a second path.
 #[derive(Debug, Clone)]
 pub struct PreparedGolden {
     /// The reference outputs.
@@ -129,38 +128,22 @@ impl PreparedGolden {
         sites_may_prune(&self.modules, sites)
     }
 
-    /// The global launch index a run injecting `sites` fast-forwards to:
-    /// the earliest launch any site targets, since launches before it carry
-    /// no injection site. A site the golden run never reached (possible
-    /// with approximate profiles) can never fire and does not bound the
-    /// run; with no reachable site, the run fast-forwards through every
-    /// recorded launch.
-    pub fn target_launch(&self, sites: &[TransientParams]) -> u64 {
-        let store = &self.checkpoints;
-        sites
-            .iter()
-            .filter_map(|p| store.find_instance(&p.kernel_name, p.kernel_count))
-            .min()
-            .unwrap_or(store.len() as u64)
-    }
-
-    /// Run `program` with `tool` attached, launches before global index
-    /// `upto` replayed from the checkpoints, and classify the run against
-    /// the golden outputs. Returns the outcome and the dynamic instructions
-    /// fast-forwarding skipped.
+    /// Run `program` with `tool` attached and classify the run against the
+    /// golden outputs. Every launch before the first one `tool` instruments
+    /// replays from the checkpoints, since no fault can fire there. Returns
+    /// the outcome and the dynamic instructions fast-forwarding skipped.
     pub fn inject(
         &self,
         program: &dyn Program,
         check: &dyn SdcCheck,
         tool: Box<dyn Tool>,
-        upto: u64,
     ) -> (Outcome, u64) {
         let out = run_program_fast_forward(
             program,
             self.config.clone(),
             Some(tool),
             Arc::clone(&self.checkpoints),
-            upto,
+            self.checkpoints.len() as u64,
         );
         (classify(&self.output, &out, check), out.prefix_instrs_skipped)
     }
@@ -232,10 +215,13 @@ mod tests {
             destination_register: 0.0,
             bit_pattern: 0.0,
         };
-        assert_eq!(g.target_launch(&[site]), 0, "no checkpoints: every run is a full replay");
+        let (tool, _) = crate::TransientInjector::new(site);
+        let (outcome, skipped) = g.inject(&Good, &crate::ExactDiff, Box::new(tool));
+        assert!(outcome.is_masked());
+        assert_eq!(skipped, 0, "no checkpoints: every run is a full replay");
         let params = crate::PermanentParams { sm_id: 0, lane_id: 0, bit_mask: 1, opcode_id: 0 };
         let (tool, _) = crate::PermanentInjector::new(params);
-        let (outcome, skipped) = g.inject(&Good, &crate::ExactDiff, Box::new(tool), 0);
+        let (outcome, skipped) = g.inject(&Good, &crate::ExactDiff, Box::new(tool));
         assert!(outcome.is_masked());
         assert_eq!(skipped, 0);
     }

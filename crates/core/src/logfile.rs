@@ -148,28 +148,6 @@ pub fn parse_outcome(code: &str) -> Option<Outcome> {
     Some(Outcome { class, potential_due })
 }
 
-/// One parsed results-log row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogRow {
-    /// The fault injected.
-    pub params: TransientParams,
-    /// Its classified outcome (SDC reasons carry placeholder payloads —
-    /// the log stores only the reason *kind*).
-    pub outcome: Outcome,
-    /// Whether the fault actually fired.
-    pub injected: bool,
-    /// Run duration in microseconds.
-    pub wall_us: u64,
-    /// Dynamic instructions the run skipped via checkpoint fast-forward.
-    pub prefix_instrs_skipped: u64,
-    /// Whether the outcome came from static dead-fault pruning rather
-    /// than simulation.
-    pub pruned: bool,
-    /// Execution attempts this verdict took, counting retries after worker
-    /// panics or deadline overruns.
-    pub attempts: u32,
-}
-
 /// Parsed results-log header: the program name and any `# meta key=value`
 /// lines recorded when the log was started.
 ///
@@ -351,10 +329,14 @@ pub fn results_log_row(run: &InjectionRun) -> String {
 /// [`results_log_row`] lines. Only v5 rows are accepted; the older 10- to
 /// 12-field layouts are rejected.
 ///
+/// Each row comes back as the [`InjectionRun`] it records, with `wall` at
+/// microsecond granularity, SDC reasons carrying placeholder payloads (the
+/// log stores only the reason *kind*), and `resumed` false.
+///
 /// # Errors
 ///
 /// Returns [`FiError::BadParamFile`] naming the first offending line.
-pub fn read_results_log(text: &str) -> Result<Vec<LogRow>, FiError> {
+pub fn read_results_log(text: &str) -> Result<Vec<InjectionRun>, FiError> {
     let bad = |line: usize, reason: String| FiError::BadParamFile { line, reason };
     let mut rows = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -385,14 +367,15 @@ pub fn read_results_log(text: &str) -> Result<Vec<LogRow>, FiError> {
         if attempts == 0 {
             return Err(bad(lineno, "attempts must be >= 1".into()));
         }
-        rows.push(LogRow {
+        rows.push(InjectionRun {
             params,
             outcome,
             injected,
-            wall_us,
+            wall: Duration::from_micros(wall_us),
             prefix_instrs_skipped,
             pruned,
             attempts,
+            resumed: false,
         });
     }
     Ok(rows)
@@ -410,7 +393,7 @@ pub fn read_results_log(text: &str) -> Result<Vec<LogRow>, FiError> {
 ///
 /// Returns [`FiError::BadParamFile`] for malformed *complete* lines — those
 /// indicate real corruption, not a crash mid-append.
-pub fn recover_results_log(text: &str) -> Result<(Vec<LogRow>, bool), FiError> {
+pub fn recover_results_log(text: &str) -> Result<(Vec<InjectionRun>, bool), FiError> {
     let (intact, torn) = match text.rfind('\n') {
         _ if text.is_empty() || text.ends_with('\n') => (text, false),
         Some(last) => (&text[..=last], true),
@@ -419,31 +402,14 @@ pub fn recover_results_log(text: &str) -> Result<(Vec<LogRow>, bool), FiError> {
     Ok((read_results_log(intact)?, torn))
 }
 
-/// Re-aggregate outcome counts from parsed log rows (the gather step of a
-/// split campaign).
-pub fn tally(rows: &[LogRow]) -> OutcomeCounts {
+/// Aggregate outcome counts over runs — a campaign's own, or rows parsed
+/// from results logs (the gather step of a split campaign).
+pub fn tally(runs: &[InjectionRun]) -> OutcomeCounts {
     let mut counts = OutcomeCounts::default();
-    for r in rows {
+    for r in runs {
         counts.add(&r.outcome);
     }
     counts
-}
-
-/// Reconstruct [`InjectionRun`]s from log rows (timings restored at
-/// microsecond granularity).
-pub fn to_runs(rows: Vec<LogRow>) -> Vec<InjectionRun> {
-    rows.into_iter()
-        .map(|r| InjectionRun {
-            params: r.params,
-            outcome: r.outcome,
-            injected: r.injected,
-            wall: std::time::Duration::from_micros(r.wall_us),
-            prefix_instrs_skipped: r.prefix_instrs_skipped,
-            pruned: r.pruned,
-            attempts: r.attempts,
-            resumed: false,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -555,8 +521,7 @@ mod tests {
             counts.add(&r.outcome);
         }
         assert_eq!(tally(&rows), counts);
-        let back = to_runs(rows);
-        for (a, b) in back.iter().zip(&runs) {
+        for (a, b) in rows.iter().zip(&runs) {
             assert_eq!(a.params, b.params);
             assert_eq!(a.injected, b.injected);
             assert_eq!(a.wall, b.wall);

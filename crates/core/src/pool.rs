@@ -50,23 +50,26 @@ pub struct ProcessIsolation {
     pub command: Vec<String>,
     /// Workload scale name forwarded to the worker's suite lookup.
     pub scale: String,
-    /// Worker heartbeat interval; the supervisor's liveness window is a
-    /// multiple of it (see [`ProcessIsolation::liveness`]).
-    pub heartbeat: Duration,
-    /// How long a fresh worker may take to replay its golden run and
-    /// answer [`Msg::Ready`].
-    pub ready_timeout: Duration,
 }
 
+/// Worker heartbeat interval.
+const HEARTBEAT: Duration = Duration::from_millis(100);
+
+/// The liveness window: a dispatched worker silent (no heartbeat, no
+/// verdict) for this long is declared dead. Generous — 20 heartbeat
+/// intervals — because a false positive costs a respawn and a retry, while
+/// detection latency costs nothing (real deaths close the pipe and are
+/// noticed immediately).
+const LIVENESS: Duration = HEARTBEAT.saturating_mul(20);
+
+/// How long a fresh worker may take to replay its golden run and answer
+/// [`Msg::Ready`].
+const READY_TIMEOUT: Duration = Duration::from_secs(120);
+
 impl ProcessIsolation {
-    /// A process-isolation config with default heartbeat and timeouts.
+    /// A process-isolation config for workers run as `command` at `scale`.
     pub fn new(command: Vec<String>, scale: impl Into<String>) -> ProcessIsolation {
-        ProcessIsolation {
-            command,
-            scale: scale.into(),
-            heartbeat: Duration::from_millis(100),
-            ready_timeout: Duration::from_secs(120),
-        }
+        ProcessIsolation { command, scale: scale.into() }
     }
 
     /// The session setup every worker of campaign `cfg` on `program` gets.
@@ -76,17 +79,8 @@ impl ProcessIsolation {
             scale: self.scale.clone(),
             use_checkpoints: cfg.use_checkpoints,
             deadline_ms: cfg.run_deadline.map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
-            heartbeat_ms: u64::try_from(self.heartbeat.as_millis()).unwrap_or(u64::MAX).max(1),
+            heartbeat_ms: HEARTBEAT.as_millis() as u64,
         }
-    }
-
-    /// The liveness window: a dispatched worker silent (no heartbeat, no
-    /// verdict) for this long is declared dead. Generous — 20 heartbeat
-    /// intervals, floored at one second — because a false positive costs a
-    /// respawn and a retry, while detection latency costs nothing (real
-    /// deaths close the pipe and are noticed immediately).
-    pub fn liveness(&self) -> Duration {
-        self.heartbeat.saturating_mul(20).max(Duration::from_secs(1))
     }
 }
 
@@ -208,7 +202,7 @@ fn spawn_worker(iso: &ProcessIsolation, init: &WorkerInit) -> Option<Worker> {
         worker.kill();
         return None;
     }
-    if let Some(Msg::Ready) = worker.reply(iso.ready_timeout) {
+    if let Some(Msg::Ready) = worker.reply(READY_TIMEOUT) {
         return Some(worker);
     }
     worker.kill();
@@ -259,7 +253,7 @@ fn run_on_worker(
     }
     // Anything but the matching verdict — an Error frame, a mismatched id,
     // corruption, EOF, or liveness timeout — is a dead worker.
-    match w.reply(iso.liveness())? {
+    match w.reply(LIVENESS)? {
         Msg::Done { id: done, outcome, injected, wall_us, skip_instrs } if done == id => {
             parse_outcome(&outcome).map(|outcome| Attempt::Ran {
                 outcome,
@@ -342,9 +336,9 @@ mod tests {
 
     #[test]
     fn liveness_window_scales_with_heartbeat() {
-        let mut iso = ProcessIsolation::new(vec!["x".into()], "test");
-        assert_eq!(iso.liveness(), Duration::from_secs(2), "20 × 100ms default");
-        iso.heartbeat = Duration::from_millis(10);
-        assert_eq!(iso.liveness(), Duration::from_secs(1), "floored at 1s");
+        assert_eq!(LIVENESS, Duration::from_secs(2), "20 × 100ms");
+        let init = ProcessIsolation::new(vec!["x".into()], "test")
+            .init(&CampaignConfig::default(), "tiny");
+        assert_eq!(init.heartbeat_ms, 100, "workers beat at the interval the window assumes");
     }
 }

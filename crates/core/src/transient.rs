@@ -566,8 +566,6 @@ mod tests {
 
         // Faults in instances 1 and 2: launch 0 is pure prefix.
         let faults = vec![fault(1, 64), fault(2, 70)];
-        let upto = golden.target_launch(&faults);
-        assert_eq!(upto, 1);
 
         let (tool, full_handle) = TransientInjector::with_sites(faults.clone());
         let full = run_program(&Thrice, RuntimeConfig::default(), Some(Box::new(tool)));
@@ -578,12 +576,16 @@ mod tests {
             RuntimeConfig::default(),
             Some(Box::new(tool)),
             Arc::clone(&golden.checkpoints),
-            upto,
+            golden.checkpoints.len() as u64,
         );
         assert_eq!(ff.stdout, full.stdout);
         assert_eq!(ff.files, full.files);
         assert_eq!(ff_handle.all(), full_handle.all(), "identical architectural events");
-        assert!(ff.prefix_instrs_skipped > 0, "prefix launch was replayed, not simulated");
+        assert_eq!(
+            ff.prefix_instrs_skipped,
+            golden.checkpoints.instrs_before(1),
+            "exactly the prefix launch was replayed"
+        );
         assert_eq!(full.prefix_instrs_skipped, 0);
     }
 
@@ -591,11 +593,16 @@ mod tests {
     fn target_launch_bounds() {
         let golden =
             crate::PreparedGolden::new(&Thrice, RuntimeConfig::default(), true).expect("golden");
-        // No reachable target: the whole run may be fast-forwarded.
-        assert_eq!(golden.target_launch(&[fault(9, 0)]), 3);
-        assert_eq!(golden.target_launch(&[]), 3);
-        // A fault in instance 0 pins the bound to the first launch.
-        assert_eq!(golden.target_launch(&[fault(2, 0), fault(0, 0)]), 0);
+        let skipped = |sites: Vec<TransientParams>| {
+            let (tool, _) = TransientInjector::with_sites(sites);
+            golden.inject(&Thrice, &crate::ExactDiff, Box::new(tool)).1
+        };
+        let store = &golden.checkpoints;
+        // No reachable target: the whole run is fast-forwarded.
+        assert_eq!(skipped(vec![fault(9, 0)]), store.instrs_before(3));
+        assert_eq!(skipped(vec![]), store.instrs_before(3));
+        // The earliest target bounds the replayed prefix.
+        assert_eq!(skipped(vec![fault(2, 0), fault(1, 0)]), store.instrs_before(1));
     }
 
     #[test]

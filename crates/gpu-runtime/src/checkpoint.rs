@@ -12,14 +12,15 @@
 //!    [`LaunchRecord`]. A store therefore holds launches × allocated bytes;
 //!    the suite's largest, `354.cg`, is about 1.7 MB.
 //! 2. Each injection run attaches the store with
-//!    [`crate::Runtime::fast_forward`], naming the global launch index of
-//!    its target. The host application replays unmodified (host logic is
-//!    deterministic and cheap), but every launch *before* the target skips
-//!    simulation entirely: the runtime restores the recorded post-launch
-//!    snapshot, replays the recorded [`LaunchRecord`], and returns. Device
-//!    reads the host performs between launches therefore observe exactly
-//!    the golden values. The target instance and the genuinely divergent
-//!    post-injection tail simulate normally.
+//!    [`crate::Runtime::fast_forward`]. The host application replays
+//!    unmodified (host logic is deterministic and cheap), but every launch
+//!    *before* the first one the injection tool instruments — its target —
+//!    skips simulation entirely: the runtime restores the recorded
+//!    post-launch snapshot, replays the recorded [`LaunchRecord`], and
+//!    returns. Device reads the host performs between launches therefore
+//!    observe exactly the golden values. The target instance and the
+//!    genuinely divergent post-injection tail simulate normally, including
+//!    tail launches the tool declines.
 //!
 //! A store is immutable once recorded and `Send + Sync`, so campaign
 //! workers share one store behind an `Arc` — no per-worker copies.
@@ -101,12 +102,13 @@ impl CheckpointStore {
 }
 
 /// Fast-forward state a replaying [`crate::Runtime`] carries: the golden
-/// store plus the first global launch index that must simulate for real.
+/// store plus the bound on the global launch indices that may replay.
 #[derive(Debug, Clone)]
 pub(crate) struct FastForward {
     /// The golden run's checkpoints.
     pub store: Arc<CheckpointStore>,
-    /// Launches with global index below this replay from the store.
+    /// Only launches with global index below this may replay from the
+    /// store; the first launch that simulates lowers it to its own index.
     pub upto: u64,
     /// Dynamic instructions skipped so far by replaying from checkpoints.
     pub skipped_instrs: u64,

@@ -364,6 +364,36 @@ mod tests {
     }
 
     #[test]
+    fn replay_stops_at_the_first_instrumented_launch() {
+        /// Instruments only instance 1 of every kernel, counting callbacks.
+        struct SecondLaunch(Arc<AtomicU64>);
+        impl ExecHook for SecondLaunch {
+            fn after(&mut self, _t: &mut ThreadCtx<'_>, _s: InstrSite<'_>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        impl Tool for SecondLaunch {
+            fn instrument(&mut self, info: &KernelLaunchInfo<'_>) -> Option<InstrMasks> {
+                (info.instance == 1).then(|| InstrMasks::all_after(info.kernel.len()))
+            }
+        }
+
+        let (golden, capture) = run_program_golden(&Chain, small_cfg(), true);
+        let store = capture.checkpoints.into_shared();
+        let calls = Arc::new(AtomicU64::new(0));
+        let tool = Box::new(SecondLaunch(Arc::clone(&calls)));
+        let out = run_program_fast_forward(&Chain, small_cfg(), Some(tool), Arc::clone(&store), 3);
+        assert_eq!(out.stdout, golden.stdout);
+        assert_eq!(out.files, golden.files);
+        assert_eq!(out.summary.dyn_instrs, golden.summary.dyn_instrs);
+        // Launch 0 replays; launch 1 simulates under instrumentation; launch
+        // 2 simulates too, though the tool declines it, because it follows a
+        // simulated launch.
+        assert_eq!(calls.load(Ordering::Relaxed), 7 * 64, "only launch 1 is instrumented");
+        assert_eq!(out.prefix_instrs_skipped, store.instrs_before(1));
+    }
+
+    #[test]
     fn golden_run_counts_opcodes_per_launch() {
         for record in [false, true] {
             let (out, capture) = run_program_golden(&Chain, small_cfg(), record);

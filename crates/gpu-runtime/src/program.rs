@@ -131,9 +131,11 @@ pub fn run_program_golden(
     drive(program, rt)
 }
 
-/// Run a program with launches below global index `upto` replayed from a
-/// golden checkpoint store instead of simulated — the injection-run fast
-/// path. `out.prefix_instrs_skipped` reports the avoided work.
+/// Run a program with its golden prefix — every launch before the first
+/// one `tool` instruments, and before global index `upto` at most — replayed
+/// from a golden checkpoint store instead of simulated: the injection-run
+/// fast path ([`Runtime::fast_forward`]). `out.prefix_instrs_skipped`
+/// reports the avoided work.
 pub fn run_program_fast_forward(
     program: &dyn Program,
     cfg: RuntimeConfig,

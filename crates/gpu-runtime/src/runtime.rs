@@ -162,19 +162,22 @@ impl Runtime {
         self.opcode_log.take().map(|log| log.launches)
     }
 
-    /// Replay launches below global index `upto` from a golden checkpoint
-    /// store instead of simulating them.
+    /// Replay the run's golden prefix from a checkpoint store instead of
+    /// simulating it.
     ///
     /// The host application still runs in full (its allocations, copies, and
     /// device reads behave exactly as in the golden run, because each
     /// replayed launch restores the recorded post-launch memory image), but
-    /// each launch of the pre-injection kernel prefix costs one copy of the
-    /// allocated bytes instead of a full simulation. Launches at or beyond
-    /// `upto` — the injection target and its tail — simulate normally.
+    /// each launch of the prefix costs one copy of the allocated bytes
+    /// instead of a full simulation. The prefix ends at the first launch
+    /// the attached tool instruments — the injection target — and the
+    /// target and its tail simulate normally. `upto` caps the prefix: no
+    /// launch at or beyond global index `upto` replays (pass the store's
+    /// length for no cap).
     ///
     /// If the observed launch sequence ever diverges from the recorded one
     /// (it cannot before an injection fires, but this is checked), the
-    /// runtime falls back to full simulation from that point on.
+    /// runtime simulates from that point on.
     pub fn fast_forward(&mut self, store: Arc<CheckpointStore>, upto: u64) {
         self.fast_forward = Some(FastForward { store, upto, skipped_instrs: 0 });
     }
@@ -366,17 +369,19 @@ impl Runtime {
         }
 
         let info = KernelLaunchInfo { kernel: k, instance, grid, block };
+        let masks: Option<InstrMasks> = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
 
-        // Pre-injection prefix: replay from the golden checkpoint instead of
-        // simulating. The tool still observes the launch (it declines to
-        // instrument anything before its target), and memory lands on the
-        // exact golden post-launch image.
+        // Until the first launch the tool instruments, the run is the golden
+        // run: replay each launch from its golden checkpoint instead of
+        // simulating it, so memory lands on the exact golden post-launch
+        // image.
         let global_idx = self.records.len() as u64;
         if let Some(ff) = &mut self.fast_forward {
             if global_idx < ff.upto {
                 match ff.store.get(global_idx) {
                     Some(cp)
-                        if cp.record.kernel == k.name()
+                        if masks.is_none()
+                            && cp.record.kernel == k.name()
                             && cp.record.instance == instance
                             && !cp.record.skipped
                             && cp.record.trap.is_none() =>
@@ -385,21 +390,17 @@ impl Runtime {
                         self.mem.restore(&cp.mem);
                         ff.skipped_instrs += record.stats.dyn_instrs;
                         if let Some(tool) = self.tool.as_deref_mut() {
-                            // Parity with a full run: the tool is offered the
-                            // launch (masks are unused — nothing simulates).
-                            let _ = tool.instrument(&info);
                             tool.after_launch(&record);
                         }
                         self.records.push(record);
                         return Ok(());
                     }
-                    // Divergence from the recorded sequence (or a recorded
-                    // skip): fall back to full simulation from here on.
-                    _ => self.fast_forward = None,
+                    // An instrumented launch, a divergence from the recorded
+                    // sequence, or a recorded skip: simulate from here on.
+                    _ => ff.upto = global_idx,
                 }
             }
         }
-        let masks: Option<InstrMasks> = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
 
         let launch = Launch { kernel: k, grid, block, params, instr_budget: self.cfg.instr_budget };
         let opcodes = self.opcode_log.as_mut().map(|log| &mut *log.scratch);

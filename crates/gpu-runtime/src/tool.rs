@@ -100,7 +100,9 @@ pub trait Tool: ExecHook + Send {
     }
 
     /// A kernel is about to launch. Return `Some` to instrument this launch;
-    /// `None` runs it unmodified (the selective-instrumentation fast path).
+    /// `None` runs it unmodified (the selective-instrumentation fast path),
+    /// or replays it from a golden checkpoint while no launch of the run
+    /// has simulated yet ([`crate::Runtime::fast_forward`]).
     fn instrument(&mut self, info: &KernelLaunchInfo<'_>) -> Option<InstrMasks> {
         let _ = info;
         None

@@ -20,6 +20,7 @@ fn checkpoint_restored_runs_match_full_reexecution_on_every_workload() {
         let cfg = RuntimeConfig::default();
         let (golden, store) =
             golden_run_recording(entry.program.as_ref(), cfg.clone()).expect(entry.name);
+        let store = store.into_shared();
         let profile = profile_program(entry.program.as_ref(), cfg.clone(), ProfilingMode::Exact)
             .expect(entry.name);
 
@@ -41,31 +42,35 @@ fn checkpoint_restored_runs_match_full_reexecution_on_every_workload() {
             let (tool, full_handle) = TransientInjector::new(params.clone());
             let full = run_program(entry.program.as_ref(), run_cfg.clone(), Some(Box::new(tool)));
 
-            let (tool, ff_handle) = TransientInjector::new(params.clone());
-            let ff = run_program_fast_forward(
-                entry.program.as_ref(),
-                run_cfg.clone(),
-                Some(Box::new(tool)),
-                Arc::new(store.clone()),
-                upto,
-            );
+            // Bounded at the target, and open: either way the replay stops
+            // at the first launch the injector instruments.
+            for bound in [upto, store.len() as u64] {
+                let (tool, ff_handle) = TransientInjector::new(params.clone());
+                let ff = run_program_fast_forward(
+                    entry.program.as_ref(),
+                    run_cfg.clone(),
+                    Some(Box::new(tool)),
+                    Arc::clone(&store),
+                    bound,
+                );
 
-            let ctx = format!("{} site {params}", entry.name);
-            assert_eq!(ff.stdout, full.stdout, "{ctx}");
-            assert_eq!(ff.files, full.files, "{ctx}");
-            assert_eq!(ff.termination, full.termination, "{ctx}");
-            assert_eq!(ff.anomalies.len(), full.anomalies.len(), "{ctx}");
-            assert_eq!(ff_handle.get(), full_handle.get(), "{ctx}: architectural event");
-            assert_eq!(
-                classify(&golden, &ff, entry.check.as_ref()),
-                classify(&golden, &full, entry.check.as_ref()),
-                "{ctx}: classified outcome"
-            );
-            assert_eq!(
-                ff.prefix_instrs_skipped,
-                store.instrs_before(upto),
-                "{ctx}: skipped exactly the recorded prefix"
-            );
+                let ctx = format!("{} site {params} bound {bound}", entry.name);
+                assert_eq!(ff.stdout, full.stdout, "{ctx}");
+                assert_eq!(ff.files, full.files, "{ctx}");
+                assert_eq!(ff.termination, full.termination, "{ctx}");
+                assert_eq!(ff.anomalies.len(), full.anomalies.len(), "{ctx}");
+                assert_eq!(ff_handle.get(), full_handle.get(), "{ctx}: architectural event");
+                assert_eq!(
+                    classify(&golden, &ff, entry.check.as_ref()),
+                    classify(&golden, &full, entry.check.as_ref()),
+                    "{ctx}: classified outcome"
+                );
+                assert_eq!(
+                    ff.prefix_instrs_skipped,
+                    store.instrs_before(upto),
+                    "{ctx}: skipped exactly the recorded prefix"
+                );
+            }
         }
     }
 }

@@ -77,8 +77,7 @@ fn interrupted_campaign_resumes_to_identical_counts() {
     let reloaded = rows.len();
     let resumed_hooks = JournalStop::new(usize::MAX);
     let resumed =
-        run_transient_campaign_with(&program, &check, &cfg, logfile::to_runs(rows), &resumed_hooks)
-            .expect("resume");
+        run_transient_campaign_with(&program, &check, &cfg, rows, &resumed_hooks).expect("resume");
     assert!(!resumed.interrupted);
     assert_eq!(resumed.runs.len(), 20);
     assert_eq!(resumed.resumed_runs(), reloaded, "every journaled verdict is honored");

@@ -296,7 +296,7 @@ proptest! {
             prop_assert_eq!(&row.params, &run.params);
             prop_assert_eq!(&row.outcome, &run.outcome);
             prop_assert_eq!(row.injected, run.injected);
-            prop_assert_eq!(row.wall_us, run.wall.as_micros() as u64);
+            prop_assert_eq!(row.wall.as_micros(), run.wall.as_micros());
             prop_assert_eq!(row.prefix_instrs_skipped, run.prefix_instrs_skipped);
             prop_assert_eq!(row.pruned, run.pruned);
             prop_assert_eq!(row.attempts, run.attempts);

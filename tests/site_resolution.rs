@@ -31,8 +31,7 @@ fn resolver_pc_equals_injected_pc_for_every_site() {
         }
         for (site, pc) in sites.iter().zip(pcs) {
             let (tool, handle) = TransientInjector::new(site.clone());
-            let upto = golden.target_launch(std::slice::from_ref(site));
-            golden.inject(program, check, Box::new(tool), upto);
+            golden.inject(program, check, Box::new(tool));
             assert_eq!(handle.get().detail.map(|d| d.pc), pc, "{name}: {site}");
         }
     }
