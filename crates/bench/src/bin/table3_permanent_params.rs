@@ -10,7 +10,7 @@ fn main() {
         vec!["parameter".to_string(), "range".to_string(), "description".to_string()],
         vec![
             "SM id".to_string(),
-            "0..80".to_string(),
+            format!("0..{}", gpu_sim::GpuConfig::default().num_sms),
             "which streaming multiprocessor to inject (Titan V default)".to_string(),
         ],
         vec![
@@ -39,7 +39,7 @@ fn main() {
     }
 
     let p = PermanentParams { sm_id: 17, lane_id: 5, bit_mask: 0x0000_8000, opcode_id: 3 };
-    p.validate(80).expect("valid");
+    p.validate().expect("valid");
     println!("\nexample parameter file:");
     for line in p.to_file().lines() {
         println!("  {line}");

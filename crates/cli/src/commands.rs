@@ -463,7 +463,7 @@ fn pf(args: &Args) -> Result<(), String> {
         bit_mask: args.get_u32_or("mask", 1)?,
         opcode_id: opcode.encode(),
     };
-    params.validate(RuntimeConfig::default().gpu.num_sms).map_err(|err| err.to_string())?;
+    params.validate().map_err(|err| err.to_string())?;
     println!("injecting: {params}");
 
     let (tool, handle) = PermanentInjector::new(params);

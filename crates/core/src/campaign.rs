@@ -38,7 +38,8 @@ use std::time::{Duration, Instant};
 /// Configuration of a transient-fault campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Base runtime configuration for every run.
+    /// Runtime bounds of the golden run. Injection runs take the hang
+    /// budget derived from the golden run and [`Self::run_deadline`].
     pub runtime: RuntimeConfig,
     /// Number of injections (the paper uses 100 per program; 1000 tightens
     /// the confidence interval, see [`crate::stats`]).
@@ -347,10 +348,6 @@ pub fn run_transient_campaign(
 ///
 /// Returns [`FiError`] if the golden run fails, or if the selected
 /// instruction group has no dynamic instructions in the profile.
-/// Process isolation returns [`FiError::BadParam`] for a `runtime` whose
-/// `gpu`, `mem_bytes` or `limits` differ from the defaults: its workers
-/// build their golden run from [`RuntimeConfig::default`], so they would
-/// simulate a different device.
 pub fn run_transient_campaign_with(
     program: &dyn Program,
     check: &dyn SdcCheck,
@@ -399,21 +396,6 @@ struct Setup {
 
 impl Setup {
     fn new(program: &dyn Program, cfg: &CampaignConfig) -> Result<Setup, FiError> {
-        if matches!(cfg.isolation, IsolationMode::Process(_)) {
-            let (rt, default) = (&cfg.runtime, RuntimeConfig::default());
-            if rt.gpu != default.gpu
-                || rt.mem_bytes != default.mem_bytes
-                || rt.limits != default.limits
-            {
-                return Err(FiError::BadParam {
-                    name: "runtime",
-                    reason: "process isolation supports only the default gpu, mem_bytes and \
-                             limits"
-                        .into(),
-                });
-            }
-        }
-
         // The golden run also calibrates the hang monitor and counts
         // opcodes for the profile. With checkpoints enabled it additionally
         // records the launch-boundary state every injection run
@@ -573,7 +555,8 @@ fn run_sites(
 /// Configuration of a permanent-fault campaign.
 #[derive(Debug, Clone)]
 pub struct PermanentCampaignConfig {
-    /// Base runtime configuration for every run.
+    /// Runtime bounds of the golden run. Experiment runs take the hang
+    /// budget derived from the golden run and [`Self::run_deadline`].
     pub runtime: RuntimeConfig,
     /// RNG seed (SM, lane, and mask bit are drawn per opcode).
     pub seed: u64,
@@ -690,7 +673,7 @@ pub fn run_permanent_campaign(
     // busy, so this coincides with Table III's full 0..N-1 ranges; with
     // simulator-scaled grids it avoids trivially-masked dead placements.
     let launches = &golden.output.summary.launches;
-    let num_sms = golden.config.gpu.num_sms;
+    let num_sms = gpu_sim::GpuConfig::default().num_sms;
     let max_blocks = launches.iter().map(|l| l.stats.blocks).max().unwrap_or(1).max(1);
     let used_sms = num_sms.min(max_blocks.min(u32::MAX as u64) as u32).max(1);
     let max_tpb = launches.iter().map(|l| l.stats.threads_per_block).max().unwrap_or(1).max(1);
@@ -829,36 +812,6 @@ mod tests {
         assert!(reloaded.iter().all(|(_, r)| r.resumed && !r.outcome.is_infra()));
         let left: Vec<usize> = work.iter().map(|(i, _, _)| *i).collect();
         assert_eq!(left, vec![3, 4, 5]);
-    }
-
-    #[test]
-    fn process_isolation_rejects_a_non_default_device() {
-        struct NeverRuns;
-        impl Program for NeverRuns {
-            fn name(&self) -> &str {
-                "never-runs"
-            }
-            fn run(&self, _: &mut gpu_runtime::Runtime) -> Result<(), gpu_runtime::RuntimeError> {
-                panic!("the configuration is rejected before any run");
-            }
-        }
-        let isolation =
-            IsolationMode::Process(pool::ProcessIsolation::new(vec!["no-such-worker".into()], "t"));
-        let base = CampaignConfig { isolation, ..CampaignConfig::default() };
-        let default = RuntimeConfig::default();
-        let mut gpu = default.gpu;
-        gpu.num_sms = 7;
-        let mut limits = default.limits;
-        limits.max_output_bytes += 1;
-        for runtime in [
-            RuntimeConfig { gpu, ..RuntimeConfig::default() },
-            RuntimeConfig { mem_bytes: 1 << 20, ..RuntimeConfig::default() },
-            RuntimeConfig { limits, ..RuntimeConfig::default() },
-        ] {
-            let cfg = CampaignConfig { runtime, ..base.clone() };
-            let err = run_transient_campaign(&NeverRuns, &crate::ExactDiff, &cfg).unwrap_err();
-            assert!(matches!(err, FiError::BadParam { name: "runtime", .. }), "{err}");
-        }
     }
 
     #[test]

@@ -122,7 +122,6 @@ mod tests {
     use gpu_isa::asm::KernelBuilder;
     use gpu_isa::{encode, Module, Reg, SpecialReg};
     use gpu_runtime::{run_program, Program, Runtime, RuntimeConfig, RuntimeError};
-    use gpu_sim::GpuConfig;
 
     struct App {
         iters: u32,
@@ -164,7 +163,6 @@ mod tests {
 
     fn cfg() -> RuntimeConfig {
         RuntimeConfig {
-            gpu: GpuConfig { num_sms: 1, ..GpuConfig::default() },
             // Corrupting a loop counter can livelock the kernel; keep the
             // hang monitor tight so such runs terminate as hangs quickly.
             instr_budget: Some(2_000_000),

@@ -130,7 +130,7 @@ pub use params::{PermanentParams, TransientParams};
 pub use permanent::{PermanentHandle, PermanentInjector, PermanentRecord};
 pub use pool::{IsolationMode, ProcessIsolation};
 pub use profile::{
-    profile_program, FaultSite, KernelProfile, Profile, ProfileHandle, Profiler, ProfilingMode,
+    profile_program, KernelProfile, Profile, ProfileHandle, Profiler, ProfilingMode,
 };
 pub use prune::{prune_dead_sites, resolve_sites, KernelAnalysis};
 pub use select::{select_campaign, select_transient};

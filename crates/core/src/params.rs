@@ -152,7 +152,7 @@ impl fmt::Display for TransientParams {
 /// Parameters for one permanent fault (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PermanentParams {
-    /// Which SM to inject (`0..num_sms`).
+    /// Which SM to inject (`0..num_sms` of [`gpu_sim::GpuConfig::default`]).
     pub sm_id: u32,
     /// Which hardware lane to inject (`0..32`).
     pub lane_id: u32,
@@ -163,13 +163,15 @@ pub struct PermanentParams {
 }
 
 impl PermanentParams {
-    /// Validate value ranges against the device.
+    /// Validate value ranges against the simulated device
+    /// ([`gpu_sim::GpuConfig::default`]).
     ///
     /// # Errors
     ///
     /// Returns [`FiError::BadParam`] if the lane, SM, or opcode id is out of
     /// range.
-    pub fn validate(&self, num_sms: u32) -> Result<(), FiError> {
+    pub fn validate(&self) -> Result<(), FiError> {
+        let num_sms = gpu_sim::GpuConfig::default().num_sms;
         if self.sm_id >= num_sms {
             return Err(FiError::BadParam {
                 name: "SM id",
@@ -301,10 +303,10 @@ mod tests {
     #[test]
     fn permanent_validation() {
         let ok = PermanentParams { sm_id: 0, lane_id: 0, bit_mask: 1, opcode_id: 0 };
-        ok.validate(80).expect("valid");
-        assert!(PermanentParams { sm_id: 80, ..ok }.validate(80).is_err());
-        assert!(PermanentParams { lane_id: 32, ..ok }.validate(80).is_err());
-        assert!(PermanentParams { opcode_id: 171, ..ok }.validate(80).is_err());
+        ok.validate().expect("valid");
+        assert!(PermanentParams { sm_id: 80, ..ok }.validate().is_err());
+        assert!(PermanentParams { lane_id: 32, ..ok }.validate().is_err());
+        assert!(PermanentParams { opcode_id: 171, ..ok }.validate().is_err());
     }
 
     #[test]

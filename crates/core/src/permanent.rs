@@ -163,9 +163,11 @@ mod tests {
     use gpu_isa::asm::KernelBuilder;
     use gpu_isa::{encode, Module, Reg, SpecialReg};
     use gpu_runtime::{run_program, Program, Runtime, RuntimeConfig, RuntimeError};
-    use gpu_sim::GpuConfig;
 
-    /// out[gtid] = gtid + 1 across 4 blocks of 32 threads.
+    /// out[gtid] = gtid + 1 across 82 blocks of 32 threads. The device has
+    /// 80 SMs, so blocks 0 and 80 share SM 0, and blocks 1 and 81 SM 1.
+    const BLOCKS: u32 = 82;
+    const THREADS: u32 = BLOCKS * 32;
     struct App;
     impl Program for App {
         fn name(&self) -> &str {
@@ -184,10 +186,10 @@ mod tests {
             let bytes = encode::encode_module(&Module::new("m", vec![k.finish()]));
             let m = rt.load_module(&bytes)?;
             let k = rt.get_kernel(m, "inc")?;
-            let out_buf = rt.alloc(128 * 4)?;
-            rt.launch(k, 4u32, 32u32, &[out_buf.addr()])?;
+            let out_buf = rt.alloc(THREADS * 4)?;
+            rt.launch(k, BLOCKS, 32u32, &[out_buf.addr()])?;
             rt.synchronize()?;
-            let v = rt.read_u32s(out_buf, 128)?;
+            let v = rt.read_u32s(out_buf, THREADS as usize)?;
             for (i, x) in v.iter().enumerate() {
                 rt.println(format!("{i} {x}"));
             }
@@ -195,17 +197,10 @@ mod tests {
         }
     }
 
-    fn cfg(num_sms: u32) -> RuntimeConfig {
-        RuntimeConfig {
-            gpu: GpuConfig { num_sms, ..GpuConfig::default() },
-            ..RuntimeConfig::default()
-        }
-    }
-
     #[test]
     fn corrupts_every_instance_on_target_sm_and_lane() {
-        // 2 SMs: blocks 0,2 on SM 0; blocks 1,3 on SM 1. Target SM 1,
-        // lane 7 → threads 39 and 103 (gtid = block*32 + 7).
+        // Blocks 1 and 81 run on SM 1. Target SM 1, lane 7 → threads 39
+        // and 2599 (gtid = block*32 + 7).
         let params = PermanentParams {
             sm_id: 1,
             lane_id: 7,
@@ -213,17 +208,17 @@ mod tests {
             opcode_id: Opcode::IADD32I.encode(),
         };
         let (tool, handle) = PermanentInjector::new(params);
-        let out = run_program(&App, cfg(2), Some(Box::new(tool)));
+        let out = run_program(&App, RuntimeConfig::default(), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
         let rec = handle.get();
-        // IADD32I executes once per thread: 128 executions, 2 activations.
-        assert_eq!(rec.executions, 128);
+        // IADD32I executes once per thread: 2624 executions, 2 activations.
+        assert_eq!(rec.executions, THREADS as u64);
         assert_eq!(rec.activations, 2);
-        // Affected threads: 1*32+7=39 → (39+1)^1 = 41; 3*32+7=103 → 105.
-        assert!(out.stdout.contains("39 41"), "{}", out.stdout);
-        assert!(out.stdout.contains("103 105"));
+        // Affected threads: 1*32+7=39 → (39+1)^1 = 41; 81*32+7=2599 → 2601.
+        assert!(out.stdout.contains("\n39 41\n"), "{}", out.stdout);
+        assert!(out.stdout.contains("\n2599 2601\n"));
         // An unaffected lane on the same SM is untouched.
-        assert!(out.stdout.contains("38 39"));
+        assert!(out.stdout.contains("\n38 39\n"));
     }
 
     #[test]
@@ -236,7 +231,7 @@ mod tests {
         };
         let (tool, handle) = PermanentInjector::new(params);
         let stats = tool.stats_handle();
-        let out = run_program(&App, cfg(2), Some(Box::new(tool)));
+        let out = run_program(&App, RuntimeConfig::default(), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
         let rec = handle.get();
         assert_eq!((rec.executions, rec.activations), (0, 0));
@@ -253,10 +248,10 @@ mod tests {
             opcode_id: Opcode::IADD32I.encode(),
         };
         let (tool, handle) = PermanentInjector::new(params);
-        let out = run_program(&App, cfg(2), Some(Box::new(tool)));
+        let out = run_program(&App, RuntimeConfig::default(), Some(Box::new(tool)));
         assert!(out.termination.is_clean());
         let rec = handle.get();
-        assert_eq!((rec.executions, rec.activations), (128, 2));
-        assert!(out.stdout.contains("0 1"), "mask 0 leaves values intact");
+        assert_eq!((rec.executions, rec.activations), (THREADS as u64, 2));
+        assert!(out.stdout.starts_with("0 1\n"), "mask 0 leaves values intact");
     }
 }

@@ -74,19 +74,6 @@ impl KernelProfile {
     }
 }
 
-/// A fault site located by [`Profile::locate`]: the paper's
-/// `<kernel name, kernel count, instruction count>` tuple.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultSite {
-    /// Target kernel name.
-    pub kernel: String,
-    /// 0-based dynamic instance of the kernel name.
-    pub kernel_count: u64,
-    /// 0-based index among the group's dynamic instructions within that
-    /// kernel instance.
-    pub instruction_count: u64,
-}
-
 /// A program's instruction profile: one entry per dynamic kernel, in launch
 /// order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,26 +144,6 @@ impl Profile {
             })
             .collect();
         Profile { mode, kernels }
-    }
-
-    /// Map the `n`-th dynamic group instruction (0-based, program order)
-    /// onto its `<kernel, kernel count, instruction count>` fault site.
-    ///
-    /// Returns `None` if `n` is at or beyond the group's population.
-    pub fn locate(&self, group: InstrGroup, n: u64) -> Option<FaultSite> {
-        let mut before = 0u64;
-        for k in &self.kernels {
-            let here = k.total_in_group(group);
-            if n < before + here {
-                return Some(FaultSite {
-                    kernel: k.kernel.clone(),
-                    kernel_count: k.instance,
-                    instruction_count: n - before,
-                });
-            }
-            before += here;
-        }
-        None
     }
 
     // --- file format --------------------------------------------------------
@@ -389,25 +356,6 @@ mod tests {
         assert_eq!(ops.len(), 5);
         assert_eq!(p.opcode_total(Opcode::from_mnemonic("FADD").expect("op")), 180);
         assert_eq!(p.opcode_total(Opcode::from_mnemonic("HMMA").expect("op")), 0);
-    }
-
-    #[test]
-    fn locate_walks_kernels_in_order() {
-        let p = sample();
-        // G_FP32 population: alpha#0 has 100 (indices 0..100), alpha#1 has
-        // 80 (indices 100..180).
-        let s = p.locate(InstrGroup::Fp32, 0).expect("site");
-        assert_eq!((s.kernel.as_str(), s.kernel_count, s.instruction_count), ("alpha", 0, 0));
-        let s = p.locate(InstrGroup::Fp32, 99).expect("site");
-        assert_eq!((s.kernel.as_str(), s.kernel_count, s.instruction_count), ("alpha", 0, 99));
-        let s = p.locate(InstrGroup::Fp32, 100).expect("site");
-        assert_eq!((s.kernel.as_str(), s.kernel_count, s.instruction_count), ("alpha", 1, 0));
-        let s = p.locate(InstrGroup::Fp32, 179).expect("site");
-        assert_eq!((s.kernel.as_str(), s.kernel_count, s.instruction_count), ("alpha", 1, 79));
-        assert_eq!(p.locate(InstrGroup::Fp32, 180), None);
-        // FP64 population lives in beta.
-        let s = p.locate(InstrGroup::Fp64, 5).expect("site");
-        assert_eq!((s.kernel.as_str(), s.kernel_count), ("beta", 0));
     }
 
     #[test]

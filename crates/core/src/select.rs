@@ -10,7 +10,7 @@ use crate::bitflip::BitFlipModel;
 use crate::error::FiError;
 use crate::igid::InstrGroup;
 use crate::params::TransientParams;
-use crate::profile::Profile;
+use crate::profile::{KernelProfile, Profile};
 use rand::Rng;
 
 /// Draw one transient fault uniformly over the group's dynamic instructions.
@@ -49,30 +49,20 @@ pub fn select_campaign(
     count: usize,
     rng: &mut impl Rng,
 ) -> Result<Vec<TransientParams>, FiError> {
-    // ends[i]: the group instructions in kernels 0..=i.
-    let ends: Vec<u64> = profile
-        .kernels
-        .iter()
-        .scan(0, |sum, k| {
-            *sum += k.total_in_group(group);
-            Some(*sum)
-        })
-        .collect();
-    let total = ends.last().copied().unwrap_or(0);
+    let population = Population::new(profile, group);
+    let total = population.total();
     if total == 0 && count > 0 {
         return Err(FiError::EmptyPopulation { group: group.name().to_string() });
     }
     let sites = (0..count).map(|_| {
         let n = rng.gen_range(0..total);
-        let i = ends.partition_point(|&end| end <= n);
-        let k = &profile.kernels[i];
-        let before = if i == 0 { 0 } else { ends[i - 1] };
+        let (k, instruction_count) = population.locate(n).expect("n is below the total");
         TransientParams {
             group,
             bit_flip,
             kernel_name: k.kernel.clone(),
             kernel_count: k.instance,
-            instruction_count: n - before,
+            instruction_count,
             destination_register: rng.gen_range(0.0..1.0),
             bit_pattern: rng.gen_range(0.0..1.0),
         }
@@ -80,10 +70,47 @@ pub fn select_campaign(
     Ok(sites.collect())
 }
 
+/// A group's dynamic instructions in program order, summed once per kernel.
+struct Population<'p> {
+    profile: &'p Profile,
+    /// `ends[i]`: the group instructions in kernels `0..=i`.
+    ends: Vec<u64>,
+}
+
+impl<'p> Population<'p> {
+    fn new(profile: &'p Profile, group: InstrGroup) -> Population<'p> {
+        let ends = profile
+            .kernels
+            .iter()
+            .scan(0, |sum, k| {
+                *sum += k.total_in_group(group);
+                Some(*sum)
+            })
+            .collect();
+        Population { profile, ends }
+    }
+
+    /// `N`: the group's dynamic instructions across the program.
+    fn total(&self) -> u64 {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// The paper's *n*-th → `<kernel, kernel count, instruction count>`
+    /// translation: the dynamic kernel holding the `n`-th group instruction
+    /// (0-based, program order) and `n`'s index among that kernel's group
+    /// instructions, found by binary search. `None` if `n` is at or past
+    /// [`Population::total`].
+    fn locate(&self, n: u64) -> Option<(&'p KernelProfile, u64)> {
+        let i = self.ends.partition_point(|&end| end <= n);
+        let before = if i == 0 { 0 } else { self.ends[i - 1] };
+        self.profile.kernels.get(i).map(|k| (k, n - before))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{KernelProfile, ProfilingMode};
+    use crate::profile::ProfilingMode;
     use gpu_isa::Opcode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -170,5 +197,38 @@ mod tests {
             select_campaign(&p, InstrGroup::GpPr, BitFlipModel::FlipSingleBit, 100, &mut rng)
                 .expect("campaign");
         assert_eq!(sites.len(), 100);
+    }
+
+    #[test]
+    fn locate_maps_every_n_to_a_distinct_site() {
+        // Dynamic kernels whose G_GP populations (FADD + LDG) are 0, 5, 0, 4
+        // and 0; EXIT is outside the group.
+        let kernel = |instance, fadd, ldg| KernelProfile {
+            kernel: "k".into(),
+            instance,
+            counts: BTreeMap::from([(Opcode::FADD, fadd), (Opcode::LDG, ldg), (Opcode::EXIT, 7)]),
+        };
+        let p = Profile {
+            mode: ProfilingMode::Exact,
+            kernels: vec![
+                kernel(0, 0, 0),
+                kernel(1, 3, 2),
+                kernel(2, 0, 0),
+                kernel(3, 0, 4),
+                kernel(4, 0, 0),
+            ],
+        };
+        let group = InstrGroup::Gp;
+        let population = Population::new(&p, group);
+        let total = population.total();
+        assert_eq!(total, p.total_in_group(group));
+        let mut seen = std::collections::HashSet::new();
+        for n in 0..total {
+            let (k, instruction_count) = population.locate(n).expect("in range");
+            assert!(instruction_count < k.total_in_group(group), "n={n}");
+            assert!(seen.insert((k.kernel.clone(), k.instance, instruction_count)), "n={n}");
+        }
+        assert_eq!(seen.len() as u64, total, "distinct sites");
+        assert!(population.locate(total).is_none());
     }
 }

@@ -48,7 +48,7 @@ pub enum RuntimeError {
     /// fatal, and classified as campaign infrastructure failure — never a
     /// DUE.
     Deadline(TrapInfo),
-    /// The resource governor ([`crate::RuntimeConfig::limits`]) killed the
+    /// The resource governor ([`gpu_sim::ResourceLimits::default`]) killed the
     /// run: a fault-corrupted allocation size or shared-memory declaration
     /// breached a cap. Always fatal, and classified as an OS-detected crash
     /// (DUE) — the sandbox analog of a cgroup OOM-kill.

@@ -33,7 +33,9 @@ pub use program::{
     run_program, run_program_fast_forward, run_program_golden, GoldenCapture, Program,
     ProgramOutput, Termination,
 };
-pub use runtime::{KernelHandle, ModuleId, Runtime, RuntimeConfig, OUTPUT_TRUNCATED_MARKER};
+pub use runtime::{
+    KernelHandle, ModuleId, Runtime, RuntimeConfig, DEVICE_MEM_BYTES, OUTPUT_TRUNCATED_MARKER,
+};
 pub use tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
 
 #[cfg(test)]
@@ -76,7 +78,7 @@ mod tests {
     }
 
     fn small_cfg() -> RuntimeConfig {
-        RuntimeConfig { mem_bytes: 1 << 20, instr_budget: Some(100_000), ..Default::default() }
+        RuntimeConfig { instr_budget: Some(100_000), ..Default::default() }
     }
 
     #[test]
@@ -215,10 +217,8 @@ mod tests {
         // Budget high enough that the hang monitor never fires; the
         // wall-clock deadline must kill the run instead.
         let cfg = RuntimeConfig {
-            mem_bytes: 1 << 20,
             instr_budget: Some(u64::MAX),
             wall_deadline: Some(std::time::Duration::from_millis(20)),
-            ..Default::default()
         };
         let out = run_program(&Spin, cfg, None);
         assert_eq!(out.termination, Termination::DeadlineExceeded);
@@ -226,11 +226,8 @@ mod tests {
 
         // An already-expired deadline trips at launch entry, before any
         // instruction executes.
-        let cfg = RuntimeConfig {
-            mem_bytes: 1 << 20,
-            wall_deadline: Some(std::time::Duration::ZERO),
-            ..Default::default()
-        };
+        let cfg =
+            RuntimeConfig { wall_deadline: Some(std::time::Duration::ZERO), ..Default::default() };
         let out = run_program(&Spin, cfg, None);
         assert_eq!(out.termination, Termination::DeadlineExceeded);
         assert_eq!(out.summary.dyn_instrs, 0);
@@ -240,59 +237,57 @@ mod tests {
     fn governor_alloc_cap_terminates_as_crash() {
         // A fault-corrupted allocation size: the governor must kill the run
         // (Termination::Crash), not bubble up a host allocation failure.
-        struct Runaway;
-        impl Program for Runaway {
+        // 49 MiB passes the 48 MiB cap but fits the 64 MiB device.
+        struct Alloc(u32);
+        impl Program for Alloc {
             fn name(&self) -> &str {
-                "runaway"
+                "alloc"
             }
             fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError> {
-                rt.alloc(2 << 20)?;
+                rt.alloc(self.0)?;
                 Ok(())
             }
         }
-        let cfg = RuntimeConfig {
-            mem_bytes: 64 << 20,
-            limits: gpu_sim::ResourceLimits { max_global_bytes: 1 << 20, ..Default::default() },
-            ..Default::default()
-        };
-        let out = run_program(&Runaway, cfg, None);
+        let limits = gpu_sim::ResourceLimits::default();
+        assert!(limits.max_global_bytes < 49 << 20 && 49 << 20 < DEVICE_MEM_BYTES);
+        let out = run_program(&Alloc(49 << 20), RuntimeConfig::default(), None);
         assert_eq!(out.termination, Termination::Crash);
         assert!(out.has_anomaly(), "governor kill is recorded in the trap log");
 
-        // Under default limits the same allocation is unremarkable.
-        let out = run_program(&Runaway, RuntimeConfig::default(), None);
+        // An allocation within the cap is unremarkable.
+        let out = run_program(&Alloc(1 << 20), RuntimeConfig::default(), None);
         assert_eq!(out.termination, Termination::Normal { exit_code: 0 });
     }
 
     #[test]
     fn governor_truncates_runaway_output() {
-        // A fault-corrupted print-loop bound: capture stops at the cap with
-        // an explicit marker instead of growing without bound.
-        struct Chatty;
+        // A fault-corrupted print-loop bound: capture stops at the 16 MiB
+        // cap with an explicit marker instead of growing without bound.
+        struct Chatty(usize);
         impl Program for Chatty {
             fn name(&self) -> &str {
                 "chatty"
             }
             fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError> {
-                for i in 0..1000 {
-                    rt.println(format!("line {i}"));
+                let line = "x".repeat(1023);
+                for _ in 0..self.0 {
+                    rt.println(&line);
                 }
                 rt.write_file("out.dat", vec![7u8; 4096]);
                 Ok(())
             }
         }
-        let cfg = RuntimeConfig {
-            limits: gpu_sim::ResourceLimits { max_output_bytes: 256, ..Default::default() },
-            ..Default::default()
-        };
-        let out = run_program(&Chatty, cfg, None);
-        assert!(out.stdout.len() < 1024, "stdout capped near the limit");
+        let cap = gpu_sim::ResourceLimits::default().max_output_bytes;
+        assert_eq!(cap, 16 << 20);
+        // 17 Ki lines of 1 KiB: more than 16 MiB of stdout.
+        let out = run_program(&Chatty(17 << 10), RuntimeConfig::default(), None);
+        assert!(out.stdout.len() as u64 <= cap + 1024, "stdout capped near the limit");
         assert!(out.stdout.ends_with(&format!("{OUTPUT_TRUNCATED_MARKER}\n")));
         assert_eq!(out.stdout.matches(OUTPUT_TRUNCATED_MARKER).count(), 1, "marker once");
         assert_eq!(out.termination, Termination::Normal { exit_code: 0 }, "truncation never traps");
         assert!(out.files.get("out.dat").is_none_or(|f| f.len() < 4096));
 
-        let out = run_program(&Chatty, RuntimeConfig::default(), None);
+        let out = run_program(&Chatty(1000), RuntimeConfig::default(), None);
         assert!(!out.stdout.contains(OUTPUT_TRUNCATED_MARKER));
         assert_eq!(out.files["out.dat"].len(), 4096);
     }

@@ -11,13 +11,19 @@ use gpu_sim::{
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Runtime configuration.
-#[derive(Debug, Clone)]
+/// Global-memory capacity of the one simulated device.
+///
+/// The device is fixed above the simulator: [`GpuConfig::default`] gives
+/// its shape (the paper's Titan V), [`ResourceLimits::default`] its
+/// resource-governor caps, and this constant its memory. The allocation
+/// cap sits below it, so a runaway allocation hits the governor before
+/// the allocator.
+pub const DEVICE_MEM_BYTES: u32 = 64 << 20;
+
+/// Runtime configuration: the per-run bounds. The device itself is fixed
+/// (see [`DEVICE_MEM_BYTES`]).
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
-    /// Simulated device configuration.
-    pub gpu: GpuConfig,
-    /// Device global-memory capacity in bytes.
-    pub mem_bytes: u32,
     /// Per-launch dynamic-instruction budget (the hang monitor threshold).
     /// `None` uses the device default.
     pub instr_budget: Option<u64>,
@@ -27,26 +33,6 @@ pub struct RuntimeConfig {
     /// (the harness gave up), distinct from the hang monitor's DUE. `None`
     /// (the default) disables the deadline.
     pub wall_deadline: Option<std::time::Duration>,
-    /// Resource-governor caps enforced on every run: global allocations,
-    /// per-kernel static shared memory, and captured output. Breaching a
-    /// memory cap kills the run with [`crate::RuntimeError::ResourceLimit`]
-    /// (classified as an OS-detected crash); breaching the output cap
-    /// truncates capture with [`OUTPUT_TRUNCATED_MARKER`]. Defaults are far
-    /// above any golden run's usage, so only fault-corrupted executions can
-    /// trip them.
-    pub limits: ResourceLimits,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            gpu: GpuConfig::default(),
-            mem_bytes: 64 << 20,
-            instr_budget: None,
-            wall_deadline: None,
-            limits: ResourceLimits::default(),
-        }
-    }
 }
 
 /// Line appended to captured stdout when the resource governor truncates
@@ -103,13 +89,21 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Create a runtime with the given configuration.
+    /// Create a runtime on the simulated device with the given bounds.
+    ///
+    /// The resource governor's caps ([`ResourceLimits::default`]) hold on
+    /// every run: breaching a memory cap kills the run with
+    /// [`RuntimeError::ResourceLimit`] (classified as an OS-detected
+    /// crash), and breaching the output cap truncates capture with
+    /// [`OUTPUT_TRUNCATED_MARKER`]. The caps are far above any golden
+    /// run's usage, so only fault-corrupted executions trip them.
     pub fn new(cfg: RuntimeConfig) -> Runtime {
-        let mut gpu = Gpu::new(cfg.gpu);
+        let limits = ResourceLimits::default();
+        let mut gpu = Gpu::new(GpuConfig::default());
         gpu.set_deadline(cfg.wall_deadline.map(|d| std::time::Instant::now() + d));
-        gpu.set_limits(Some(cfg.limits));
-        let mut mem = GlobalMem::new(cfg.mem_bytes);
-        mem.set_alloc_limit(Some(cfg.limits.max_global_bytes));
+        gpu.set_limits(Some(limits));
+        let mut mem = GlobalMem::new(DEVICE_MEM_BYTES);
+        mem.set_alloc_limit(Some(limits.max_global_bytes));
         Runtime {
             gpu,
             mem,
@@ -529,7 +523,7 @@ impl Runtime {
         }
         let line = line.as_ref();
         let n = line.len() as u64 + 1;
-        if self.output_bytes + n > self.cfg.limits.max_output_bytes {
+        if self.output_bytes + n > ResourceLimits::default().max_output_bytes {
             self.mark_output_truncated();
             return;
         }
@@ -564,7 +558,8 @@ impl Runtime {
         if self.output_truncated {
             return;
         }
-        let remaining = self.cfg.limits.max_output_bytes.saturating_sub(self.output_bytes);
+        let remaining =
+            ResourceLimits::default().max_output_bytes.saturating_sub(self.output_bytes);
         if bytes.len() as u64 > remaining {
             bytes.truncate(remaining as usize);
             self.mark_output_truncated();

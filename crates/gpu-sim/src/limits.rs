@@ -33,7 +33,7 @@ pub struct ResourceLimits {
 impl Default for ResourceLimits {
     fn default() -> Self {
         ResourceLimits {
-            // Below the runtime's 64 MiB device-memory default so a runaway
+            // Below the runtime's 64 MiB device memory so a runaway
             // allocation hits the governor, not the allocator.
             max_global_bytes: 48 << 20,
             // CUDA's classic 48 KiB static shared-memory ceiling.

@@ -204,42 +204,6 @@ proptest! {
     }
 
     #[test]
-    fn profile_locate_is_a_bijection(
-        counts in prop::collection::vec((0u64..60, 0u64..60, 0u64..60), 1..8)
-    ) {
-        // Build a profile with arbitrary FADD/LDG/EXIT counts per kernel.
-        let kernels: Vec<KernelProfile> = counts
-            .iter()
-            .enumerate()
-            .map(|(i, (fadd, ldg, exit))| {
-                let mut c = BTreeMap::new();
-                if *fadd > 0 { c.insert(Opcode::FADD, *fadd); }
-                if *ldg > 0 { c.insert(Opcode::LDG, *ldg); }
-                if *exit > 0 { c.insert(Opcode::EXIT, *exit); }
-                KernelProfile { kernel: format!("k{i}"), instance: 0, counts: c }
-            })
-            .collect();
-        let profile = Profile { mode: ProfilingMode::Exact, kernels };
-        let group = InstrGroup::Gp; // FADD + LDG
-        let total = profile.total_in_group(group);
-        // Every n < total maps to a site with a within-kernel index smaller
-        // than that kernel's group population; n == total maps to None.
-        let mut seen = std::collections::HashSet::new();
-        for n in 0..total {
-            let site = profile.locate(group, n).expect("in range");
-            let k = profile
-                .kernels
-                .iter()
-                .find(|k| k.kernel == site.kernel && k.instance == site.kernel_count)
-                .expect("kernel exists");
-            prop_assert!(site.instruction_count < k.total_in_group(group));
-            seen.insert((site.kernel.clone(), site.kernel_count, site.instruction_count));
-        }
-        prop_assert_eq!(seen.len() as u64, total, "distinct sites");
-        prop_assert_eq!(profile.locate(group, total), None);
-    }
-
-    #[test]
     fn profile_file_roundtrips(
         counts in prop::collection::vec((0u64..1000, 0u64..1000), 1..6),
         approx in any::<bool>(),
