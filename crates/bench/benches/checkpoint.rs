@@ -19,11 +19,11 @@ use std::sync::Arc;
 use workloads::Scale;
 
 /// A snapshot copies every allocated byte, so its cost grows linearly with
-/// the allocation (4 KiB per page here) and not with device capacity.
+/// the allocation (4 KiB per page here).
 fn bench_snapshot(c: &mut Criterion) {
     let mut g = c.benchmark_group("snapshot");
     for pages in [1u32, 64, 1024] {
-        let mut mem = GlobalMem::new(64 << 20);
+        let mut mem = GlobalMem::new();
         mem.alloc(pages * 4096).expect("alloc");
         g.throughput(Throughput::Elements(u64::from(pages)));
         g.bench_function(format!("{pages}_pages_allocated"), |b| b.iter(|| mem.snapshot()));

@@ -10,7 +10,7 @@ fn main() {
         vec!["parameter".to_string(), "range".to_string(), "description".to_string()],
         vec![
             "SM id".to_string(),
-            format!("0..{}", gpu_sim::GpuConfig::default().num_sms),
+            format!("0..{}", gpu_sim::NUM_SMS),
             "which streaming multiprocessor to inject (Titan V default)".to_string(),
         ],
         vec![

@@ -673,9 +673,8 @@ pub fn run_permanent_campaign(
     // busy, so this coincides with Table III's full 0..N-1 ranges; with
     // simulator-scaled grids it avoids trivially-masked dead placements.
     let launches = &golden.output.summary.launches;
-    let num_sms = gpu_sim::GpuConfig::default().num_sms;
     let max_blocks = launches.iter().map(|l| l.stats.blocks).max().unwrap_or(1).max(1);
-    let used_sms = num_sms.min(max_blocks.min(u32::MAX as u64) as u32).max(1);
+    let used_sms = gpu_sim::NUM_SMS.min(max_blocks.min(u32::MAX as u64) as u32).max(1);
     let max_tpb = launches.iter().map(|l| l.stats.threads_per_block).max().unwrap_or(1).max(1);
     let used_lanes = (gpu_isa::WARP_SIZE as u64).min(max_tpb).max(1) as u32;
     let mut rng = StdRng::seed_from_u64(cfg.seed);

@@ -152,7 +152,7 @@ impl fmt::Display for TransientParams {
 /// Parameters for one permanent fault (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PermanentParams {
-    /// Which SM to inject (`0..num_sms` of [`gpu_sim::GpuConfig::default`]).
+    /// Which SM to inject (`0..`[`gpu_sim::NUM_SMS`]).
     pub sm_id: u32,
     /// Which hardware lane to inject (`0..32`).
     pub lane_id: u32,
@@ -164,18 +164,17 @@ pub struct PermanentParams {
 
 impl PermanentParams {
     /// Validate value ranges against the simulated device
-    /// ([`gpu_sim::GpuConfig::default`]).
+    /// ([`gpu_sim::NUM_SMS`] SMs of [`gpu_isa::WARP_SIZE`] lanes).
     ///
     /// # Errors
     ///
     /// Returns [`FiError::BadParam`] if the lane, SM, or opcode id is out of
     /// range.
     pub fn validate(&self) -> Result<(), FiError> {
-        let num_sms = gpu_sim::GpuConfig::default().num_sms;
-        if self.sm_id >= num_sms {
+        if self.sm_id >= gpu_sim::NUM_SMS {
             return Err(FiError::BadParam {
                 name: "SM id",
-                reason: format!("{} >= {num_sms}", self.sm_id),
+                reason: format!("{} >= {}", self.sm_id, gpu_sim::NUM_SMS),
             });
         }
         if self.lane_id >= gpu_isa::WARP_SIZE as u32 {

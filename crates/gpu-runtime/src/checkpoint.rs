@@ -130,7 +130,7 @@ mod tests {
     }
 
     fn store() -> CheckpointStore {
-        let mem = GlobalMem::new(1 << 16);
+        let mem = GlobalMem::new();
         let mut s = CheckpointStore::new();
         s.push(Checkpoint { mem: mem.snapshot(), record: record("a", 0, 100) });
         s.push(Checkpoint { mem: mem.snapshot(), record: record("b", 0, 200) });

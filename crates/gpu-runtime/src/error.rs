@@ -48,9 +48,9 @@ pub enum RuntimeError {
     /// fatal, and classified as campaign infrastructure failure — never a
     /// DUE.
     Deadline(TrapInfo),
-    /// The resource governor ([`gpu_sim::ResourceLimits::default`]) killed the
-    /// run: a fault-corrupted allocation size or shared-memory declaration
-    /// breached a cap. Always fatal, and classified as an OS-detected crash
+    /// The resource governor killed the run: a fault-corrupted allocation
+    /// size or shared-memory declaration breached its cap
+    /// ([`gpu_sim::MAX_GLOBAL_BYTES`], [`gpu_sim::MAX_SHARED_BYTES`]). Always fatal, and classified as an OS-detected crash
     /// (DUE) — the sandbox analog of a cgroup OOM-kill.
     ResourceLimit(TrapInfo),
     /// A checked API observed the sticky device fault.

@@ -34,7 +34,7 @@ pub use program::{
     ProgramOutput, Termination,
 };
 pub use runtime::{
-    KernelHandle, ModuleId, Runtime, RuntimeConfig, DEVICE_MEM_BYTES, OUTPUT_TRUNCATED_MARKER,
+    KernelHandle, ModuleId, Runtime, RuntimeConfig, MAX_OUTPUT_BYTES, OUTPUT_TRUNCATED_MARKER,
 };
 pub use tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
 
@@ -237,7 +237,7 @@ mod tests {
     fn governor_alloc_cap_terminates_as_crash() {
         // A fault-corrupted allocation size: the governor must kill the run
         // (Termination::Crash), not bubble up a host allocation failure.
-        // 49 MiB passes the 48 MiB cap but fits the 64 MiB device.
+        // 49 MiB passes the 48 MiB cap.
         struct Alloc(u32);
         impl Program for Alloc {
             fn name(&self) -> &str {
@@ -248,8 +248,7 @@ mod tests {
                 Ok(())
             }
         }
-        let limits = gpu_sim::ResourceLimits::default();
-        assert!(limits.max_global_bytes < 49 << 20 && 49 << 20 < DEVICE_MEM_BYTES);
+        const { assert!(gpu_sim::MAX_GLOBAL_BYTES < 49 << 20) };
         let out = run_program(&Alloc(49 << 20), RuntimeConfig::default(), None);
         assert_eq!(out.termination, Termination::Crash);
         assert!(out.has_anomaly(), "governor kill is recorded in the trap log");
@@ -277,7 +276,7 @@ mod tests {
                 Ok(())
             }
         }
-        let cap = gpu_sim::ResourceLimits::default().max_output_bytes;
+        let cap = MAX_OUTPUT_BYTES;
         assert_eq!(cap, 16 << 20);
         // 17 Ki lines of 1 KiB: more than 16 MiB of stdout.
         let out = run_program(&Chatty(17 << 10), RuntimeConfig::default(), None);
@@ -290,6 +289,28 @@ mod tests {
         let out = run_program(&Chatty(1000), RuntimeConfig::default(), None);
         assert!(!out.stdout.contains(OUTPUT_TRUNCATED_MARKER));
         assert_eq!(out.files["out.dat"].len(), 4096);
+    }
+
+    #[test]
+    fn governor_charges_a_rewritten_file_once() {
+        // Rewriting one 1 MiB file 17 times holds 1 MiB of output, not the
+        // 17 MiB the writes add up to, so nothing is truncated.
+        struct Rewrite;
+        impl Program for Rewrite {
+            fn name(&self) -> &str {
+                "rewrite"
+            }
+            fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError> {
+                for i in 0..17u8 {
+                    rt.write_file("out.dat", vec![i; 1 << 20]);
+                }
+                rt.println("done");
+                Ok(())
+            }
+        }
+        let out = run_program(&Rewrite, RuntimeConfig::default(), None);
+        assert_eq!(out.files["out.dat"], vec![16u8; 1 << 20]);
+        assert_eq!(out.stdout, "done\n", "no truncation marker");
     }
 
     #[test]

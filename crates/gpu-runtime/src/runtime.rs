@@ -5,27 +5,20 @@ use crate::error::{KernelFault, RuntimeError};
 use crate::tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
 use gpu_isa::{encode, Module, Opcode, OPCODE_COUNT};
 use gpu_sim::{
-    DevPtr, Dim3, GlobalMem, Gpu, GpuConfig, Instrumentation, Launch, MemError, OpcodeCounts,
-    ResourceLimits, SimError, TrapInfo, TrapKind,
+    DevPtr, Dim3, GlobalMem, Gpu, Instrumentation, Launch, MemError, OpcodeCounts, SimError,
+    TrapInfo, TrapKind,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Global-memory capacity of the one simulated device.
-///
-/// The device is fixed above the simulator: [`GpuConfig::default`] gives
-/// its shape (the paper's Titan V), [`ResourceLimits::default`] its
-/// resource-governor caps, and this constant its memory. The allocation
-/// cap sits below it, so a runaway allocation hits the governor before
-/// the allocator.
-pub const DEVICE_MEM_BYTES: u32 = 64 << 20;
-
-/// Runtime configuration: the per-run bounds. The device itself is fixed
-/// (see [`DEVICE_MEM_BYTES`]).
+/// Runtime configuration: the per-run bounds. The device itself is the
+/// simulator's one device ([`gpu_sim::NUM_SMS`] SMs, with the resource
+/// governor's caps [`gpu_sim::MAX_GLOBAL_BYTES`],
+/// [`gpu_sim::MAX_SHARED_BYTES`] and [`MAX_OUTPUT_BYTES`]).
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
     /// Per-launch dynamic-instruction budget (the hang monitor threshold).
-    /// `None` uses the device default.
+    /// `None` uses [`gpu_sim::DEFAULT_INSTR_BUDGET`].
     pub instr_budget: Option<u64>,
     /// Wall-clock deadline for the whole run, measured from
     /// [`Runtime::new`]. Passing it kills the run with
@@ -34,6 +27,11 @@ pub struct RuntimeConfig {
     /// (the default) disables the deadline.
     pub wall_deadline: Option<std::time::Duration>,
 }
+
+/// Most bytes of captured output (stdout plus output files) per run: the
+/// resource governor's output cap. Excess is truncated with
+/// [`OUTPUT_TRUNCATED_MARKER`] rather than trapped.
+pub const MAX_OUTPUT_BYTES: u64 = 16 << 20;
 
 /// Line appended to captured stdout when the resource governor truncates
 /// runaway output (e.g. a fault-corrupted loop bound printing forever).
@@ -91,22 +89,19 @@ impl std::fmt::Debug for Runtime {
 impl Runtime {
     /// Create a runtime on the simulated device with the given bounds.
     ///
-    /// The resource governor's caps ([`ResourceLimits::default`]) hold on
-    /// every run: breaching a memory cap kills the run with
+    /// The resource governor's caps hold on every run: breaching a memory
+    /// cap ([`gpu_sim::MAX_GLOBAL_BYTES`], [`gpu_sim::MAX_SHARED_BYTES`])
+    /// kills the run with
     /// [`RuntimeError::ResourceLimit`] (classified as an OS-detected
     /// crash), and breaching the output cap truncates capture with
     /// [`OUTPUT_TRUNCATED_MARKER`]. The caps are far above any golden
     /// run's usage, so only fault-corrupted executions trip them.
     pub fn new(cfg: RuntimeConfig) -> Runtime {
-        let limits = ResourceLimits::default();
-        let mut gpu = Gpu::new(GpuConfig::default());
+        let mut gpu = Gpu::new();
         gpu.set_deadline(cfg.wall_deadline.map(|d| std::time::Instant::now() + d));
-        gpu.set_limits(Some(limits));
-        let mut mem = GlobalMem::new(DEVICE_MEM_BYTES);
-        mem.set_alloc_limit(Some(limits.max_global_bytes));
         Runtime {
             gpu,
-            mem,
+            mem: GlobalMem::new(),
             cfg,
             modules: Vec::new(),
             tool: None,
@@ -514,7 +509,7 @@ impl Runtime {
     /// Append a line to the program's standard output.
     ///
     /// Once total captured output (stdout plus files) reaches the
-    /// governor's [`ResourceLimits::max_output_bytes`] cap, further lines
+    /// governor's [`MAX_OUTPUT_BYTES`] cap, further lines
     /// are dropped and [`OUTPUT_TRUNCATED_MARKER`] is appended exactly once
     /// — runaway fault-induced print loops cannot exhaust host memory.
     pub fn println(&mut self, line: impl AsRef<str>) {
@@ -523,7 +518,7 @@ impl Runtime {
         }
         let line = line.as_ref();
         let n = line.len() as u64 + 1;
-        if self.output_bytes + n > ResourceLimits::default().max_output_bytes {
+        if self.output_bytes + n > MAX_OUTPUT_BYTES {
             self.mark_output_truncated();
             return;
         }
@@ -551,21 +546,23 @@ impl Runtime {
     /// Write (or overwrite) a named output file.
     ///
     /// Shares the governor's output budget with [`Runtime::println`]: a
-    /// file that would push total capture past
-    /// [`ResourceLimits::max_output_bytes`] is truncated to the remaining
-    /// budget and the stdout marker is appended.
+    /// file that would push total capture past [`MAX_OUTPUT_BYTES`] is
+    /// truncated to the remaining budget and the stdout marker is appended.
+    /// Overwriting a file charges only the growth over the file it
+    /// replaces.
     pub fn write_file(&mut self, name: impl Into<String>, mut bytes: Vec<u8>) {
         if self.output_truncated {
             return;
         }
-        let remaining =
-            ResourceLimits::default().max_output_bytes.saturating_sub(self.output_bytes);
+        let name = name.into();
+        let replaced = self.files.get(&name).map_or(0, |old| old.len() as u64);
+        let remaining = (MAX_OUTPUT_BYTES + replaced).saturating_sub(self.output_bytes);
         if bytes.len() as u64 > remaining {
             bytes.truncate(remaining as usize);
             self.mark_output_truncated();
         }
-        self.output_bytes += bytes.len() as u64;
-        self.files.insert(name.into(), bytes);
+        self.output_bytes = self.output_bytes - replaced + bytes.len() as u64;
+        self.files.insert(name, bytes);
     }
 
     /// The output files written so far.

@@ -18,7 +18,7 @@
 
 use crate::cycles::{latency, HOOK_CYCLES};
 use crate::exec::{exec_family, ExecEnv, Flow};
-use crate::gpu::OpcodeCounts;
+use crate::gpu::{OpcodeCounts, LOCAL_MEM_BYTES};
 use crate::grid::Dim3;
 use crate::hooks::{InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
 use crate::memory::{GlobalMem, SharedMem};
@@ -146,7 +146,7 @@ fn first_lanes(mask: u32, n: u64) -> u32 {
 impl BlockState {
     /// Allocate the state for every block of a launch of `kernel`. Call
     /// [`BlockState::arm`] before running each block.
-    pub fn new(kernel: &Kernel, grid: Dim3, block: Dim3, local_bytes: u32) -> BlockState {
+    pub fn new(kernel: &Kernel, grid: Dim3, block: Dim3) -> BlockState {
         let nthreads = block.count() as usize;
         let mut uses_local = false;
         let mut written_regs = 0;
@@ -161,7 +161,7 @@ impl BlockState {
                 written_regs = written_regs.max(end.min(Reg::RZ.index()));
             }
         }
-        let local_bytes = if uses_local { local_bytes as usize } else { 0 };
+        let local_bytes = if uses_local { LOCAL_MEM_BYTES as usize } else { 0 };
         let threads = (0..nthreads as u32)
             .map(|flat_tid| ThreadState {
                 regs: RegFile::new(),

@@ -735,7 +735,7 @@ mod tests {
         fn new() -> Fixture {
             Fixture {
                 regs: RegFile::new(),
-                global: GlobalMem::new(1 << 16),
+                global: GlobalMem::new(),
                 shared: SharedMem::new(1024),
                 local: vec![0; 256],
                 cmem: vec![0; 64],
@@ -1026,7 +1026,7 @@ mod fp16_tests {
     }
 
     fn run_one(i: &Instr, regs: &mut RegFile) -> Result<Flow, TrapKind> {
-        let mut global = GlobalMem::new(4096);
+        let mut global = GlobalMem::new();
         let mut shared = SharedMem::new(64);
         let mut local = vec![0u8; 64];
         let cmem = [0u8; 16];

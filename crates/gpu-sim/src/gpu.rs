@@ -1,4 +1,5 @@
-//! The device front-end: configuration, launches, and statistics.
+//! The device front-end: the device's shape and caps, launches, and
+//! statistics.
 
 use crate::block::{BlockState, Counters, NoTally, Tally};
 use crate::error::SimError;
@@ -18,31 +19,30 @@ pub const MAX_PARAM_BYTES: usize = 4096;
 /// [`gpu_isa::Opcode::encode`] — what [`Gpu::launch_counted`] adds to.
 pub type OpcodeCounts = [u64; OPCODE_COUNT];
 
-/// Simulated device configuration.
-///
-/// Defaults model a Titan V (the paper's evaluation GPU): 80 SMs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GpuConfig {
-    /// Number of streaming multiprocessors; blocks are assigned
-    /// `sm = block_id % num_sms`.
-    pub num_sms: u32,
-    /// Per-thread local-memory bytes, allocated only for kernels with a
-    /// local-memory operand.
-    pub local_mem_bytes: u32,
-    /// Default per-launch dynamic-instruction budget (the hang detector).
-    pub default_instr_budget: u64,
-}
+/// Streaming multiprocessors of the simulated device, a Titan V (the
+/// paper's evaluation GPU). Block `b` of a launch runs on SM
+/// `b % NUM_SMS`.
+pub const NUM_SMS: u32 = 80;
 
-impl Default for GpuConfig {
-    fn default() -> Self {
-        GpuConfig { num_sms: 80, local_mem_bytes: 1024, default_instr_budget: 2_000_000_000 }
-    }
-}
+/// Per-thread local-memory bytes, allocated only for kernels with a
+/// local-memory operand.
+pub const LOCAL_MEM_BYTES: u32 = 1024;
 
-/// A simulated GPU device.
+/// Per-launch dynamic-instruction budget (the hang detector) of a launch
+/// that sets none.
+pub const DEFAULT_INSTR_BUDGET: u64 = 2_000_000_000;
+
+/// Most static shared memory one kernel may declare (CUDA's classic 48 KiB
+/// per-block ceiling). A launch declaring more traps with
+/// [`crate::TrapKind::ResourceLimit`], so a fault-corrupted declaration
+/// cannot materialize a huge scratchpad.
+pub const MAX_SHARED_BYTES: u32 = 48 << 10;
+
+/// The simulated GPU device: [`NUM_SMS`] SMs, and the launch-time caps
+/// above. Its only state is an optional wall-clock deadline.
 ///
 /// ```
-/// use gpu_sim::{Gpu, GpuConfig, GlobalMem, Launch, Dim3};
+/// use gpu_sim::{Gpu, GlobalMem, Launch, Dim3};
 /// use gpu_isa::asm::KernelBuilder;
 /// use gpu_isa::{Reg, SpecialReg};
 ///
@@ -57,8 +57,8 @@ impl Default for GpuConfig {
 /// k.exit();
 /// let kernel = k.finish();
 ///
-/// let gpu = Gpu::new(GpuConfig::default());
-/// let mut mem = GlobalMem::new(1 << 20);
+/// let gpu = Gpu::new();
+/// let mut mem = GlobalMem::new();
 /// let out = mem.alloc(64 * 4)?;
 /// let stats = gpu.launch(
 ///     &Launch { kernel: &kernel, grid: Dim3::from(2), block: Dim3::from(32), params: &[out.addr()], instr_budget: None },
@@ -72,9 +72,7 @@ impl Default for GpuConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Gpu {
-    cfg: GpuConfig,
     deadline: Option<std::time::Instant>,
-    limits: Option<crate::ResourceLimits>,
 }
 
 /// One kernel launch request.
@@ -106,14 +104,9 @@ pub struct LaunchStats {
 }
 
 impl Gpu {
-    /// Create a device with the given configuration.
-    pub fn new(cfg: GpuConfig) -> Gpu {
-        Gpu { cfg, deadline: None, limits: None }
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &GpuConfig {
-        &self.cfg
+    /// Create a device with no deadline.
+    pub fn new() -> Gpu {
+        Gpu::default()
     }
 
     /// Arm (or disarm) the wall-clock deadline. While armed, every launch
@@ -124,18 +117,10 @@ impl Gpu {
         self.deadline = deadline;
     }
 
-    /// Arm (or disarm) the resource governor's launch-time caps. While
-    /// armed, a kernel declaring more static shared memory than
-    /// [`crate::ResourceLimits::max_shared_bytes`] traps with
-    /// [`crate::TrapKind::ResourceLimit`] instead of allocating it.
-    pub fn set_limits(&mut self, limits: Option<crate::ResourceLimits>) {
-        self.limits = limits;
-    }
-
     /// Run a kernel to completion.
     ///
     /// Blocks execute in linear order; each block runs on
-    /// `sm = block_id % num_sms` for the purpose of `SR_SMID` and the
+    /// `sm = block_id % NUM_SMS` for the purpose of `SR_SMID` and the
     /// permanent-fault model's SM targeting.
     ///
     /// # Errors
@@ -207,34 +192,32 @@ impl Gpu {
 
         // Governor check: a fault-corrupted shared-memory declaration traps
         // like a sandbox kill instead of materializing a huge scratchpad.
-        if let Some(limits) = self.limits {
-            if l.kernel.shared_bytes() > limits.max_shared_bytes {
-                return Err(SimError::Trap {
-                    info: crate::trap::TrapInfo {
-                        kind: crate::trap::TrapKind::ResourceLimit {
-                            space: gpu_isa::Space::Shared,
-                            requested: l.kernel.shared_bytes(),
-                            limit: limits.max_shared_bytes,
-                        },
-                        kernel: l.kernel.name().to_string(),
-                        pc: None,
-                        block: None,
-                        thread: None,
+        if l.kernel.shared_bytes() > MAX_SHARED_BYTES {
+            return Err(SimError::Trap {
+                info: crate::trap::TrapInfo {
+                    kind: crate::trap::TrapKind::ResourceLimit {
+                        space: gpu_isa::Space::Shared,
+                        requested: l.kernel.shared_bytes(),
+                        limit: MAX_SHARED_BYTES,
                     },
-                    stats: LaunchStats {
-                        dyn_instrs: 0,
-                        cycles: 0,
-                        blocks: l.grid.count(),
-                        threads_per_block: threads,
-                    },
-                });
-            }
+                    kernel: l.kernel.name().to_string(),
+                    pc: None,
+                    block: None,
+                    thread: None,
+                },
+                stats: LaunchStats {
+                    dyn_instrs: 0,
+                    cycles: 0,
+                    blocks: l.grid.count(),
+                    threads_per_block: threads,
+                },
+            });
         }
 
         let mut counters = Counters {
             executed: 0,
             cycles: 0,
-            budget: l.instr_budget.unwrap_or(self.cfg.default_instr_budget),
+            budget: l.instr_budget.unwrap_or(DEFAULT_INSTR_BUDGET),
             deadline: self.deadline,
             opcodes,
         };
@@ -260,9 +243,9 @@ impl Gpu {
             }
         }
         let nblocks = l.grid.count() as u32;
-        let mut block = BlockState::new(l.kernel, l.grid, l.block, self.cfg.local_mem_bytes);
+        let mut block = BlockState::new(l.kernel, l.grid, l.block);
         for b in 0..nblocks {
-            block.arm(b, b % self.cfg.num_sms);
+            block.arm(b, b % NUM_SMS);
             let run =
                 block.run(l.kernel, global, &param_bytes, &mut counters, &mut instrumentation);
             if let Err(info) = run {

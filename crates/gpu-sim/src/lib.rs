@@ -5,6 +5,9 @@
 //! This crate is the workspace's substitute for physical NVIDIA hardware
 //! (see `DESIGN.md` §1). It executes [`gpu_isa`] kernels with:
 //!
+//! * **one device** — a Titan V's [`NUM_SMS`] SMs, with the resource
+//!   governor's caps ([`MAX_SHARED_BYTES`], [`MAX_GLOBAL_BYTES`]) always
+//!   on; its shape is constants, not settings,
 //! * **SMs and warps** — blocks are assigned to SMs round-robin; warps of 32
 //!   lanes execute with a min-PC independent-thread-scheduling model that
 //!   handles divergence and reconvergence,
@@ -43,7 +46,6 @@ mod exec;
 mod gpu;
 mod grid;
 mod hooks;
-mod limits;
 mod memory;
 mod regfile;
 mod trap;
@@ -51,12 +53,12 @@ mod trap;
 pub use error::SimError;
 pub use exec::{exec_scalar, ExecEnv, Flow};
 pub use gpu::{
-    Gpu, GpuConfig, Launch, LaunchStats, OpcodeCounts, MAX_BLOCK_THREADS, MAX_PARAM_BYTES,
+    Gpu, Launch, LaunchStats, OpcodeCounts, DEFAULT_INSTR_BUDGET, LOCAL_MEM_BYTES,
+    MAX_BLOCK_THREADS, MAX_PARAM_BYTES, MAX_SHARED_BYTES, NUM_SMS,
 };
 pub use grid::Dim3;
 pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
-pub use limits::ResourceLimits;
-pub use memory::{DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem};
+pub use memory::{DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem, MAX_GLOBAL_BYTES};
 pub use regfile::RegFile;
 pub use trap::{TrapInfo, TrapKind};
 
@@ -67,7 +69,7 @@ mod integration_tests {
     use gpu_isa::{AtomOp, CmpOp, PReg, Reg, ShflMode, SpecialReg};
 
     fn gpu() -> Gpu {
-        Gpu::new(GpuConfig::default())
+        Gpu::new()
     }
 
     /// out[i] = a[i] + b[i], one thread per element.
@@ -93,7 +95,7 @@ mod integration_tests {
     #[test]
     fn vecadd_end_to_end() {
         let g = gpu();
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let n = 256usize;
         let a = mem.alloc((n * 4) as u32).expect("alloc");
         let b = mem.alloc((n * 4) as u32).expect("alloc");
@@ -129,7 +131,7 @@ mod integration_tests {
     fn counted_launch_tallies_each_opcode() {
         let kernel = vecadd_kernel();
         let launch = |opcodes: Option<&mut OpcodeCounts>| {
-            let mut mem = GlobalMem::new(1 << 20);
+            let mut mem = GlobalMem::new();
             let bufs: Vec<u32> =
                 (0..3).map(|_| mem.alloc(256 * 4).expect("alloc").addr()).collect();
             gpu()
@@ -182,7 +184,7 @@ mod integration_tests {
         let kernel = k.finish();
 
         let g = gpu();
-        let mut mem = GlobalMem::new(1 << 16);
+        let mut mem = GlobalMem::new();
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         g.launch(
             &Launch {
@@ -226,7 +228,7 @@ mod integration_tests {
         let kernel = k.finish();
 
         let g = gpu();
-        let mut mem = GlobalMem::new(1 << 16);
+        let mut mem = GlobalMem::new();
         let out_buf = mem.alloc(n * 4).expect("alloc");
         g.launch(
             &Launch {
@@ -255,7 +257,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let err = g
             .launch(
                 &Launch {
@@ -280,15 +282,12 @@ mod integration_tests {
 
     #[test]
     fn shared_mem_over_governor_cap_traps() {
-        let mut k = KernelBuilder::new("hog");
-        k.shared_bytes(1 << 20); // 1 MiB, far past the 48 KiB cap
-        k.exit();
-        let kernel = k.finish();
-        let mut g = gpu();
-        g.set_limits(Some(ResourceLimits::default()));
-        let mut mem = GlobalMem::new(4096);
-        let err = g
-            .launch(
+        let launch = |shared: u32| {
+            let mut k = KernelBuilder::new("hog");
+            k.shared_bytes(shared);
+            k.exit();
+            let kernel = k.finish();
+            gpu().launch(
                 &Launch {
                     kernel: &kernel,
                     grid: Dim3::from(1),
@@ -296,33 +295,28 @@ mod integration_tests {
                     params: &[],
                     instr_budget: None,
                 },
-                &mut mem,
+                &mut GlobalMem::new(),
                 None,
             )
-            .unwrap_err();
-        match err {
+        };
+        match launch(1 << 20).unwrap_err() {
             SimError::Trap { info, stats } => {
-                assert!(matches!(info.kind, TrapKind::ResourceLimit { .. }), "{:?}", info.kind);
+                assert_eq!(
+                    info.kind,
+                    TrapKind::ResourceLimit {
+                        space: gpu_isa::Space::Shared,
+                        requested: 1 << 20,
+                        limit: MAX_SHARED_BYTES,
+                    }
+                );
                 assert_eq!(info.kernel, "hog");
                 assert_eq!(stats.dyn_instrs, 0, "trapped before execution");
             }
             other => panic!("expected trap, got {other:?}"),
         }
-        // Without the governor the same launch succeeds.
-        let g = gpu();
-        let mut mem = GlobalMem::new(4096);
-        g.launch(
-            &Launch {
-                kernel: &kernel,
-                grid: Dim3::from(1),
-                block: Dim3::from(1),
-                params: &[],
-                instr_budget: None,
-            },
-            &mut mem,
-            None,
-        )
-        .expect("launch without governor");
+        // A declaration of exactly the cap launches; one byte more does not.
+        assert_eq!(launch(MAX_SHARED_BYTES).expect("at the cap").dyn_instrs, 1);
+        assert!(launch(MAX_SHARED_BYTES + 1).is_err());
     }
 
     #[test]
@@ -333,7 +327,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let err = g
             .launch(
                 &Launch {
@@ -376,7 +370,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         g.launch(
             &Launch {
@@ -404,7 +398,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let c = mem.alloc(4).expect("alloc");
         g.launch(
             &Launch {
@@ -430,7 +424,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let stats = g
             .launch(
                 &Launch {
@@ -461,13 +455,14 @@ mod integration_tests {
         k.stg(out, 0, sm);
         k.exit();
         let kernel = k.finish();
-        let g = Gpu::new(GpuConfig { num_sms: 4, ..GpuConfig::default() });
-        let mut mem = GlobalMem::new(1 << 16);
-        let out_buf = mem.alloc(10 * 4).expect("alloc");
+        let g = gpu();
+        let mut mem = GlobalMem::new();
+        let blocks = NUM_SMS + 2;
+        let out_buf = mem.alloc(blocks * 4).expect("alloc");
         g.launch(
             &Launch {
                 kernel: &kernel,
-                grid: Dim3::from(10),
+                grid: Dim3::from(blocks),
                 block: Dim3::from(1),
                 params: &[out_buf.addr()],
                 instr_budget: None,
@@ -476,17 +471,19 @@ mod integration_tests {
             None,
         )
         .expect("launch");
-        let vals = mem.read_u32s(out_buf, 10).expect("read");
-        for b in 0..10u32 {
-            assert_eq!(vals[b as usize], b % 4, "block {b}");
+        let vals = mem.read_u32s(out_buf, blocks as usize).expect("read");
+        for b in 0..blocks {
+            assert_eq!(vals[b as usize], b % NUM_SMS, "block {b}");
         }
+        // The Titan V's 80 SMs: block 80 wraps to SM 0, block 81 to SM 1.
+        assert_eq!(&vals[80..], &[0, 1]);
     }
 
     #[test]
     fn launch_validation() {
         let kernel = vecadd_kernel();
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         assert!(matches!(
             g.launch(
                 &Launch {
@@ -524,7 +521,7 @@ mod integration_tests {
         let kernel = vecadd_kernel();
         let g = gpu();
         let run = || {
-            let mut mem = GlobalMem::new(1 << 20);
+            let mut mem = GlobalMem::new();
             let a = mem.alloc(1024).expect("a");
             let b = mem.alloc(1024).expect("b");
             let c = mem.alloc(1024).expect("c");
@@ -585,7 +582,7 @@ mod integration_tests {
         let kernel = k.finish();
 
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         let mut hook = CountAndCorrupt { before_calls: 0, after_calls: 0, corrupt_at: u64::MAX };
         // Instrument only the IADD32I at pc=2.
@@ -627,7 +624,7 @@ mod integration_tests {
             hook: &mut hook,
             kernel_instance: 0,
         };
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         g.launch(
             &Launch {
@@ -652,7 +649,7 @@ mod integration_tests {
         impl ExecHook for Noop {}
         let kernel = vecadd_kernel();
         let g = gpu();
-        let mut mem = GlobalMem::new(4096);
+        let mut mem = GlobalMem::new();
         let mut hook = Noop;
         let before = vec![false; 2]; // wrong length
         let after = vec![false; 2];
@@ -690,7 +687,7 @@ mod integration_tests {
             let c = mem.alloc(1024).expect("c");
             [a.addr(), b.addr(), c.addr()]
         };
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let params = setup(&mut mem);
         let plain = g
             .launch(
@@ -706,7 +703,7 @@ mod integration_tests {
             )
             .expect("launch");
 
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let params = setup(&mut mem);
         let mut hook = Noop;
         let before = vec![true; kernel.len()];

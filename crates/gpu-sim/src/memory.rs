@@ -38,13 +38,6 @@ impl fmt::Display for DevPtr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MemError {
-    /// The allocation would exceed device capacity.
-    OutOfMemory {
-        /// Requested size in bytes.
-        requested: u32,
-        /// Bytes remaining.
-        available: u32,
-    },
     /// A host copy touched unallocated memory.
     BadCopy {
         /// Faulting byte address.
@@ -53,13 +46,12 @@ pub enum MemError {
         len: u32,
     },
     /// The allocation would push total live allocations past the resource
-    /// governor's cap ([`crate::ResourceLimits::max_global_bytes`]) — fired
-    /// before the device itself runs out, so a fault-corrupted allocation
-    /// size becomes a sandbox kill rather than a host OOM.
+    /// governor's cap ([`MAX_GLOBAL_BYTES`]), so a fault-corrupted
+    /// allocation size becomes a sandbox kill rather than a host OOM.
     LimitExceeded {
         /// Bytes requested by this allocation.
         requested: u32,
-        /// The configured cap in bytes.
+        /// The cap in bytes.
         limit: u32,
     },
 }
@@ -67,12 +59,6 @@ pub enum MemError {
 impl fmt::Display for MemError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MemError::OutOfMemory { requested, available } => {
-                write!(
-                    f,
-                    "device out of memory: requested {requested} bytes, {available} available"
-                )
-            }
             MemError::BadCopy { addr, len } => {
                 write!(f, "host copy of {len} bytes at {addr:#x} touches unallocated memory")
             }
@@ -91,56 +77,42 @@ impl std::error::Error for MemError {}
 
 const NULL_PAGE: u32 = 4096;
 
-/// A snapshot of [`GlobalMem`]: a copy of the allocated bytes plus the
-/// allocation break.
+/// Most bytes of global memory one run may allocate (the `cudaMalloc`
+/// budget): the resource governor's allocation cap, and the device's only
+/// bound. Golden runs use far less, so only a fault-corrupted allocation
+/// size reaches it, and [`GlobalMem::alloc`] refuses it with
+/// [`MemError::LimitExceeded`] — a sandbox kill, classified as a DUE
+/// (Table V, OS-detected), not a host out-of-memory.
+pub const MAX_GLOBAL_BYTES: u32 = 48 << 20;
+
+/// A snapshot of [`GlobalMem`]: a copy of the allocated bytes, which also
+/// fixes the allocation break.
 ///
 /// Taking or restoring one copies every allocated byte, so its cost grows
-/// with the allocation, not with device capacity. Snapshots are
+/// with the allocation. Snapshots are
 /// `Send + Sync`, so checkpoint stores can hand the same snapshot to many
 /// injection workers.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
     bytes: Vec<u8>,
-    capacity: u32,
-}
-
-impl MemSnapshot {
-    /// Allocation break captured by the snapshot.
-    pub fn brk(&self) -> u32 {
-        NULL_PAGE + self.bytes.len() as u32
-    }
 }
 
 /// Device global memory: a bump-allocated, bounds-checked address space.
 ///
 /// One buffer holds exactly the allocated bytes, `[null page, brk)`:
-/// [`GlobalMem::alloc`] grows it with zeros, so a fresh 64 MiB device costs
+/// [`GlobalMem::alloc`] grows it with zeros, so a fresh device costs
 /// nothing until programs allocate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalMem {
     /// Bytes at addresses `NULL_PAGE..brk`; `brk` is `NULL_PAGE + len`.
     bytes: Vec<u8>,
-    capacity: u32,
-    alloc_limit: Option<u32>,
 }
 
 impl GlobalMem {
-    /// Create a device memory of `capacity` bytes (plus the null page).
-    /// The total saturates at the 32-bit address space.
-    pub fn new(capacity: u32) -> GlobalMem {
-        GlobalMem {
-            bytes: Vec::new(),
-            capacity: capacity.saturating_add(NULL_PAGE),
-            alloc_limit: None,
-        }
-    }
-
-    /// Arm (or disarm) the resource governor's allocation cap. While set,
-    /// [`GlobalMem::alloc`] fails with [`MemError::LimitExceeded`] once
-    /// total allocated bytes would pass `limit` — before the device itself
-    /// runs out of capacity.
-    pub fn set_alloc_limit(&mut self, limit: Option<u32>) {
-        self.alloc_limit = limit;
+    /// Create an empty device memory: nothing allocated, up to
+    /// [`MAX_GLOBAL_BYTES`] allocatable.
+    pub fn new() -> GlobalMem {
+        GlobalMem::default()
     }
 
     /// One past the highest allocated address.
@@ -153,21 +125,13 @@ impl GlobalMem {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::LimitExceeded`] when a governor cap is armed and
-    /// breached, or [`MemError::OutOfMemory`] when capacity is exhausted.
+    /// Returns [`MemError::LimitExceeded`] when the allocation would end
+    /// past [`MAX_GLOBAL_BYTES`].
     pub fn alloc(&mut self, size: u32) -> Result<DevPtr, MemError> {
         let aligned = self.brk().next_multiple_of(256);
         let end = aligned as u64 + size as u64;
-        if let Some(limit) = self.alloc_limit {
-            if end - NULL_PAGE as u64 > limit as u64 {
-                return Err(MemError::LimitExceeded { requested: size, limit });
-            }
-        }
-        if end > self.capacity as u64 {
-            return Err(MemError::OutOfMemory {
-                requested: size,
-                available: (self.capacity as u64).saturating_sub(aligned as u64) as u32,
-            });
+        if end - NULL_PAGE as u64 > MAX_GLOBAL_BYTES as u64 {
+            return Err(MemError::LimitExceeded { requested: size, limit: MAX_GLOBAL_BYTES });
         }
         self.bytes.resize((end - NULL_PAGE as u64) as usize, 0);
         Ok(DevPtr(aligned))
@@ -180,21 +144,13 @@ impl GlobalMem {
 
     /// Capture a snapshot: a copy of the allocated bytes.
     pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot { bytes: self.bytes.clone(), capacity: self.capacity }
+        MemSnapshot { bytes: self.bytes.clone() }
     }
 
     /// Restore contents and allocation state from a snapshot, copying its
     /// bytes into this memory's buffer. Anything allocated since is
     /// dropped, so a later allocation reads zero again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a device of a different capacity.
     pub fn restore(&mut self, snap: &MemSnapshot) {
-        assert_eq!(
-            self.capacity, snap.capacity,
-            "snapshot restored onto a device of different capacity"
-        );
         self.bytes.clear();
         self.bytes.extend_from_slice(&snap.bytes);
     }
@@ -460,7 +416,7 @@ mod tests {
 
     #[test]
     fn alloc_is_aligned_and_nonnull() {
-        let mut m = GlobalMem::new(1 << 16);
+        let mut m = GlobalMem::new();
         let p = m.alloc(100).expect("alloc");
         assert_eq!(p.0 % 256, 0);
         assert!(p.0 >= NULL_PAGE);
@@ -470,27 +426,22 @@ mod tests {
 
     #[test]
     fn alloc_exhaustion() {
-        let mut m = GlobalMem::new(1024);
-        assert!(m.alloc(512).is_ok());
-        assert!(matches!(m.alloc(10_000), Err(MemError::OutOfMemory { .. })));
-    }
-
-    #[test]
-    fn alloc_limit_fires_before_capacity() {
-        let mut m = GlobalMem::new(1 << 20);
-        m.set_alloc_limit(Some(1024));
-        assert!(m.alloc(512).is_ok());
-        // Within capacity but past the governor cap.
-        let err = m.alloc(1024).unwrap_err();
-        assert!(matches!(err, MemError::LimitExceeded { requested: 1024, limit: 1024 }), "{err}");
-        // Disarming restores plain capacity behavior.
-        m.set_alloc_limit(None);
-        assert!(m.alloc(1024).is_ok());
+        let mut m = GlobalMem::new();
+        // A request past the whole 32-bit address space is refused, not
+        // wrapped.
+        let err = m.alloc(u32::MAX).unwrap_err();
+        assert_eq!(err, MemError::LimitExceeded { requested: u32::MAX, limit: MAX_GLOBAL_BYTES });
+        let p = m.alloc(MAX_GLOBAL_BYTES - 256).expect("below the cap");
+        assert_eq!(p.0, NULL_PAGE);
+        m.alloc(256).expect("an allocation ending exactly at the cap");
+        assert_eq!(m.allocated(), MAX_GLOBAL_BYTES);
+        let err = m.alloc(1).unwrap_err();
+        assert_eq!(err, MemError::LimitExceeded { requested: 1, limit: MAX_GLOBAL_BYTES });
     }
 
     #[test]
     fn host_roundtrip_f32() {
-        let mut m = GlobalMem::new(4096);
+        let mut m = GlobalMem::new();
         let p = m.alloc(16).expect("alloc");
         m.write_f32s(p, &[1.0, 2.5, -3.0, 0.0]).expect("write");
         assert_eq!(m.read_f32s(p, 4).expect("read"), vec![1.0, 2.5, -3.0, 0.0]);
@@ -498,7 +449,7 @@ mod tests {
 
     #[test]
     fn host_roundtrip_f64_u32() {
-        let mut m = GlobalMem::new(4096);
+        let mut m = GlobalMem::new();
         let p = m.alloc(32).expect("alloc");
         m.write_f64s(p, &[1.25, -9.5]).expect("write");
         assert_eq!(m.read_f64s(p, 2).expect("read"), vec![1.25, -9.5]);
@@ -509,7 +460,7 @@ mod tests {
 
     #[test]
     fn host_copy_out_of_range_fails() {
-        let mut m = GlobalMem::new(4096);
+        let mut m = GlobalMem::new();
         let p = m.alloc(8).expect("alloc");
         assert!(m.write_u32s(p.offset(8), &[1]).is_err());
         assert!(m.read_u32s(DevPtr(0), 1).is_err(), "null page is not readable by host");
@@ -517,7 +468,7 @@ mod tests {
 
     #[test]
     fn device_null_deref_traps() {
-        let m = GlobalMem::new(4096);
+        let m = GlobalMem::new();
         assert!(matches!(
             m.load(0, MemWidth::B32),
             Err(TrapKind::OutOfBounds { space: Space::Global, .. })
@@ -526,7 +477,7 @@ mod tests {
 
     #[test]
     fn device_misaligned_traps() {
-        let mut m = GlobalMem::new(4096);
+        let mut m = GlobalMem::new();
         let p = m.alloc(64).expect("alloc");
         assert!(matches!(m.load(p.0 + 2, MemWidth::B32), Err(TrapKind::Misaligned { .. })));
         assert!(matches!(m.load(p.0 + 4, MemWidth::B64), Err(TrapKind::Misaligned { .. })));
@@ -534,7 +485,7 @@ mod tests {
 
     #[test]
     fn device_load_store_roundtrip_all_widths() {
-        let mut m = GlobalMem::new(4096);
+        let mut m = GlobalMem::new();
         let p = m.alloc(64).expect("alloc");
         for (w, v) in [
             (MemWidth::B8, 0xABu64),
@@ -549,7 +500,7 @@ mod tests {
 
     #[test]
     fn device_store_beyond_brk_traps() {
-        let mut m = GlobalMem::new(4096);
+        let mut m = GlobalMem::new();
         let p = m.alloc(8).expect("alloc");
         assert!(m.store(p.0 + 256, MemWidth::B32, 1).is_err());
     }
@@ -565,7 +516,7 @@ mod tests {
 
     #[test]
     fn untouched_memory_reads_zero_without_materializing() {
-        let mut m = GlobalMem::new(1 << 20);
+        let mut m = GlobalMem::new();
         let p = m.alloc(64 * 1024).expect("alloc");
         assert_eq!(m.load(p.0, MemWidth::B64).expect("load"), 0);
         assert_eq!(m.read_u32s(p, 4).expect("read"), vec![0; 4]);
@@ -573,7 +524,7 @@ mod tests {
 
     #[test]
     fn host_copy_spans_page_boundary() {
-        let mut m = GlobalMem::new(1 << 20);
+        let mut m = GlobalMem::new();
         let p = m.alloc(4 * 4096).expect("alloc");
         // 256-aligned base, offset so the copy straddles two page edges.
         let data: Vec<u8> = (0..2 * 4096 + 100).map(|i| (i % 251) as u8).collect();
@@ -586,7 +537,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_roundtrip() {
-        let mut m = GlobalMem::new(1 << 20);
+        let mut m = GlobalMem::new();
         let p = m.alloc(4096).expect("alloc");
         m.write_u32s(p, &[1, 2, 3, 4]).expect("write");
         let snap = m.snapshot();
@@ -597,13 +548,13 @@ mod tests {
 
         m.restore(&snap);
         assert_eq!(m.read_u32s(p, 4).expect("read"), vec![1, 2, 3, 4]);
-        assert_eq!(m.allocated(), snap.brk() - NULL_PAGE, "brk restored");
+        assert_eq!(m.allocated(), snap.bytes.len() as u32, "brk restored");
         assert!(m.read_u32s(q, 1).is_err(), "post-snapshot allocation rolled back");
     }
 
     #[test]
     fn restore_drops_bytes_allocated_after_the_snapshot() {
-        let mut m = GlobalMem::new(1 << 20);
+        let mut m = GlobalMem::new();
         m.alloc(64).expect("alloc");
         let snap = m.snapshot();
         let q = m.alloc(64).expect("alloc after snapshot");
@@ -616,43 +567,23 @@ mod tests {
     }
 
     #[test]
-    fn capacity_saturates_at_the_address_space() {
-        let mut m = GlobalMem::new(u32::MAX);
-        let p = m.alloc(16).expect("a near-4 GiB device still has room");
-        assert_eq!(p.0, NULL_PAGE);
-        assert!(matches!(
-            m.alloc(u32::MAX),
-            Err(MemError::OutOfMemory { available, .. }) if available == u32::MAX - 4096 - 256
-        ));
-    }
-
-    #[test]
     fn snapshot_is_isolated_from_later_writes() {
-        let mut m = GlobalMem::new(1 << 20);
+        let mut m = GlobalMem::new();
         let p = m.alloc(64).expect("alloc");
         m.write_u32s(p, &[42]).expect("write");
         let snap = m.snapshot();
         m.write_u32s(p, &[77]).expect("write");
 
-        let mut other = GlobalMem::new(1 << 20);
+        let mut other = GlobalMem::new();
         other.restore(&snap);
         assert_eq!(other.read_u32s(p, 1).expect("read"), vec![42], "snapshot kept old value");
         assert_eq!(m.read_u32s(p, 1).expect("read"), vec![77], "live memory kept new value");
 
         // Writing through the restored copy must not leak into the snapshot.
         other.write_u32s(p, &[5]).expect("write");
-        let mut third = GlobalMem::new(1 << 20);
+        let mut third = GlobalMem::new();
         third.restore(&snap);
         assert_eq!(third.read_u32s(p, 1).expect("read"), vec![42]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacity")]
-    fn restore_rejects_capacity_mismatch() {
-        let m = GlobalMem::new(1 << 20);
-        let snap = m.snapshot();
-        let mut other = GlobalMem::new(1 << 16);
-        other.restore(&snap);
     }
 
     #[test]

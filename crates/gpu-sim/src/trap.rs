@@ -59,8 +59,8 @@ pub enum TrapKind {
     /// experiment run itself, not an observation about the program: outcome
     /// classification must not count it as a DUE.
     DeadlineExceeded,
-    /// The run exceeded a resource-governor cap
-    /// ([`crate::ResourceLimits`]) — the sandbox analog of a cgroup
+    /// The run exceeded a resource-governor cap ([`crate::MAX_SHARED_BYTES`]
+    /// or [`crate::MAX_GLOBAL_BYTES`]) — the sandbox analog of a cgroup
     /// OOM-kill. Classified as an OS-detected DUE (the governor terminates
     /// the victim run the way a real sandbox kills the victim process).
     ResourceLimit {
@@ -68,7 +68,7 @@ pub enum TrapKind {
         space: Space,
         /// Bytes the run tried to use.
         requested: u32,
-        /// The configured cap in bytes.
+        /// The cap in bytes.
         limit: u32,
     },
 }

@@ -6,10 +6,10 @@ use gpu_isa::{
     AtomOp, CmpOp, Dst, Instr, MemWidth, Modifier, Opcode, Operand, PReg, Reg, RoundMode, ShflMode,
     SpecialReg,
 };
-use gpu_sim::{Dim3, GlobalMem, Gpu, GpuConfig, Launch};
+use gpu_sim::{Dim3, GlobalMem, Gpu, Launch};
 
 fn run_kernel(kernel: &gpu_isa::Kernel, threads: u32, params: &[u32], mem: &mut GlobalMem) {
-    Gpu::new(GpuConfig::default())
+    Gpu::new()
         .launch(
             &Launch {
                 kernel,
@@ -50,7 +50,7 @@ fn eval2(body: impl FnOnce(&mut KernelBuilder), xs: &[u32], ys: &[u32]) -> Vec<u
     assert_eq!(xs.len(), ys.len());
     let n = xs.len();
     let kernel = unary_binary_harness("t", body);
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc((n * 4) as u32).expect("out");
     let a = mem.alloc((n * 4) as u32).expect("a");
     let b = mem.alloc((n * 4) as u32).expect("b");
@@ -318,7 +318,7 @@ fn f2f_widen_narrow_roundtrip() {
     k.stg(out, 0, Reg(0));
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(8).expect("out");
     let inp = mem.alloc(8).expect("in");
     mem.write_f32s(inp, &[1.61803, -0.5]).expect("w");
@@ -354,7 +354,7 @@ fn local_memory_per_thread_isolation() {
     k.stg(out, 0, Reg(0));
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(32 * 4).expect("out");
     run_kernel(&kernel, 32, &[out.addr()], &mut mem);
     assert_eq!(mem.read_u32s(out, 32).expect("r"), (0..32).collect::<Vec<u32>>());
@@ -377,7 +377,7 @@ fn vote_ballot_reflects_predicates() {
     k.stg(out, 0, Reg(0));
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(32 * 4).expect("out");
     run_kernel(&kernel, 32, &[out.addr()], &mut mem);
     let got = mem.read_u32s(out, 32).expect("r");
@@ -405,7 +405,7 @@ fn atomic_cas_swaps_only_on_match() {
     k.push(cas);
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(4 * 4).expect("out");
     mem.write_u32s(out, &[7, 8, 7, 9]).expect("w");
     run_kernel(&kernel, 4, &[out.addr()], &mut mem);
@@ -426,7 +426,7 @@ fn shfl_idx_and_up_down() {
     k.stg(out, 0, Reg(0));
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(32 * 4).expect("out");
     run_kernel(&kernel, 32, &[out.addr()], &mut mem);
     let got = mem.read_u32s(out, 32).expect("r");
@@ -449,7 +449,7 @@ fn fswzadd_pairs_lanes() {
     k.stg(out, 0, Reg(0));
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(32 * 4).expect("out");
     run_kernel(&kernel, 32, &[out.addr()], &mut mem);
     let got = mem.read_f32s(out, 32).expect("r");
@@ -479,7 +479,7 @@ fn dset_and_dsetp_compare_doubles() {
     k.stg(out, 0, Reg(0));
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(8 * 4).expect("out");
     run_kernel(&kernel, 8, &[out.addr()], &mut mem);
     let got = mem.read_u32s(out, 8).expect("r");
@@ -503,7 +503,7 @@ fn shfl_down_huge_delta_keeps_own_value() {
     k.stg(out, 0, Reg(0));
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(32 * 4).expect("out");
     run_kernel(&kernel, 32, &[out.addr()], &mut mem);
     assert_eq!(mem.read_u32s(out, 32).expect("r"), (100..132).collect::<Vec<u32>>());
@@ -575,7 +575,7 @@ fn eval2_64(body: impl FnOnce(&mut KernelBuilder), xs: &[u64], ys: &[u64]) -> Ve
     let kernel = k.finish();
     let words =
         |v: &[u64]| v.iter().flat_map(|d| [*d as u32, (d >> 32) as u32]).collect::<Vec<_>>();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc((n * 8) as u32).expect("out");
     let a = mem.alloc((n * 8) as u32).expect("a");
     let b = mem.alloc((n * 8) as u32).expect("b");

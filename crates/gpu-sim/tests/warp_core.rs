@@ -14,8 +14,8 @@ use gpu_isa::{
     Space, SpecialReg,
 };
 use gpu_sim::{
-    Dim3, ExecHook, GlobalMem, Gpu, GpuConfig, InstrSite, Instrumentation, Launch, LaunchStats,
-    SimError, ThreadCtx, TrapKind,
+    Dim3, ExecHook, GlobalMem, Gpu, InstrSite, Instrumentation, Launch, LaunchStats, SimError,
+    ThreadCtx, TrapKind,
 };
 
 const EXPECTED: &str = include_str!("data/warp_parity.txt");
@@ -102,7 +102,7 @@ fn launch(
     mem: &mut GlobalMem,
     ins: Option<&mut Instrumentation<'_>>,
 ) -> Result<LaunchStats, SimError> {
-    Gpu::new(GpuConfig::default()).launch(
+    Gpu::new().launch(
         &Launch {
             kernel,
             grid: Dim3::from(grid),
@@ -135,7 +135,7 @@ fn row(result: &Result<LaunchStats, SimError>) -> String {
 
 /// Dynamic instructions of an unbudgeted, uninstrumented divergent run.
 fn divergent_full(kernel: &gpu_isa::Kernel) -> u64 {
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(80 * 4).expect("alloc");
     launch(kernel, 2, 40, &[out.addr()], None, &mut mem, None).expect("full run").dyn_instrs
 }
@@ -143,7 +143,7 @@ fn divergent_full(kernel: &gpu_isa::Kernel) -> u64 {
 /// Run the divergent kernel under budget `k`; with `hooked`, instrument the
 /// odd loop's accumulate (after) and the final store (before).
 fn divergent_row(kernel: &gpu_isa::Kernel, k: u64, hooked: bool) -> String {
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(80 * 4).expect("alloc");
     let len = kernel.len();
     let mut before = vec![false; len];
@@ -181,7 +181,7 @@ fn overrun_row() -> String {
     k.exit().guard = Guard::if_true(PReg(0));
     k.iaddi(Reg(1), Reg(0), 1);
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     row(&launch(&kernel, 2, 48, &[], None, &mut mem, None))
 }
 
@@ -202,7 +202,7 @@ fn partial_barrier_row() -> String {
     k.stg(out, 0, tid);
     k.exit();
     let kernel = k.finish();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(40 * 4).expect("alloc");
     let r = row(&launch(&kernel, 1, 40, &[out.addr()], None, &mut mem, None));
     let got = mem.read_u32s(out, 40).expect("read");
@@ -281,7 +281,7 @@ fn local_ld(d: Reg) -> Instr {
 
 fn hygiene_row() -> String {
     let kernel = hygiene_kernel();
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(64 * 8 * 4).expect("alloc");
     mem.write_u32s(out, &[0x5A5A_5A5A; 64 * 8]).expect("fill");
     let r = row(&launch(&kernel, 2, 64, &[out.addr()], None, &mut mem, None));
@@ -331,9 +331,9 @@ fn deadline_traps_only_at_poll_boundaries() {
     k.iaddi(Reg(0), Reg(0), 1);
     k.bra(top);
     let kernel = k.finish();
-    let mut gpu = Gpu::new(GpuConfig::default());
+    let mut gpu = Gpu::new();
     gpu.set_deadline(Some(std::time::Instant::now() + std::time::Duration::from_millis(20)));
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let r = gpu.launch(
         &Launch {
             kernel: &kernel,
@@ -403,7 +403,7 @@ fn cross_lane_ops_under_divergence() {
     k.exit();
     let kernel = k.finish();
 
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     let out = mem.alloc(64 * 8 * 4).expect("alloc");
     launch(&kernel, 1, 64, &[out.addr()], None, &mut mem, None).expect("launch");
     let got = mem.read_u32s(out, 64 * 8).expect("read");
@@ -464,7 +464,7 @@ fn hook_writes_do_not_leak_into_the_next_block() {
         hook: &mut hook,
         kernel_instance: 0,
     };
-    let mut mem = GlobalMem::new(1 << 16);
+    let mut mem = GlobalMem::new();
     launch(&kernel, 3, 40, &[], None, &mut mem, Some(&mut ins)).expect("launch");
     assert_eq!(hook.seen.len(), 3 * 40);
     assert!(hook.seen.iter().all(|&(_, v)| v == 0), "{:?}", hook.seen);

@@ -920,10 +920,10 @@ pub fn bitmix_u32(name: &str) -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{Dim3, GlobalMem, Gpu, GpuConfig, Launch};
+    use gpu_sim::{Dim3, GlobalMem, Gpu, Launch};
 
     fn gpu() -> Gpu {
-        Gpu::new(GpuConfig::default())
+        Gpu::new()
     }
 
     fn launch(
@@ -951,7 +951,7 @@ mod tests {
     #[test]
     fn saxpy_matches_reference() {
         let k = saxpy_f32("saxpy");
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let n = 100usize;
         let y = mem.alloc((n * 4) as u32).expect("y");
         let x = mem.alloc((n * 4) as u32).expect("x");
@@ -969,7 +969,7 @@ mod tests {
     #[test]
     fn daxpy_matches_reference() {
         let k = daxpy_f64("daxpy");
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let n = 64usize;
         let y = mem.alloc((n * 8) as u32).expect("y");
         let x = mem.alloc((n * 8) as u32).expect("x");
@@ -997,7 +997,7 @@ mod tests {
         let k = stencil5_f32("st");
         let (w, h) = (16u32, 8u32);
         let n = (w * h) as usize;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let out = mem.alloc((n * 4) as u32).expect("out");
         let inp = mem.alloc((n * 4) as u32).expect("in");
         let mut init = vec![0.0f32; n];
@@ -1030,7 +1030,7 @@ mod tests {
             let k = reduce_sum_f32("red", block);
             let n = (block * 3 + 5) as usize; // ragged tail
             let blocks = (n as u32).div_ceil(block);
-            let mut mem = GlobalMem::new(1 << 20);
+            let mut mem = GlobalMem::new();
             let out = mem.alloc(blocks * 4).expect("out");
             let inp = mem.alloc((n * 4) as u32).expect("in");
             let xs: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
@@ -1050,7 +1050,7 @@ mod tests {
     fn mufu_transform_matches_reference() {
         let k = mufu_transform("mriq");
         let n = 64usize;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let out = mem.alloc((n * 4) as u32).expect("out");
         let inp = mem.alloc((n * 4) as u32).expect("in");
         let xs: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
@@ -1069,7 +1069,7 @@ mod tests {
         let k = lcg_scramble("lcg");
         let n = 50usize;
         let iters = 8u32;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let data = mem.alloc((n * 4) as u32).expect("d");
         let init: Vec<u32> = (0..n as u32).collect();
         mem.write_u32s(data, &init).expect("w");
@@ -1090,7 +1090,7 @@ mod tests {
         let k = atomic_histogram("hist");
         let n = 200usize;
         let nbins = 16u32;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let bins = mem.alloc(nbins * 4).expect("bins");
         let vals = mem.alloc((n * 4) as u32).expect("vals");
         let vs: Vec<u32> = (0..n as u32).map(|i| i * 7 + 3).collect();
@@ -1110,7 +1110,7 @@ mod tests {
         let k = spmv_gather("spmv");
         let n = 40usize;
         let deg = 4usize;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let out = mem.alloc((n * 4) as u32).expect("out");
         let val = mem.alloc((n * deg * 4) as u32).expect("val");
         let idx = mem.alloc((n * deg * 4) as u32).expect("idx");
@@ -1142,7 +1142,7 @@ mod tests {
     fn guarded_update_only_touches_above_threshold() {
         let k = guarded_update("gu");
         let n = 64usize;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let data = mem.alloc((n * 4) as u32).expect("d");
         let xs: Vec<f32> = (0..n).map(|i| i as f32).collect();
         mem.write_f32s(data, &xs).expect("w");
@@ -1161,7 +1161,7 @@ mod tests {
         }
         // Data-dependent dynamic count: lowering the threshold must execute
         // more instructions.
-        let mut mem2 = GlobalMem::new(1 << 20);
+        let mut mem2 = GlobalMem::new();
         let d2 = mem2.alloc((n * 4) as u32).expect("d");
         mem2.write_f32s(d2, &xs).expect("w");
         let stats_low = launch(&k, 2, 32, &[d2.addr(), 1.5f32.to_bits(), n as u32], &mut mem2);
@@ -1172,7 +1172,7 @@ mod tests {
     fn line_sweep_matches_reference() {
         let k = line_sweep_f32("sweep");
         let (nrows, rowlen) = (8usize, 16usize);
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let data = mem.alloc((nrows * rowlen * 4) as u32).expect("d");
         let init: Vec<f32> = (0..nrows * rowlen).map(|i| ((i % 11) as f32) * 0.1).collect();
         mem.write_f32s(data, &init).expect("w");
@@ -1205,7 +1205,7 @@ mod tests {
     fn lbm_collide_conserves_mass() {
         let k = lbm_collide("collide");
         let ncells = 32usize;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let f = mem.alloc((9 * ncells * 4) as u32).expect("f");
         let init: Vec<f32> = (0..9 * ncells).map(|i| 1.0 + (i % 9) as f32 * 0.1).collect();
         mem.write_f32s(f, &init).expect("w");
@@ -1230,7 +1230,7 @@ mod tests {
     fn lbm_stream_shifts_circularly() {
         let k = lbm_stream("stream");
         let ncells = 16usize; // power of two
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let dst = mem.alloc((9 * ncells * 4) as u32).expect("dst");
         let src = mem.alloc((9 * ncells * 4) as u32).expect("src");
         let init: Vec<f32> = (0..9 * ncells).map(|i| i as f32).collect();
@@ -1248,7 +1248,7 @@ mod tests {
     fn wave_step_matches_reference() {
         let k = wave_step_f32("wave");
         let n = 64usize;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let nxt = mem.alloc((n * 4) as u32).expect("n");
         let cur = mem.alloc((n * 4) as u32).expect("c");
         let prv = mem.alloc((n * 4) as u32).expect("p");
@@ -1272,7 +1272,7 @@ mod tests {
     fn integrate_f64_advances_positions() {
         let k = integrate_f64("integ");
         let n = 32usize;
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let pos = mem.alloc((n * 8) as u32).expect("p");
         let vel = mem.alloc((n * 8) as u32).expect("v");
         let ps: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -1291,7 +1291,7 @@ mod tests {
     fn lj_force_is_antisymmetric_for_pair() {
         // Two atoms: equal and opposite forces.
         let k = lj_force_f64("lj");
-        let mut mem = GlobalMem::new(1 << 20);
+        let mut mem = GlobalMem::new();
         let force = mem.alloc(2 * 8).expect("f");
         let pos = mem.alloc(2 * 8).expect("p");
         mem.write_f64s(pos, &[0.0, 1.0]).expect("w");
@@ -1307,7 +1307,7 @@ mod tests {
         let b = damped_update_variant("v1", 1);
         assert_ne!(a.instrs(), b.instrs(), "coefficients differ");
         // and they run
-        let mut mem = GlobalMem::new(1 << 16);
+        let mut mem = GlobalMem::new();
         let d = mem.alloc(32 * 4).expect("d");
         mem.write_f32s(d, &[1.0; 32]).expect("w");
         launch(&a, 1, 32, &[d.addr(), 32], &mut mem);

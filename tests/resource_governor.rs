@@ -10,10 +10,11 @@ use gpu_runtime::{
 use nvbitfi::{classify, golden_run, DueKind, OutcomeClass};
 use workloads::{suite, Scale};
 
-/// The governor's defaults are calibrated against the whole suite: every
+/// The governor's caps are calibrated against the whole suite: every
 /// golden run completes cleanly, with no resource trap, no anomaly, and
-/// no truncated output, under `RuntimeConfig::default()` (which carries
-/// `ResourceLimits::default()`).
+/// no truncated output. The caps are constants (`gpu_sim::MAX_GLOBAL_BYTES`,
+/// `gpu_sim::MAX_SHARED_BYTES`, `gpu_runtime::MAX_OUTPUT_BYTES`) and hold
+/// on every run.
 #[test]
 fn default_caps_are_invisible_to_all_golden_runs() {
     let entries = suite(Scale::Test);
