@@ -427,16 +427,40 @@ mod tests {
     #[test]
     fn alloc_exhaustion() {
         let mut m = GlobalMem::new();
-        // A request past the whole 32-bit address space is refused, not
-        // wrapped.
-        let err = m.alloc(u32::MAX).unwrap_err();
-        assert_eq!(err, MemError::LimitExceeded { requested: u32::MAX, limit: MAX_GLOBAL_BYTES });
+        assert!(m.alloc(512).is_ok());
+        let err = m.alloc(MAX_GLOBAL_BYTES).unwrap_err();
+        assert_eq!(
+            err,
+            MemError::LimitExceeded { requested: MAX_GLOBAL_BYTES, limit: MAX_GLOBAL_BYTES }
+        );
+        assert_eq!(m.allocated(), 512, "a refused allocation leaves the break alone");
+    }
+
+    #[test]
+    fn alloc_limit_fires_before_capacity() {
+        let mut m = GlobalMem::new();
         let p = m.alloc(MAX_GLOBAL_BYTES - 256).expect("below the cap");
         assert_eq!(p.0, NULL_PAGE);
         m.alloc(256).expect("an allocation ending exactly at the cap");
         assert_eq!(m.allocated(), MAX_GLOBAL_BYTES);
         let err = m.alloc(1).unwrap_err();
         assert_eq!(err, MemError::LimitExceeded { requested: 1, limit: MAX_GLOBAL_BYTES });
+    }
+
+    #[test]
+    fn capacity_saturates_at_the_address_space() {
+        let mut m = GlobalMem::new();
+        // A request past the whole 32-bit address space is refused, not
+        // wrapped, on a fresh device and with the break near the cap.
+        let err = m.alloc(u32::MAX).unwrap_err();
+        assert_eq!(err, MemError::LimitExceeded { requested: u32::MAX, limit: MAX_GLOBAL_BYTES });
+        m.alloc(MAX_GLOBAL_BYTES - 4096).expect("below the cap");
+        let err = m.alloc(u32::MAX - 4096).unwrap_err();
+        assert_eq!(
+            err,
+            MemError::LimitExceeded { requested: u32::MAX - 4096, limit: MAX_GLOBAL_BYTES }
+        );
+        assert_eq!(m.allocated(), MAX_GLOBAL_BYTES - 4096);
     }
 
     #[test]
