@@ -1,5 +1,6 @@
-//! Checkpoint/fast-forward engine benchmarks: memory snapshot cost, single
-//! injection runs with and without prefix fast-forwarding, and whole
+//! Checkpoint replay benchmarks: memory snapshot cost, single injection
+//! runs with and without replay — a late target, where the replayed prefix
+//! is long, and an early target, where the replayed tail is — and whole
 //! campaigns with checkpoints on vs. `--no-checkpoint`. Writes the
 //! measurements to `BENCH_checkpoint.json` for EXPERIMENTS.md.
 
@@ -31,16 +32,13 @@ fn bench_snapshot(c: &mut Criterion) {
     g.finish();
 }
 
-/// One fault site in the last dynamic kernel of a ≥4-launch workload:
-/// fast-forward replays the whole prefix from checkpoints, full replay
-/// re-simulates it.
-fn last_instance_site(profile: &nvbitfi::Profile) -> TransientParams {
-    let last = profile.kernels.last().expect("kernels");
+/// The first fault site drawn in dynamic kernel `which` of a profile.
+fn site_in(profile: &nvbitfi::Profile, which: &nvbitfi::KernelProfile) -> TransientParams {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     loop {
         let p = select_transient(profile, InstrGroup::GpPr, BitFlipModel::FlipSingleBit, &mut rng)
             .expect("site");
-        if p.kernel_name == last.kernel && p.kernel_count == last.instance {
+        if p.kernel_name == which.kernel && p.kernel_count == which.instance {
             return p;
         }
     }
@@ -54,7 +52,10 @@ fn bench_injection_run(c: &mut Criterion) {
     assert!(store.len() >= 4, "acceptance requires a >=4-launch workload");
     let profile = profile_program(entry.program.as_ref(), cfg.clone(), ProfilingMode::Exact)
         .expect("profile");
-    let params = last_instance_site(&profile);
+    // One fault site in the last dynamic kernel of a ≥4-launch workload:
+    // fast-forward replays the whole prefix from checkpoints, full replay
+    // re-simulates it.
+    let params = site_in(&profile, profile.kernels.last().expect("kernels"));
     let upto = store.find_instance(&params.kernel_name, params.kernel_count).expect("target ran");
     let store = Arc::new(store);
     let mut run_cfg = cfg;
@@ -79,6 +80,52 @@ fn bench_injection_run(c: &mut Criterion) {
             )
         })
     });
+    g.finish();
+}
+
+/// One fault site in the first dynamic kernel: nothing precedes it, so
+/// replay can only save the tail launches the fault never reaches.
+fn bench_injection_run_early_target(c: &mut Criterion) {
+    let entry = workloads::find(Scale::Test, "303.ostencil").expect("entry");
+    let cfg = RuntimeConfig::default();
+    let (golden, store) =
+        golden_run_recording(entry.program.as_ref(), cfg.clone()).expect("golden");
+    let profile = profile_program(entry.program.as_ref(), cfg.clone(), ProfilingMode::Exact)
+        .expect("profile");
+    let params = site_in(&profile, profile.kernels.first().expect("kernels"));
+    assert_eq!(store.find_instance(&params.kernel_name, params.kernel_count), Some(0));
+    let store = Arc::new(store);
+    let mut run_cfg = cfg;
+    run_cfg.instr_budget = Some(golden.suggested_budget());
+    let replayed = |store: &Arc<gpu_runtime::CheckpointStore>| {
+        let (tool, _h) = TransientInjector::new(params.clone());
+        let n = store.len() as u64;
+        run_program_fast_forward(
+            entry.program.as_ref(),
+            run_cfg.clone(),
+            Some(Box::new(tool)),
+            Arc::clone(store),
+            n,
+        )
+    };
+    let tail = replayed(&store).tail_replayed;
+    println!(
+        "early target: {} of {} launches and {:.1}% of {} golden thread instructions replayed \
+         after the target",
+        tail.launches,
+        store.len(),
+        100.0 * tail.instrs as f64 / golden.summary.dyn_instrs as f64,
+        golden.summary.dyn_instrs
+    );
+
+    let mut g = c.benchmark_group("injection_run_first_instance");
+    g.bench_function("no_checkpoint", |b| {
+        b.iter(|| {
+            let (tool, _h) = TransientInjector::new(params.clone());
+            run_program(entry.program.as_ref(), run_cfg.clone(), Some(Box::new(tool)))
+        })
+    });
+    g.bench_function("tail_replay", |b| b.iter(|| replayed(&store)));
     g.finish();
 }
 
@@ -206,7 +253,7 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(10)
         .json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_checkpoint.json"));
-    targets = bench_snapshot, bench_injection_run, bench_campaign_uniform_sites,
-        bench_campaign_late_sites
+    targets = bench_snapshot, bench_injection_run, bench_injection_run_early_target,
+        bench_campaign_uniform_sites, bench_campaign_late_sites
 }
 criterion_main!(benches);

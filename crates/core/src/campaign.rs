@@ -28,7 +28,7 @@ use crate::profile::{Profile, ProfilingMode};
 use crate::prune::prune_sites;
 use crate::select::select_campaign;
 use crate::transient::TransientInjector;
-use gpu_runtime::{Program, RuntimeConfig};
+use gpu_runtime::{Program, RuntimeConfig, TailReplay};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -142,9 +142,13 @@ pub struct InjectionRun {
     pub injected: bool,
     /// Wall-clock duration of the run.
     pub wall: Duration,
-    /// Dynamic instructions skipped by checkpoint fast-forwarding (0 when
-    /// checkpoints are disabled).
+    /// Dynamic instructions replayed from checkpoints before the run's
+    /// first simulated launch (0 when checkpoints are disabled).
     pub prefix_instrs_skipped: u64,
+    /// Launches, and their dynamic instructions, replayed from checkpoints
+    /// after the run's first simulated launch: tail launches the fault
+    /// never reached. Not kept in results logs, so 0 for reloaded rows.
+    pub tail_replayed: TailReplay,
     /// `true` if the outcome came from static dead-fault pruning rather
     /// than a simulated run (always Masked, `wall` is zero).
     pub pruned: bool,
@@ -173,6 +177,9 @@ pub struct CampaignTiming {
     /// Total dynamic instructions the injection runs skipped by
     /// fast-forwarding pre-injection prefixes from checkpoints.
     pub prefix_instrs_skipped: u64,
+    /// Total tail launches, and their dynamic instructions, the injection
+    /// runs replayed from checkpoints after their first simulated launch.
+    pub tail_replayed: TailReplay,
 }
 
 impl CampaignTiming {
@@ -298,21 +305,37 @@ fn reload_prior(
     reloaded
 }
 
+/// What a transient run reports beside its outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RunDetail {
+    /// The fault fired.
+    pub injected: bool,
+    /// Dynamic instructions of the replayed prefix.
+    pub prefix_instrs_skipped: u64,
+    /// What replayed after the first simulated launch.
+    pub tail_replayed: TailReplay,
+}
+
 /// One transient injection attempt in this thread — the run body every
 /// execution path shares: campaign worker threads call it directly and
 /// process-isolation workers ([`crate::worker::serve`]) call it per shipped
-/// site. The detail is `(injected, prefix_instrs_skipped)`.
+/// site.
 pub(crate) fn attempt_transient(
     golden: &PreparedGolden,
     program: &dyn Program,
     check: &dyn SdcCheck,
     params: &TransientParams,
     harness_fault: bool,
-) -> Attempt<(bool, u64)> {
+) -> Attempt<RunDetail> {
     attempt_here(harness_fault, || {
         let (tool, handle) = TransientInjector::new(params.clone());
-        let (outcome, skipped) = golden.inject(program, check, Box::new(tool));
-        (outcome, (handle.get().injected, skipped))
+        let (outcome, out) = golden.inject(program, check, Box::new(tool));
+        let detail = RunDetail {
+            injected: handle.get().injected,
+            prefix_instrs_skipped: out.prefix_instrs_skipped,
+            tail_replayed: out.tail_replayed,
+        };
+        (outcome, detail)
     })
 }
 
@@ -442,7 +465,8 @@ fn run_sites(
     }
 
     // Dispatch sites by target launch: an earlier target leaves a longer
-    // tail to simulate, so this order starts the long runs first.
+    // tail, whose launches the fault reaches simulate, so this order
+    // starts the long runs first.
     let store = &golden.checkpoints;
     let mut work: Vec<(usize, TransientParams, bool)> = sites
         .into_iter()
@@ -469,6 +493,7 @@ fn run_sites(
                 injected: true,
                 wall: Duration::ZERO,
                 prefix_instrs_skipped: 0,
+                tail_replayed: TailReplay::default(),
                 pruned: true,
                 attempts: 1,
                 resumed: false,
@@ -493,14 +518,15 @@ fn run_sites(
         fault_hook: cfg.fault_hook.as_ref(),
     };
     let stop = || hooks.should_stop();
-    let settle = |params, s: Settled<(bool, u64)>| {
-        let (injected, prefix_instrs_skipped) = s.detail.unwrap_or_default();
+    let settle = |params, s: Settled<RunDetail>| {
+        let detail = s.detail.unwrap_or_default();
         InjectionRun {
             params,
             outcome: s.outcome,
-            injected,
+            injected: detail.injected,
             wall: s.wall,
-            prefix_instrs_skipped,
+            prefix_instrs_skipped: detail.prefix_instrs_skipped,
+            tail_replayed: detail.tail_replayed,
             pruned: false,
             attempts: s.attempts,
             resumed: false,
@@ -541,10 +567,13 @@ fn run_sites(
     let counts = crate::logfile::tally(&runs);
     timing.injections = runs.iter().map(|r| r.wall).collect();
     timing.prefix_instrs_skipped = runs.iter().map(|r| r.prefix_instrs_skipped).sum();
+    for r in &runs {
+        timing.tail_replayed += r.tail_replayed;
+    }
     TransientCampaign {
         program: program.name().to_string(),
         profile,
-        golden: golden.output,
+        golden: golden.into_output(),
         counts,
         runs,
         timing,
@@ -672,10 +701,10 @@ pub fn run_permanent_campaign(
     // occupies. With the paper's full-scale workloads every SM and lane is
     // busy, so this coincides with Table III's full 0..N-1 ranges; with
     // simulator-scaled grids it avoids trivially-masked dead placements.
-    let launches = &golden.output.summary.launches;
-    let max_blocks = launches.iter().map(|l| l.stats.blocks).max().unwrap_or(1).max(1);
+    let launches = || golden.checkpoints.records();
+    let max_blocks = launches().map(|l| l.stats.blocks).max().unwrap_or(1).max(1);
     let used_sms = gpu_sim::NUM_SMS.min(max_blocks.min(u32::MAX as u64) as u32).max(1);
-    let max_tpb = launches.iter().map(|l| l.stats.threads_per_block).max().unwrap_or(1).max(1);
+    let max_tpb = launches().map(|l| l.stats.threads_per_block).max().unwrap_or(1).max(1);
     let used_lanes = (gpu_isa::WARP_SIZE as u64).min(max_tpb).max(1) as u32;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let jobs = opcodes
@@ -779,6 +808,7 @@ mod tests {
             injected: true,
             wall: Duration::from_millis(wall_ms),
             prefix_instrs_skipped: 0,
+            tail_replayed: Default::default(),
             pruned: false,
             attempts: 1,
             resumed: false,
@@ -825,6 +855,7 @@ mod tests {
                 Duration::from_millis(2),
             ],
             prefix_instrs_skipped: 0,
+            tail_replayed: Default::default(),
         };
         assert_eq!(t.median_injection(), Duration::from_millis(2));
         assert_eq!(t.total(), Duration::from_millis(20));

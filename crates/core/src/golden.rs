@@ -5,7 +5,7 @@ use crate::outcome::{classify, Outcome, SdcCheck};
 use crate::params::TransientParams;
 use crate::profile::{Profile, ProfilingMode};
 use crate::prune::sites_may_prune;
-use gpu_isa::{Module, Opcode};
+use gpu_isa::Module;
 use gpu_runtime::{
     run_program, run_program_fast_forward, run_program_golden, CheckpointStore, Program,
     ProgramOutput, RunSummary, RuntimeConfig, Tool,
@@ -61,31 +61,32 @@ pub fn golden_run_recording(
     cfg: RuntimeConfig,
 ) -> Result<(GoldenOutput, CheckpointStore), FiError> {
     let (out, capture) = run_program_golden(program, cfg, true);
-    Ok((validate(program, out)?, capture.checkpoints))
+    Ok((validate(program, out)?, capture.ledger))
 }
 
 /// A golden run made ready for injection runs: the reference outputs, the
-/// launch-boundary checkpoints injection runs fast-forward from, and the
-/// budgeted runtime configuration every injection run uses. The same
-/// simulation counts each launch's opcodes and keeps the loaded modules, so
-/// campaign setup takes its profile ([`PreparedGolden::profile`]) and its
-/// pruning pre-check ([`PreparedGolden::may_prune`]) from it instead of
-/// simulating the program again.
+/// golden ledger injection runs replay from, and the budgeted runtime
+/// configuration every injection run uses. The ledger also holds each
+/// launch's opcode counts, and the same simulation keeps the loaded
+/// modules, so campaign setup takes its profile
+/// ([`PreparedGolden::profile`]) and its pruning pre-check
+/// ([`PreparedGolden::may_prune`]) from it instead of simulating the
+/// program again.
 ///
-/// Without checkpoints the store is empty, so nothing replays and every
-/// injection run simulates in full — the `--no-checkpoint` escape hatch is
-/// a parameter of the one run path, not a second path.
+/// Without checkpoints the ledger holds no memory, so nothing replays and
+/// every injection run simulates in full — the `--no-checkpoint` escape
+/// hatch is a parameter of the one run path, not a second path.
 #[derive(Debug, Clone)]
 pub struct PreparedGolden {
-    /// The reference outputs.
-    pub(crate) output: GoldenOutput,
-    /// Launch-boundary checkpoints (empty when not recorded).
+    /// The reference outputs, without per-launch records: those are the
+    /// ledger's ([`PreparedGolden::into_output`] puts them back).
+    output: GoldenOutput,
+    /// The golden ledger: one entry per launch, with memory only when
+    /// checkpoints are recorded.
     pub(crate) checkpoints: Arc<CheckpointStore>,
     /// Runtime configuration for injection runs: the golden run's, plus the
     /// hang-detection budget derived from it.
     pub(crate) config: RuntimeConfig,
-    /// Per launch, in launch order, the nonzero executed-opcode counts.
-    opcode_counts: Vec<Vec<(Opcode, u64)>>,
     /// The modules the golden run loaded.
     modules: Vec<Arc<Module>>,
 }
@@ -102,23 +103,32 @@ impl PreparedGolden {
         record_checkpoints: bool,
     ) -> Result<PreparedGolden, FiError> {
         let (out, capture) = run_program_golden(program, cfg.clone(), record_checkpoints);
-        let output = validate(program, out)?;
+        let mut output = validate(program, out)?;
         let mut config = cfg;
         config.instr_budget = Some(output.suggested_budget());
+        // The ledger holds the launch records: keep one copy while the
+        // campaign runs.
+        output.summary.launches = Vec::new();
         Ok(PreparedGolden {
             output,
-            checkpoints: capture.checkpoints.into_shared(),
+            checkpoints: capture.ledger.into_shared(),
             config,
-            opcode_counts: capture.opcode_counts,
             modules: capture.modules,
         })
     }
 
-    /// The program's profile, built from the golden run's opcode counters:
+    /// The program's profile, built from the ledger's opcode counts:
     /// identical to what [`crate::profile_program`] measures in `mode`,
     /// without another run.
     pub fn profile(&self, mode: ProfilingMode) -> Profile {
-        Profile::from_counts(mode, &self.output.summary.launches, &self.opcode_counts)
+        Profile::from_counts(mode, self.checkpoints.iter().map(|c| (&c.record, &c.opcodes[..])))
+    }
+
+    /// The reference outputs, with the ledger's launch records.
+    pub(crate) fn into_output(self) -> GoldenOutput {
+        let mut output = self.output;
+        output.summary.launches = self.checkpoints.records().cloned().collect();
+        output
     }
 
     /// `false` when static pruning is certain to flag none of `sites`, each
@@ -129,15 +139,17 @@ impl PreparedGolden {
     }
 
     /// Run `program` with `tool` attached and classify the run against the
-    /// golden outputs. Every launch before the first one `tool` instruments
-    /// replays from the checkpoints, since no fault can fire there. Returns
-    /// the outcome and the dynamic instructions fast-forwarding skipped.
+    /// golden outputs. Every launch `tool` declines whose inputs are still
+    /// golden's replays from the ledger: the whole prefix before the first
+    /// launch it instruments, and each later launch the fault has not
+    /// reached. Returns the outcome and the run's output, which counts the
+    /// replayed work.
     pub fn inject(
         &self,
         program: &dyn Program,
         check: &dyn SdcCheck,
         tool: Box<dyn Tool>,
-    ) -> (Outcome, u64) {
+    ) -> (Outcome, ProgramOutput) {
         let out = run_program_fast_forward(
             program,
             self.config.clone(),
@@ -145,7 +157,7 @@ impl PreparedGolden {
             Arc::clone(&self.checkpoints),
             self.checkpoints.len() as u64,
         );
-        (classify(&self.output, &out, check), out.prefix_instrs_skipped)
+        (classify(&self.output, &out, check), out)
     }
 }
 
@@ -216,14 +228,14 @@ mod tests {
             bit_pattern: 0.0,
         };
         let (tool, _) = crate::TransientInjector::new(site);
-        let (outcome, skipped) = g.inject(&Good, &crate::ExactDiff, Box::new(tool));
+        let (outcome, out) = g.inject(&Good, &crate::ExactDiff, Box::new(tool));
         assert!(outcome.is_masked());
-        assert_eq!(skipped, 0, "no checkpoints: every run is a full replay");
+        assert_eq!(out.prefix_instrs_skipped, 0, "no checkpoints: every run is a full replay");
         let params = crate::PermanentParams { sm_id: 0, lane_id: 0, bit_mask: 1, opcode_id: 0 };
         let (tool, _) = crate::PermanentInjector::new(params);
-        let (outcome, skipped) = g.inject(&Good, &crate::ExactDiff, Box::new(tool));
+        let (outcome, out) = g.inject(&Good, &crate::ExactDiff, Box::new(tool));
         assert!(outcome.is_masked());
-        assert_eq!(skipped, 0);
+        assert_eq!(out.prefix_instrs_skipped, 0);
     }
 
     #[test]

@@ -373,6 +373,7 @@ pub fn read_results_log(text: &str) -> Result<Vec<InjectionRun>, FiError> {
             injected,
             wall: Duration::from_micros(wall_us),
             prefix_instrs_skipped,
+            tail_replayed: Default::default(),
             pruned,
             attempts,
             resumed: false,
@@ -504,6 +505,7 @@ mod tests {
                 injected: i % 7 != 0,
                 wall: std::time::Duration::from_micros(1000 + i),
                 prefix_instrs_skipped: i * 1000,
+                tail_replayed: Default::default(),
                 pruned: i == 4,
                 attempts: 1 + (i % 3) as u32,
                 resumed: false,

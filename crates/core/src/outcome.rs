@@ -345,6 +345,7 @@ mod tests {
             anomalies: Vec::new(),
             summary: RunSummary::default(),
             prefix_instrs_skipped: 0,
+            tail_replayed: Default::default(),
         }
     }
 

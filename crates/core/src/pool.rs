@@ -20,12 +20,13 @@
 //! the paper's outcome denominators, and re-run by `resume` like every
 //! infrastructure verdict.
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, RunDetail};
 use crate::dispatch::Attempt;
 use crate::logfile::parse_outcome;
 use crate::outcome::InfraKind;
 use crate::params::TransientParams;
 use crate::worker::{read_frame, write_frame, Msg, WorkerInit};
+use gpu_runtime::TailReplay;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
@@ -213,7 +214,7 @@ fn spawn_worker(iso: &ProcessIsolation, init: &WorkerInit) -> Option<Worker> {
 /// slot has none. `kill` is the harness-fault hook firing: the worker is
 /// SIGKILLed right after dispatch. A worker that dies trying is killed for
 /// certain and cleared from the slot, so the next attempt respawns; the
-/// detail is `(injected, prefix_instrs_skipped)`, as in thread mode.
+/// detail is the run's, as in thread mode.
 pub(crate) fn attempt(
     iso: &ProcessIsolation,
     init: &WorkerInit,
@@ -221,7 +222,7 @@ pub(crate) fn attempt(
     index: usize,
     params: &TransientParams,
     kill: bool,
-) -> Attempt<(bool, u64)> {
+) -> Attempt<RunDetail> {
     let verdict = run_on_worker(iso, init, slot, index as u64, params, kill);
     verdict.unwrap_or_else(|| {
         if let Some(w) = slot.take() {
@@ -240,7 +241,7 @@ fn run_on_worker(
     id: u64,
     params: &TransientParams,
     kill: bool,
-) -> Option<Attempt<(bool, u64)>> {
+) -> Option<Attempt<RunDetail>> {
     if slot.is_none() {
         *slot = spawn_worker(iso, init);
     }
@@ -254,13 +255,23 @@ fn run_on_worker(
     // Anything but the matching verdict — an Error frame, a mismatched id,
     // corruption, EOF, or liveness timeout — is a dead worker.
     match w.reply(LIVENESS)? {
-        Msg::Done { id: done, outcome, injected, wall_us, skip_instrs } if done == id => {
-            parse_outcome(&outcome).map(|outcome| Attempt::Ran {
-                outcome,
-                wall: Duration::from_micros(wall_us),
-                detail: (injected, skip_instrs),
-            })
-        }
+        Msg::Done {
+            id: done,
+            outcome,
+            injected,
+            wall_us,
+            skip_instrs,
+            tail_launches,
+            tail_instrs,
+        } if done == id => parse_outcome(&outcome).map(|outcome| Attempt::Ran {
+            outcome,
+            wall: Duration::from_micros(wall_us),
+            detail: RunDetail {
+                injected,
+                prefix_instrs_skipped: skip_instrs,
+                tail_replayed: TailReplay { launches: tail_launches, instrs: tail_instrs },
+            },
+        }),
         _ => None,
     }
 }
@@ -291,7 +302,7 @@ mod tests {
         workers: usize,
         max_retries: u32,
         sites: u64,
-    ) -> Vec<Settled<(bool, u64)>> {
+    ) -> Vec<Settled<RunDetail>> {
         let iso = ProcessIsolation::new(vec![command.into()], "test");
         let init = iso.init(&CampaignConfig::default(), "tiny");
         let plan = Plan { workers, max_retries, backoff: Duration::ZERO, fault_hook: None };

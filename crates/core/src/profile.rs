@@ -115,20 +115,19 @@ impl Profile {
         self.kernels.iter().map(|k| k.counts.get(&op).copied().unwrap_or(0)).sum()
     }
 
-    /// The profile `mode` would measure, from each launch's executed-opcode
-    /// counts (`counts[i]` belongs to `launches[i]`): exact keeps every
-    /// launch's own counts; approximate gives every later instance of a
-    /// kernel its instance 0's counts. [`Profiler`] and
-    /// [`crate::PreparedGolden::profile`] both build their profiles here.
-    pub(crate) fn from_counts(
+    /// The profile `mode` would measure, from each launch's record and
+    /// executed-opcode counts, in launch order: exact keeps every launch's
+    /// own counts; approximate gives every later instance of a kernel its
+    /// instance 0's counts. [`Profiler`] and
+    /// [`crate::PreparedGolden::profile`] (from the golden ledger) both
+    /// build their profiles here.
+    pub(crate) fn from_counts<'a>(
         mode: ProfilingMode,
-        launches: &[LaunchRecord],
-        counts: &[Vec<(Opcode, u64)>],
+        launches: impl IntoIterator<Item = (&'a LaunchRecord, &'a [(Opcode, u64)])>,
     ) -> Profile {
         let mut first: HashMap<&str, &[(Opcode, u64)]> = HashMap::new();
         let kernels = launches
-            .iter()
-            .zip(counts)
+            .into_iter()
             .map(|(launch, own)| {
                 let counts = match mode {
                     ProfilingMode::Exact => own,
@@ -283,7 +282,8 @@ impl NvBitTool for Profiler {
     }
 
     fn on_exit(&mut self, _summary: &RunSummary) {
-        *self.sink.lock() = Some(Profile::from_counts(self.mode, &self.launches, &self.counts));
+        let launches = self.launches.iter().zip(self.counts.iter().map(Vec::as_slice));
+        *self.sink.lock() = Some(Profile::from_counts(self.mode, launches));
     }
 }
 

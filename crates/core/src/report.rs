@@ -102,8 +102,8 @@ pub fn robustness_line(c: &TransientCampaign) -> String {
 
 /// Per-phase wall-clock table for a campaign (golden / profiling / static
 /// analysis / injections), plus the dynamic instructions the injection
-/// runs avoided by fast-forwarding their pre-injection prefixes from
-/// checkpoints.
+/// runs avoided by replaying from checkpoints: their pre-injection
+/// prefixes, and the tail launches their faults never reached.
 pub fn phase_breakdown(t: &crate::campaign::CampaignTiming) -> String {
     let injections: std::time::Duration = t.injections.iter().sum();
     let mut out = table(&[
@@ -113,7 +113,14 @@ pub fn phase_breakdown(t: &crate::campaign::CampaignTiming) -> String {
         vec!["static analysis".into(), format!("{:?}", t.analysis)],
         vec![format!("injections (x{})", t.injections.len()), format!("{injections:?}")],
     ]);
-    let _ = write!(out, "prefix instructions skipped via checkpoints: {}", t.prefix_instrs_skipped);
+    let _ =
+        writeln!(out, "prefix instructions skipped via checkpoints: {}", t.prefix_instrs_skipped);
+    let tail = t.tail_replayed;
+    let _ = write!(
+        out,
+        "tail instructions replayed via checkpoints: {} ({} launches)",
+        tail.instrs, tail.launches
+    );
     out
 }
 
@@ -184,6 +191,7 @@ mod tests {
             injected: !infra,
             wall: std::time::Duration::ZERO,
             prefix_instrs_skipped: 0,
+            tail_replayed: Default::default(),
             pruned: false,
             attempts,
             resumed,
@@ -235,6 +243,7 @@ mod tests {
             analysis: Duration::from_millis(3),
             injections: vec![Duration::from_millis(2); 4],
             prefix_instrs_skipped: 1234,
+            tail_replayed: gpu_runtime::TailReplay { launches: 3, instrs: 5678 },
         };
         let text = phase_breakdown(&t);
         assert!(text.contains("golden run"), "{text}");
@@ -243,5 +252,6 @@ mod tests {
         assert!(text.contains("injections (x4)"), "{text}");
         assert!(text.contains("8ms"), "sums the injection phase: {text}");
         assert!(text.contains("skipped via checkpoints: 1234"), "{text}");
+        assert!(text.contains("replayed via checkpoints: 5678 (3 launches)"), "{text}");
     }
 }

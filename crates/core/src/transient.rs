@@ -595,7 +595,7 @@ mod tests {
             crate::PreparedGolden::new(&Thrice, RuntimeConfig::default(), true).expect("golden");
         let skipped = |sites: Vec<TransientParams>| {
             let (tool, _) = TransientInjector::with_sites(sites);
-            golden.inject(&Thrice, &crate::ExactDiff, Box::new(tool)).1
+            golden.inject(&Thrice, &crate::ExactDiff, Box::new(tool)).1.prefix_instrs_skipped
         };
         let store = &golden.checkpoints;
         // No reachable target: the whole run is fast-forwarded.

@@ -31,7 +31,7 @@
 //! supervisor treats the worker as dead and respawns, which is exactly the
 //! recovery path real corruption would need anyway.
 
-use crate::campaign::attempt_transient;
+use crate::campaign::{attempt_transient, RunDetail};
 use crate::dispatch::Attempt;
 use crate::golden::PreparedGolden;
 use crate::logfile::{outcome_code, parse_deadline_ms, parse_flag};
@@ -153,8 +153,12 @@ pub enum Msg {
         injected: bool,
         /// Run duration in microseconds, measured worker-side.
         wall_us: u64,
-        /// Dynamic instructions skipped by checkpoint fast-forward.
+        /// Dynamic instructions of the prefix replayed from checkpoints.
         skip_instrs: u64,
+        /// Tail launches replayed from checkpoints.
+        tail_launches: u64,
+        /// Their dynamic instructions.
+        tail_instrs: u64,
     },
     /// Worker → supervisor: the session is broken (unknown workload, failed
     /// golden run, corrupt frame). The worker exits after sending it.
@@ -221,9 +225,17 @@ impl Msg {
             Msg::Ready => "ready".into(),
             Msg::Run { id, site } => format!("run\t{id}\t{}", escape(site)),
             Msg::Heartbeat => "heartbeat".into(),
-            Msg::Done { id, outcome, injected, wall_us, skip_instrs } => {
+            Msg::Done {
+                id,
+                outcome,
+                injected,
+                wall_us,
+                skip_instrs,
+                tail_launches,
+                tail_instrs,
+            } => {
                 format!(
-                    "done\t{id}\t{}\t{}\t{wall_us}\t{skip_instrs}",
+                    "done\t{id}\t{}\t{}\t{wall_us}\t{skip_instrs}\t{tail_launches}\t{tail_instrs}",
                     escape(outcome),
                     u8::from(*injected)
                 )
@@ -252,13 +264,17 @@ impl Msg {
             ("ready", []) => Msg::Ready,
             ("run", [id, site]) => Msg::Run { id: num(id)?, site: unescape(site)? },
             ("heartbeat", []) => Msg::Heartbeat,
-            ("done", [id, outcome, injected, wall_us, skip_instrs]) => Msg::Done {
-                id: num(id)?,
-                outcome: unescape(outcome)?,
-                injected: parse_flag(injected)?,
-                wall_us: num(wall_us)?,
-                skip_instrs: num(skip_instrs)?,
-            },
+            ("done", [id, outcome, injected, wall_us, skip_instrs, tail_launches, tail_instrs]) => {
+                Msg::Done {
+                    id: num(id)?,
+                    outcome: unescape(outcome)?,
+                    injected: parse_flag(injected)?,
+                    wall_us: num(wall_us)?,
+                    skip_instrs: num(skip_instrs)?,
+                    tail_launches: num(tail_launches)?,
+                    tail_instrs: num(tail_instrs)?,
+                }
+            }
             ("error", [message]) => Msg::Error { message: unescape(message)? },
             ("shutdown", []) => Msg::Shutdown,
             _ => return None,
@@ -350,22 +366,24 @@ pub fn serve<R: Read, W: Write>(mut input: R, mut output: W, resolve: &Resolver)
                     attempt_transient(&golden, &*program, &*check, &params, false)
                 })?;
                 let wall_us = u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let (outcome, (injected, skip_instrs)) = match attempt {
+                let (outcome, detail) = match attempt {
                     Attempt::Ran { outcome, detail, .. } => (outcome, detail),
                     // A panic inside the run stays inside the worker: report
                     // it as the same infra verdict thread-mode isolation uses
                     // and keep serving (the supervisor decides about retries).
                     Attempt::Lost(kind) => (
                         Outcome { class: OutcomeClass::InfraError(kind), potential_due: false },
-                        (false, 0),
+                        RunDetail::default(),
                     ),
                 };
                 let done = Msg::Done {
                     id,
                     outcome: outcome_code(&outcome),
-                    injected,
+                    injected: detail.injected,
                     wall_us,
-                    skip_instrs,
+                    skip_instrs: detail.prefix_instrs_skipped,
+                    tail_launches: detail.tail_replayed.launches,
+                    tail_instrs: detail.tail_replayed.instrs,
                 };
                 write_frame(&mut output, &done.to_json())?;
             }
@@ -439,6 +457,8 @@ mod tests {
                 injected: true,
                 wall_us: 1234,
                 skip_instrs: 99,
+                tail_launches: 3,
+                tail_instrs: 4567,
             },
             Msg::Error { message: "golden run failed: boom".into() },
             Msg::Shutdown,

@@ -1,47 +1,84 @@
-//! Kernel-launch-boundary checkpoints for injection-run fast-forwarding.
+//! The golden ledger: one entry per launch of a campaign's golden run,
+//! and the replay rule injection runs use it for.
 //!
 //! An injection campaign re-runs the same program hundreds of times, and
 //! each run is identical to the golden run up to the targeted dynamic
-//! kernel instance — faults cannot fire earlier. NVBitFI pays that prefix
-//! on every run; this module makes it (nearly) free:
+//! kernel instance — faults cannot fire earlier. After it, most launches
+//! still read nothing the fault changed. NVBitFI simulates every launch of
+//! every run; this module lets a run skip each launch whose result is
+//! already known:
 //!
-//! 1. The golden run executes with checkpoint recording enabled
-//!    ([`crate::Runtime::record_checkpoints`]), capturing a [`Checkpoint`]
-//!    at every launch boundary: the post-launch global-memory state as a
-//!    [`MemSnapshot`] (a copy of the allocated bytes) plus the
-//!    [`LaunchRecord`]. A store therefore holds launches × allocated bytes;
-//!    the suite's largest, `354.cg`, is about 1.7 MB.
-//! 2. Each injection run attaches the store with
-//!    [`crate::Runtime::fast_forward`]. The host application replays
-//!    unmodified (host logic is deterministic and cheap), but every launch
-//!    *before* the first one the injection tool instruments — its target —
-//!    skips simulation entirely: the runtime restores the recorded
-//!    post-launch snapshot, replays the recorded [`LaunchRecord`], and
-//!    returns. Device reads the host performs between launches therefore
-//!    observe exactly the golden values. The target instance and the
-//!    genuinely divergent post-injection tail simulate normally, including
-//!    tail launches the tool declines.
+//! 1. The golden run records a [`Checkpoint`] per launch
+//!    ([`crate::Runtime::record_ledger`]): the [`LaunchRecord`] and the
+//!    executed-opcode counts (the profile's raw material), and — for a run
+//!    that records memory — a [`LaunchCapture`]: the launch's params and
+//!    geometry, whether the host wrote device memory since the previous
+//!    launch, the post-launch global memory as a [`MemSnapshot`], and the
+//!    launch's global read set R and write set W as merged byte ranges. A
+//!    store with memory holds launches × allocated bytes; the suite's
+//!    largest, `354.cg`, is about 1.7 MB.
+//! 2. Each injection run attaches the ledger with
+//!    [`crate::Runtime::fast_forward`]. The host application runs
+//!    unmodified (host logic is deterministic and cheap). Each launch `j`
+//!    the tool declines *replays* instead of simulating when its kernel,
+//!    instance, params, grid, block and allocated length equal the
+//!    ledger's, no sticky error is latched, and everything it reads is
+//!    golden's: either no launch of the run has simulated yet (nothing can
+//!    differ), or golden's host wrote no device memory before launch `j`
+//!    and the run's bytes on R_j equal checkpoint `j − 1`'s. Replaying
+//!    copies checkpoint `j`'s bytes on W_j into the run's memory. That is
+//!    exact by determinism: a launch whose inputs are golden's writes
+//!    golden's values to exactly W_j, whatever differs elsewhere.
+//!
+//! The pre-injection prefix is this rule with nothing yet differing; the
+//! tail after the target replays every launch the corruption never
+//! reaches, and simulates the rest. Replays before the run's first
+//! simulated launch are counted as the prefix, later ones as the tail.
 //!
 //! A store is immutable once recorded and `Send + Sync`, so campaign
 //! workers share one store behind an `Arc` — no per-worker copies.
 
 use crate::tool::LaunchRecord;
-use gpu_sim::MemSnapshot;
+use gpu_isa::Opcode;
+use gpu_sim::{ByteRanges, Dim3, MemSnapshot};
 use std::sync::Arc;
 
-/// State captured at one launch boundary: the memory image immediately
-/// after the launch completed, plus the launch's record.
+/// The golden ledger's entry for one launch.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Post-launch global memory (a copy of the allocated bytes).
-    pub mem: MemSnapshot,
-    /// The launch this checkpoint follows.
+    /// The launch's record.
     pub record: LaunchRecord,
+    /// The launch's nonzero `(opcode, executed thread instructions)`
+    /// counts.
+    pub opcodes: Box<[(Opcode, u64)]>,
+    /// What replaying the launch needs, when the run recorded memory.
+    pub capture: Option<Box<LaunchCapture>>,
 }
 
-/// Launch-boundary checkpoints of one golden run, indexed by *global*
-/// launch index (position in the run's launch sequence, counting every
-/// kernel name).
+/// What a memory-recording golden run keeps of one launch for replay: the
+/// launch's inputs besides memory, the memory it left, and the global
+/// bytes it read and wrote.
+#[derive(Debug, Clone)]
+pub struct LaunchCapture {
+    /// The launch's kernel parameters.
+    pub params: Box<[u32]>,
+    /// Grid dimensions.
+    pub grid: Dim3,
+    /// Block dimensions.
+    pub block: Dim3,
+    /// `true` if the host copied to or allocated device memory since the
+    /// previous launch (or, for the first launch, since the run began).
+    pub host_wrote: bool,
+    /// Post-launch global memory (a copy of the allocated bytes).
+    pub mem: MemSnapshot,
+    /// Global bytes the launch read.
+    pub reads: ByteRanges,
+    /// Global bytes the launch wrote.
+    pub writes: ByteRanges,
+}
+
+/// The golden ledger of one run, indexed by *global* launch index
+/// (position in the run's launch sequence, counting every kernel name).
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
     checkpoints: Vec<Checkpoint>,
@@ -53,12 +90,12 @@ impl CheckpointStore {
         CheckpointStore::default()
     }
 
-    /// Append the checkpoint for the next launch boundary.
+    /// Append the entry for the next launch.
     pub fn push(&mut self, checkpoint: Checkpoint) {
         self.checkpoints.push(checkpoint);
     }
 
-    /// Number of recorded launch boundaries.
+    /// Number of recorded launches.
     pub fn len(&self) -> usize {
         self.checkpoints.len()
     }
@@ -68,9 +105,14 @@ impl CheckpointStore {
         self.checkpoints.is_empty()
     }
 
-    /// The checkpoint following global launch `idx`.
+    /// The entry of global launch `idx`.
     pub fn get(&self, idx: u64) -> Option<&Checkpoint> {
         self.checkpoints.get(idx as usize)
+    }
+
+    /// The entries, in launch order.
+    pub fn iter(&self) -> impl Iterator<Item = &Checkpoint> {
+        self.checkpoints.iter()
     }
 
     /// The recorded launch records, in launch order.
@@ -96,28 +138,50 @@ impl CheckpointStore {
     }
 
     /// Wrap in an [`Arc`] for sharing across campaign workers.
-    pub fn into_shared(self) -> Arc<CheckpointStore> {
+    pub fn into_shared(mut self) -> Arc<CheckpointStore> {
+        self.checkpoints.shrink_to_fit();
         Arc::new(self)
     }
 }
 
-/// Fast-forward state a replaying [`crate::Runtime`] carries: the golden
-/// store plus the bound on the global launch indices that may replay.
+/// Launches, and their dynamic instructions, that a run replayed from the
+/// golden ledger after its first simulated launch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TailReplay {
+    /// Launches replayed.
+    pub launches: u64,
+    /// Their dynamic thread instructions.
+    pub instrs: u64,
+}
+
+impl std::ops::AddAssign for TailReplay {
+    fn add_assign(&mut self, other: TailReplay) {
+        self.launches += other.launches;
+        self.instrs += other.instrs;
+    }
+}
+
+/// Replay state a [`crate::Runtime`] carries: the golden ledger, the cap
+/// on the global launch indices that may replay, and what replayed.
 #[derive(Debug, Clone)]
 pub(crate) struct FastForward {
-    /// The golden run's checkpoints.
+    /// The golden run's ledger.
     pub store: Arc<CheckpointStore>,
-    /// Only launches with global index below this may replay from the
-    /// store; the first launch that simulates lowers it to its own index.
+    /// Only launches with global index below this may replay.
     pub upto: u64,
-    /// Dynamic instructions skipped so far by replaying from checkpoints.
-    pub skipped_instrs: u64,
+    /// `true` once a launch of the run has simulated: from then on the
+    /// run's memory may differ from golden's.
+    pub simulated: bool,
+    /// Dynamic instructions replayed before the first simulated launch.
+    pub prefix_instrs: u64,
+    /// What replayed after it.
+    pub tail: TailReplay,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{GlobalMem, LaunchStats};
+    use gpu_sim::LaunchStats;
 
     fn record(kernel: &str, instance: u64, dyn_instrs: u64) -> LaunchRecord {
         LaunchRecord {
@@ -129,12 +193,15 @@ mod tests {
         }
     }
 
+    fn entry(record: LaunchRecord) -> Checkpoint {
+        Checkpoint { record, opcodes: Box::new([]), capture: None }
+    }
+
     fn store() -> CheckpointStore {
-        let mem = GlobalMem::new();
         let mut s = CheckpointStore::new();
-        s.push(Checkpoint { mem: mem.snapshot(), record: record("a", 0, 100) });
-        s.push(Checkpoint { mem: mem.snapshot(), record: record("b", 0, 200) });
-        s.push(Checkpoint { mem: mem.snapshot(), record: record("a", 1, 400) });
+        s.push(entry(record("a", 0, 100)));
+        s.push(entry(record("b", 0, 200)));
+        s.push(entry(record("a", 1, 400)));
         s
     }
 

@@ -27,7 +27,7 @@ mod program;
 mod runtime;
 mod tool;
 
-pub use checkpoint::{Checkpoint, CheckpointStore};
+pub use checkpoint::{Checkpoint, CheckpointStore, LaunchCapture, TailReplay};
 pub use error::{KernelFault, RuntimeError};
 pub use program::{
     run_program, run_program_fast_forward, run_program_golden, GoldenCapture, Program,
@@ -43,7 +43,7 @@ mod tests {
     use super::*;
     use gpu_isa::asm::KernelBuilder;
     use gpu_isa::{encode, Module, Reg, SpecialReg};
-    use gpu_sim::{ExecHook, InstrSite, ThreadCtx};
+    use gpu_sim::{Dim3, ExecHook, InstrSite, ThreadCtx};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn fast_forward_reproduces_the_full_run() {
         let (golden, capture) = run_program_golden(&Chain, small_cfg(), true);
-        let store = capture.checkpoints;
+        let store = capture.ledger;
         assert!(golden.termination.is_clean());
         assert_eq!(store.len(), 3);
         assert_eq!(golden.prefix_instrs_skipped, 0);
@@ -395,18 +395,20 @@ mod tests {
         }
 
         let (golden, capture) = run_program_golden(&Chain, small_cfg(), true);
-        let store = capture.checkpoints.into_shared();
+        let store = capture.ledger.into_shared();
         let calls = Arc::new(AtomicU64::new(0));
         let tool = Box::new(SecondLaunch(Arc::clone(&calls)));
         let out = run_program_fast_forward(&Chain, small_cfg(), Some(tool), Arc::clone(&store), 3);
         assert_eq!(out.stdout, golden.stdout);
         assert_eq!(out.files, golden.files);
         assert_eq!(out.summary.dyn_instrs, golden.summary.dyn_instrs);
-        // Launch 0 replays; launch 1 simulates under instrumentation; launch
-        // 2 simulates too, though the tool declines it, because it follows a
-        // simulated launch.
+        // Launch 0 replays as the prefix; launch 1 simulates under
+        // instrumentation; launch 2, which the tool declines, reads no
+        // global memory, so it replays as the tail.
         assert_eq!(calls.load(Ordering::Relaxed), 7 * 64, "only launch 1 is instrumented");
         assert_eq!(out.prefix_instrs_skipped, store.instrs_before(1));
+        let last = golden.summary.launches[2].stats.dyn_instrs;
+        assert_eq!(out.tail_replayed, TailReplay { launches: 1, instrs: last });
     }
 
     #[test]
@@ -414,13 +416,25 @@ mod tests {
         for record in [false, true] {
             let (out, capture) = run_program_golden(&Chain, small_cfg(), record);
             assert!(out.termination.is_clean());
-            assert_eq!(capture.checkpoints.len(), if record { 3 } else { 0 });
             assert_eq!(capture.modules.len(), 1);
-            assert_eq!(capture.opcode_counts.len(), out.summary.launches.len());
-            for (counts, launch) in capture.opcode_counts.iter().zip(&out.summary.launches) {
-                assert!(counts.iter().all(|&(_, n)| n > 0), "only nonzero counts are kept");
-                let total: u64 = counts.iter().map(|&(_, n)| n).sum();
+            let ledger = capture.ledger;
+            assert_eq!(ledger.len(), out.summary.launches.len());
+            for (i, (entry, launch)) in ledger.iter().zip(&out.summary.launches).enumerate() {
+                assert_eq!(&entry.record, launch);
+                assert!(entry.opcodes.iter().all(|&(_, n)| n > 0), "only nonzero counts are kept");
+                let total: u64 = entry.opcodes.iter().map(|&(_, n)| n).sum();
                 assert_eq!(total, launch.stats.dyn_instrs);
+                let Some(c) = &entry.capture else {
+                    assert!(!record, "a memory-recording run captures every launch");
+                    continue;
+                };
+                assert!(record, "captures only when memory is recorded");
+                assert_eq!((c.grid, c.block), (Dim3::from(2), Dim3::from(32)));
+                assert_eq!(c.host_wrote, i == 0, "only the allocation precedes a launch");
+                assert!(c.reads.is_empty(), "`square` reads no global memory");
+                // Each launch writes its own 64-word slice.
+                let slice = c.params[0];
+                assert_eq!(c.writes.ranges(), std::slice::from_ref(&(slice..slice + 256)));
             }
         }
     }

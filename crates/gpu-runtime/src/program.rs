@@ -1,10 +1,10 @@
 //! The program abstraction: a host application driving the runtime.
 
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{CheckpointStore, TailReplay};
 use crate::error::RuntimeError;
 use crate::runtime::{Runtime, RuntimeConfig};
 use crate::tool::{RunSummary, Tool};
-use gpu_isa::{Module, Opcode};
+use gpu_isa::Module;
 use gpu_sim::TrapInfo;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -52,9 +52,13 @@ pub struct ProgramOutput {
     pub anomalies: Vec<TrapInfo>,
     /// Launch-level statistics.
     pub summary: RunSummary,
-    /// Dynamic instructions the run skipped by fast-forwarding the
-    /// pre-injection prefix from checkpoints (0 for ordinary runs).
+    /// Dynamic instructions the run replayed from the golden ledger
+    /// before its first simulated launch — the pre-injection prefix (0 for
+    /// ordinary runs).
     pub prefix_instrs_skipped: u64,
+    /// Launches, and their dynamic instructions, replayed from the golden
+    /// ledger after the run's first simulated launch.
+    pub tail_replayed: TailReplay,
 }
 
 impl ProgramOutput {
@@ -88,11 +92,9 @@ pub trait Program: Sync {
 /// campaign setup needs, from one simulation.
 #[derive(Debug, Default)]
 pub struct GoldenCapture {
-    /// Launch-boundary checkpoints (empty unless recorded).
-    pub checkpoints: CheckpointStore,
-    /// Per launch, in launch order, the nonzero `(opcode, thread
-    /// instructions)` counts — the exact profile's raw material.
-    pub opcode_counts: Vec<Vec<(Opcode, u64)>>,
+    /// The golden ledger: one entry per launch, with memory and access
+    /// sets only if recorded ([`Runtime::record_ledger`]).
+    pub ledger: CheckpointStore,
     /// The modules the program loaded, in load order.
     pub modules: Vec<Arc<Module>>,
 }
@@ -114,28 +116,27 @@ pub fn run_program(
     drive(program, rt).0
 }
 
-/// Run a program as a campaign's golden run: count each launch's executed
-/// opcodes, keep the loaded modules, and, if `record_checkpoints`, record
-/// the launch-boundary [`CheckpointStore`] injection runs fast-forward
-/// from.
+/// Run a program as a campaign's golden run: record its ledger — each
+/// launch's record, executed opcodes, params and geometry, plus, if
+/// `record_checkpoints`, the post-launch memory and access sets injection
+/// runs replay from — and keep the loaded modules.
 pub fn run_program_golden(
     program: &dyn Program,
     cfg: RuntimeConfig,
     record_checkpoints: bool,
 ) -> (ProgramOutput, GoldenCapture) {
     let mut rt = Runtime::new(cfg);
-    rt.count_opcodes();
-    if record_checkpoints {
-        rt.record_checkpoints();
-    }
+    rt.record_ledger(record_checkpoints);
     drive(program, rt)
 }
 
-/// Run a program with its golden prefix — every launch before the first
-/// one `tool` instruments, and before global index `upto` at most — replayed
-/// from a golden checkpoint store instead of simulated: the injection-run
-/// fast path ([`Runtime::fast_forward`]). `out.prefix_instrs_skipped`
-/// reports the avoided work.
+/// Run a program replaying, from a golden ledger, every launch the replay
+/// rule allows below global index `upto` instead of simulating it: the
+/// injection-run fast path ([`Runtime::fast_forward`]). That is the
+/// prefix before the first launch `tool` instruments, and every later
+/// launch `tool` declines whose inputs are still golden's.
+/// `out.prefix_instrs_skipped` and `out.tail_replayed` report the avoided
+/// work.
 pub fn run_program_fast_forward(
     program: &dyn Program,
     cfg: RuntimeConfig,
@@ -170,14 +171,20 @@ fn drive(program: &dyn Program, mut rt: Runtime) -> (ProgramOutput, GoldenCaptur
         }
     };
     let capture = GoldenCapture {
-        checkpoints: rt.take_checkpoints().unwrap_or_default(),
-        opcode_counts: rt.take_opcode_counts().unwrap_or_default(),
+        ledger: rt.take_ledger().unwrap_or_default(),
         modules: rt.modules().to_vec(),
     };
     let prefix_instrs_skipped = rt.prefix_instrs_skipped();
+    let tail_replayed = rt.tail_replayed();
     let (stdout, files, anomalies) = rt.into_output();
-    (
-        ProgramOutput { stdout, files, termination, anomalies, summary, prefix_instrs_skipped },
-        capture,
-    )
+    let out = ProgramOutput {
+        stdout,
+        files,
+        termination,
+        anomalies,
+        summary,
+        prefix_instrs_skipped,
+        tail_replayed,
+    };
+    (out, capture)
 }

@@ -1,11 +1,11 @@
 //! The runtime: module loading, launches, memory, and sticky errors.
 
-use crate::checkpoint::{Checkpoint, CheckpointStore, FastForward};
+use crate::checkpoint::{Checkpoint, CheckpointStore, FastForward, LaunchCapture, TailReplay};
 use crate::error::{KernelFault, RuntimeError};
 use crate::tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
-use gpu_isa::{encode, Module, Opcode, OPCODE_COUNT};
+use gpu_isa::{encode, Module};
 use gpu_sim::{
-    DevPtr, Dim3, GlobalMem, Gpu, Instrumentation, Launch, MemError, OpcodeCounts, SimError,
+    DevPtr, Dim3, GlobalMem, Gpu, Instrumentation, Launch, LaunchObserver, MemError, SimError,
     TrapInfo, TrapKind,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -68,8 +68,9 @@ pub struct Runtime {
     stdout: String,
     files: BTreeMap<String, Vec<u8>>,
     hang: Option<TrapInfo>,
-    checkpoint_log: Option<CheckpointStore>,
-    opcode_log: Option<OpcodeLog>,
+    ledger: Option<Ledger>,
+    /// The host copied to or allocated device memory since the last launch.
+    host_wrote: bool,
     fast_forward: Option<FastForward>,
     output_bytes: u64,
     output_truncated: bool,
@@ -112,8 +113,8 @@ impl Runtime {
             stdout: String::new(),
             files: BTreeMap::new(),
             hang: None,
-            checkpoint_log: None,
-            opcode_log: None,
+            ledger: None,
+            host_wrote: false,
             fast_forward: None,
             output_bytes: 0,
             output_truncated: false,
@@ -122,58 +123,60 @@ impl Runtime {
 
     // --- checkpointing -----------------------------------------------------
 
-    /// Record a [`Checkpoint`] at every launch boundary (how the golden run
-    /// populates the store injection runs fast-forward from). Collect the
-    /// result with [`Runtime::take_checkpoints`].
-    pub fn record_checkpoints(&mut self) {
-        self.checkpoint_log = Some(CheckpointStore::new());
+    /// Record the golden ledger: a [`Checkpoint`] per launch, with its
+    /// record and executed-opcode counts and, if `memory`, a
+    /// [`LaunchCapture`] of its params, geometry, host-write flag,
+    /// post-launch memory and global read and write sets (what injection
+    /// runs replay from). Collect the result with [`Runtime::take_ledger`].
+    pub fn record_ledger(&mut self, memory: bool) {
+        self.ledger = Some(Ledger {
+            store: CheckpointStore::new(),
+            observer: LaunchObserver::new(memory),
+            memory,
+        });
     }
 
-    /// Detach and return the checkpoints recorded so far, disabling further
+    /// Detach and return the ledger recorded so far, disabling further
     /// recording. `None` if recording was never enabled.
-    pub fn take_checkpoints(&mut self) -> Option<CheckpointStore> {
-        self.checkpoint_log.take()
+    pub fn take_ledger(&mut self) -> Option<CheckpointStore> {
+        self.ledger.take().map(|l| l.store)
     }
 
-    /// Count every launch's executed thread instructions per opcode (how
-    /// the golden run produces the profile without a profiler run). Collect
-    /// the result with [`Runtime::take_opcode_counts`]. Launches replayed by
-    /// [`Runtime::fast_forward`] are not simulated, so they get no entry.
-    pub fn count_opcodes(&mut self) {
-        self.opcode_log =
-            Some(OpcodeLog { scratch: Box::new([0; OPCODE_COUNT]), launches: Vec::new() });
-    }
-
-    /// Detach and return each launch's nonzero `(opcode, thread
-    /// instructions)` counts, in launch order, disabling further counting.
-    /// `None` if counting was never enabled.
-    pub fn take_opcode_counts(&mut self) -> Option<Vec<Vec<(Opcode, u64)>>> {
-        self.opcode_log.take().map(|log| log.launches)
-    }
-
-    /// Replay the run's golden prefix from a checkpoint store instead of
-    /// simulating it.
+    /// Replay launches from a golden ledger instead of simulating them.
     ///
-    /// The host application still runs in full (its allocations, copies, and
-    /// device reads behave exactly as in the golden run, because each
-    /// replayed launch restores the recorded post-launch memory image), but
-    /// each launch of the prefix costs one copy of the allocated bytes
-    /// instead of a full simulation. The prefix ends at the first launch
-    /// the attached tool instruments — the injection target — and the
-    /// target and its tail simulate normally. `upto` caps the prefix: no
-    /// launch at or beyond global index `upto` replays (pass the store's
-    /// length for no cap).
-    ///
-    /// If the observed launch sequence ever diverges from the recorded one
-    /// (it cannot before an injection fires, but this is checked), the
-    /// runtime simulates from that point on.
+    /// The host application still runs in full. Each launch the attached
+    /// tool declines replays — one copy of the bytes the golden launch
+    /// wrote instead of a simulation — when the ledger shows its result is
+    /// golden's: the same kernel, instance, params, geometry and allocated
+    /// length, no latched sticky error, and inputs equal to golden's. Until
+    /// the run's first simulated launch nothing can differ; after it, the
+    /// launch replays only if golden's host wrote no device memory before
+    /// it and the run's bytes on the launch's golden read set equal the
+    /// previous checkpoint's (see [`crate::CheckpointStore`]). Every other
+    /// launch — the injection target, and tail launches the corruption
+    /// reaches — simulates. `upto` caps replay: no launch at or beyond
+    /// global index `upto` replays (pass the store's length for no cap).
+    /// A ledger recorded without memory replays nothing.
     pub fn fast_forward(&mut self, store: Arc<CheckpointStore>, upto: u64) {
-        self.fast_forward = Some(FastForward { store, upto, skipped_instrs: 0 });
+        self.fast_forward = Some(FastForward {
+            store,
+            upto,
+            simulated: false,
+            prefix_instrs: 0,
+            tail: TailReplay::default(),
+        });
     }
 
-    /// Dynamic instructions skipped by checkpoint replay this run.
+    /// Dynamic instructions replayed from the ledger before the run's
+    /// first simulated launch.
     pub fn prefix_instrs_skipped(&self) -> u64 {
-        self.fast_forward.as_ref().map_or(0, |ff| ff.skipped_instrs)
+        self.fast_forward.as_ref().map_or(0, |ff| ff.prefix_instrs)
+    }
+
+    /// Launches, and their dynamic instructions, replayed from the ledger
+    /// after the run's first simulated launch.
+    pub fn tail_replayed(&self) -> TailReplay {
+        self.fast_forward.as_ref().map_or(TailReplay::default(), |ff| ff.tail)
     }
 
     /// Attach a tool (the `LD_PRELOAD=tool.so` analog). At most one tool can
@@ -230,6 +233,7 @@ impl Runtime {
     /// run is killed like a sandboxed OOM), or [`RuntimeError::Mem`] when
     /// device memory is genuinely exhausted.
     pub fn alloc(&mut self, bytes: u32) -> Result<DevPtr, RuntimeError> {
+        self.host_wrote = true;
         match self.mem.alloc(bytes) {
             Err(MemError::LimitExceeded { requested, limit }) => {
                 let info = TrapInfo {
@@ -258,6 +262,7 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::Mem`] for copies touching unallocated memory.
     pub fn write_f32s(&mut self, dst: DevPtr, v: &[f32]) -> Result<(), RuntimeError> {
+        self.host_wrote = true;
         Ok(self.mem.write_f32s(dst, v)?)
     }
 
@@ -276,6 +281,7 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::Mem`] for copies touching unallocated memory.
     pub fn write_f64s(&mut self, dst: DevPtr, v: &[f64]) -> Result<(), RuntimeError> {
+        self.host_wrote = true;
         Ok(self.mem.write_f64s(dst, v)?)
     }
 
@@ -294,6 +300,7 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::Mem`] for copies touching unallocated memory.
     pub fn write_u32s(&mut self, dst: DevPtr, v: &[u32]) -> Result<(), RuntimeError> {
+        self.host_wrote = true;
         Ok(self.mem.write_u32s(dst, v)?)
     }
 
@@ -340,6 +347,7 @@ impl Runtime {
             i
         };
 
+        let host_wrote = std::mem::take(&mut self.host_wrote);
         if self.sticky.is_some() {
             // Context corrupted: the launch is dropped on the floor.
             let record = LaunchRecord {
@@ -352,7 +360,7 @@ impl Runtime {
             if let Some(tool) = self.tool.as_deref_mut() {
                 tool.after_launch(&record);
             }
-            self.log_launch(&record);
+            self.log_launch(&record, params, grid, block, host_wrote);
             self.records.push(record);
             return Ok(());
         }
@@ -360,39 +368,22 @@ impl Runtime {
         let info = KernelLaunchInfo { kernel: k, instance, grid, block };
         let masks: Option<InstrMasks> = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
 
-        // Until the first launch the tool instruments, the run is the golden
-        // run: replay each launch from its golden checkpoint instead of
-        // simulating it, so memory lands on the exact golden post-launch
-        // image.
-        let global_idx = self.records.len() as u64;
-        if let Some(ff) = &mut self.fast_forward {
-            if global_idx < ff.upto {
-                match ff.store.get(global_idx) {
-                    Some(cp)
-                        if masks.is_none()
-                            && cp.record.kernel == k.name()
-                            && cp.record.instance == instance
-                            && !cp.record.skipped
-                            && cp.record.trap.is_none() =>
-                    {
-                        let record = cp.record.clone();
-                        self.mem.restore(&cp.mem);
-                        ff.skipped_instrs += record.stats.dyn_instrs;
-                        if let Some(tool) = self.tool.as_deref_mut() {
-                            tool.after_launch(&record);
-                        }
-                        self.records.push(record);
-                        return Ok(());
-                    }
-                    // An instrumented launch, a divergence from the recorded
-                    // sequence, or a recorded skip: simulate from here on.
-                    _ => ff.upto = global_idx,
+        if masks.is_none() {
+            if let Some(record) = self.replay(k.name(), instance, grid, block, params) {
+                if let Some(tool) = self.tool.as_deref_mut() {
+                    tool.after_launch(&record);
                 }
+                self.log_launch(&record, params, grid, block, host_wrote);
+                self.records.push(record);
+                return Ok(());
             }
+        }
+        if let Some(ff) = &mut self.fast_forward {
+            ff.simulated = true;
         }
 
         let launch = Launch { kernel: k, grid, block, params, instr_budget: self.cfg.instr_budget };
-        let opcodes = self.opcode_log.as_mut().map(|log| &mut *log.scratch);
+        let observer = self.ledger.as_mut().map(|l| &mut l.observer);
         let result = match (&mut self.tool, masks) {
             (Some(tool), Some(m)) => {
                 let mut ins = Instrumentation {
@@ -401,9 +392,9 @@ impl Runtime {
                     hook: tool.as_mut(),
                     kernel_instance: instance,
                 };
-                self.gpu.launch_counted(&launch, &mut self.mem, Some(&mut ins), opcodes)
+                self.gpu.launch_observed(&launch, &mut self.mem, Some(&mut ins), observer)
             }
-            _ => self.gpu.launch_counted(&launch, &mut self.mem, None, opcodes),
+            _ => self.gpu.launch_observed(&launch, &mut self.mem, None, observer),
         };
 
         let (stats, trap, fatal) = match result {
@@ -438,7 +429,7 @@ impl Runtime {
         if let Some(tool) = self.tool.as_deref_mut() {
             tool.after_launch(&record);
         }
-        self.log_launch(&record);
+        self.log_launch(&record, params, grid, block, host_wrote);
         self.records.push(record);
         match fatal {
             Some(e) => Err(e),
@@ -446,14 +437,81 @@ impl Runtime {
         }
     }
 
-    /// Capture a launch-boundary checkpoint and the launch's opcode counts,
-    /// where enabled.
-    fn log_launch(&mut self, record: &LaunchRecord) {
-        if let Some(log) = &mut self.checkpoint_log {
-            log.push(Checkpoint { mem: self.mem.snapshot(), record: record.clone() });
+    /// Replay the next global launch from the ledger if the replay rule
+    /// ([`Runtime::fast_forward`]) allows it, returning its golden record.
+    fn replay(
+        &mut self,
+        kernel: &str,
+        instance: u64,
+        grid: Dim3,
+        block: Dim3,
+        params: &[u32],
+    ) -> Option<LaunchRecord> {
+        let ff = self.fast_forward.as_mut()?;
+        let idx = self.records.len() as u64;
+        if idx >= ff.upto {
+            return None;
         }
-        if let Some(log) = &mut self.opcode_log {
-            log.drain_launch();
+        let cp = ff.store.get(idx)?;
+        let golden = cp.capture.as_deref()?;
+        let same_launch = cp.record.kernel == kernel
+            && cp.record.instance == instance
+            && !cp.record.skipped
+            && cp.record.trap.is_none()
+            && *golden.params == *params
+            && golden.grid == grid
+            && golden.block == block
+            && golden.mem.allocated() == self.mem.allocated();
+        // Until a launch simulates, the run's memory is golden's. After
+        // that, the previous checkpoint stands for golden's memory before
+        // this launch unless golden's host wrote in between.
+        let golden_inputs = !ff.simulated
+            || (!golden.host_wrote
+                && idx
+                    .checked_sub(1)
+                    .and_then(|prev| ff.store.get(prev)?.capture.as_deref())
+                    .is_some_and(|before| self.mem.agrees_with(&before.mem, &golden.reads)));
+        if !(same_launch && golden_inputs) {
+            return None;
+        }
+        self.mem.copy_from_snapshot(&golden.mem, &golden.writes);
+        let record = cp.record.clone();
+        if ff.simulated {
+            ff.tail += TailReplay { launches: 1, instrs: record.stats.dyn_instrs };
+        } else {
+            ff.prefix_instrs += record.stats.dyn_instrs;
+        }
+        Some(record)
+    }
+
+    /// Append the launch's ledger entry, where a ledger is recorded. A
+    /// replayed launch's entry observed nothing: no opcodes, no accesses.
+    fn log_launch(
+        &mut self,
+        record: &LaunchRecord,
+        params: &[u32],
+        grid: Dim3,
+        block: Dim3,
+        host_wrote: bool,
+    ) {
+        if let Some(ledger) = &mut self.ledger {
+            let (reads, writes) = ledger.observer.take_accesses();
+            let capture = ledger.memory.then(|| {
+                Box::new(LaunchCapture {
+                    params: params.into(),
+                    grid,
+                    block,
+                    host_wrote,
+                    mem: self.mem.snapshot(),
+                    reads,
+                    writes,
+                })
+            });
+            ledger.store.push(Checkpoint {
+                record: record.clone(),
+                opcodes: ledger.observer.take_opcodes().into(),
+                capture,
+            });
         }
     }
 
@@ -606,24 +664,11 @@ impl Runtime {
     }
 }
 
-/// Per-launch opcode counts of a counting run: a dense tally the simulator
-/// adds to during a launch, drained into a sparse list at its end.
-struct OpcodeLog {
-    scratch: Box<OpcodeCounts>,
-    /// Per launch, in launch order, the nonzero counts.
-    launches: Vec<Vec<(Opcode, u64)>>,
-}
-
-impl OpcodeLog {
-    /// Move the finished launch's nonzero counts out of the tally.
-    fn drain_launch(&mut self) {
-        let counts = self
-            .scratch
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(op, n)| (Opcode::ALL[op], std::mem::take(n)))
-            .collect();
-        self.launches.push(counts);
-    }
+/// The golden ledger a recording run is building.
+struct Ledger {
+    store: CheckpointStore,
+    observer: LaunchObserver,
+    /// Record post-launch memory and access sets, not only records and
+    /// opcode counts.
+    memory: bool,
 }

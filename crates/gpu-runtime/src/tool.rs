@@ -101,8 +101,8 @@ pub trait Tool: ExecHook + Send {
 
     /// A kernel is about to launch. Return `Some` to instrument this launch;
     /// `None` runs it unmodified (the selective-instrumentation fast path),
-    /// or replays it from a golden checkpoint while no launch of the run
-    /// has simulated yet ([`crate::Runtime::fast_forward`]).
+    /// or replays it from the golden ledger when its inputs are golden's
+    /// ([`crate::Runtime::fast_forward`]).
     fn instrument(&mut self, info: &KernelLaunchInfo<'_>) -> Option<InstrMasks> {
         let _ = info;
         None

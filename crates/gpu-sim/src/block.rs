@@ -18,10 +18,11 @@
 
 use crate::cycles::{latency, HOOK_CYCLES};
 use crate::exec::{exec_family, ExecEnv, Flow};
-use crate::gpu::{OpcodeCounts, LOCAL_MEM_BYTES};
+use crate::gpu::LOCAL_MEM_BYTES;
 use crate::grid::Dim3;
 use crate::hooks::{InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
 use crate::memory::{GlobalMem, SharedMem};
+use crate::observe::Observe;
 use crate::regfile::RegFile;
 use crate::trap::{TrapInfo, TrapKind};
 use gpu_isa::{
@@ -47,7 +48,7 @@ struct Warp {
 
 /// Running totals for one kernel launch.
 #[derive(Debug)]
-pub(crate) struct Counters<T> {
+pub(crate) struct Counters<O> {
     /// Guard-passing thread-level dynamic instructions executed so far.
     pub executed: u64,
     /// Simulated cycles consumed so far.
@@ -59,39 +60,18 @@ pub(crate) struct Counters<T> {
     /// [`DEADLINE_POLL_INTERVAL`], so the common case costs one branch per
     /// warp instruction.
     pub deadline: Option<std::time::Instant>,
-    /// Where executed thread instructions are added per opcode
-    /// ([`NoTally`] for launches that do not count).
-    pub opcodes: T,
+    /// What the launch reports executed instructions and global accesses
+    /// to ([`crate::observe::Unobserved`] for launches that observe
+    /// nothing).
+    pub observer: O,
 }
 
-impl<T: Tally> Counters<T> {
+impl<O: Observe> Counters<O> {
     /// Record that dynamic instructions `first..upto` of the launch
     /// executed `op`.
     fn retire(&mut self, op: Opcode, first: u64, upto: u64) {
         self.executed = upto;
-        self.opcodes.add(op, upto - first);
-    }
-}
-
-/// Where a launch adds its executed thread instructions per opcode. The
-/// simulator loop is compiled once per implementation, so launches that
-/// count nothing ([`NoTally`]) carry no counting code at all.
-pub(crate) trait Tally {
-    /// Add `n` executed thread instructions of `op`.
-    fn add(&mut self, op: Opcode, n: u64);
-}
-
-/// Counts nothing: the tally of uncounted launches (injection runs).
-#[derive(Debug)]
-pub(crate) struct NoTally;
-
-impl Tally for NoTally {
-    fn add(&mut self, _: Opcode, _: u64) {}
-}
-
-impl Tally for &mut OpcodeCounts {
-    fn add(&mut self, op: Opcode, n: u64) {
-        self[op.encode() as usize] += n;
+        self.observer.retire(op, upto - first);
     }
 }
 
@@ -231,12 +211,12 @@ impl BlockState {
     }
 
     /// Run the armed block to completion.
-    pub fn run<T: Tally>(
+    pub fn run<O: Observe>(
         &mut self,
         kernel: &Kernel,
         global: &mut GlobalMem,
         cmem: &[u8],
-        counters: &mut Counters<T>,
+        counters: &mut Counters<O>,
         instrumentation: &mut Option<&mut Instrumentation<'_>>,
     ) -> Result<(), TrapInfo> {
         loop {
@@ -269,13 +249,13 @@ impl BlockState {
 
     /// Issue one instruction group for warp `w`; `false` if no lane could
     /// run.
-    fn step_warp<T: Tally>(
+    fn step_warp<O: Observe>(
         &mut self,
         w: usize,
         kernel: &Kernel,
         global: &mut GlobalMem,
         cmem: &[u8],
-        counters: &mut Counters<T>,
+        counters: &mut Counters<O>,
         instrumentation: &mut Option<&mut Instrumentation<'_>>,
     ) -> Result<bool, TrapInfo> {
         let BlockState { threads, warps, shared, flat_ctaid, hooked, live, waiting, .. } = self;
@@ -382,6 +362,7 @@ impl BlockState {
                         pc,
                         kernel_len: kernel.len() as u32,
                     },
+                    &mut counters.observer,
                 ),
             };
             match flow {

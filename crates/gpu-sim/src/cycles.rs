@@ -11,7 +11,7 @@ use gpu_isa::ExecFamily;
 /// Issue-to-use latency, in cycles, charged per executed warp-group.
 ///
 /// Always inlined, like the warp loop's other per-issue helpers: the loop
-/// is compiled once per opcode tally kind, and with two callers the
+/// is compiled once per observer kind, and with several callers the
 /// compiler would otherwise leave these as calls.
 #[inline(always)]
 pub fn latency(family: ExecFamily) -> u64 {

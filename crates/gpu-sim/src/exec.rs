@@ -6,6 +6,7 @@
 
 use crate::hooks::ThreadMeta;
 use crate::memory::{const_load, local_load, local_store, GlobalMem, SharedMem};
+use crate::observe::{Observe, Unobserved};
 use crate::regfile::RegFile;
 use crate::trap::TrapKind;
 use gpu_isa::{
@@ -124,20 +125,39 @@ impl ExecEnv<'_> {
         self.regs.read(m.base).wrapping_add(m.offset as i32 as u32)
     }
 
-    fn mem_load(&mut self, m: MemRef, width: MemWidth) -> Result<u64, TrapKind> {
+    fn mem_load(
+        &mut self,
+        m: MemRef,
+        width: MemWidth,
+        obs: &mut impl Observe,
+    ) -> Result<u64, TrapKind> {
         let addr = self.effective_addr(m);
         match m.space {
-            Space::Global => self.global.load(addr, width),
+            Space::Global => {
+                let v = self.global.load(addr, width)?;
+                obs.read(addr, width);
+                Ok(v)
+            }
             Space::Shared => self.shared.load(addr, width),
             Space::Local => local_load(self.local, addr, width),
             Space::Const => const_load(self.cmem, addr, width),
         }
     }
 
-    fn mem_store(&mut self, m: MemRef, width: MemWidth, v: u64) -> Result<(), TrapKind> {
+    fn mem_store(
+        &mut self,
+        m: MemRef,
+        width: MemWidth,
+        v: u64,
+        obs: &mut impl Observe,
+    ) -> Result<(), TrapKind> {
         let addr = self.effective_addr(m);
         match m.space {
-            Space::Global => self.global.store(addr, width, v),
+            Space::Global => {
+                self.global.store(addr, width, v)?;
+                obs.write(addr, width);
+                Ok(())
+            }
             Space::Shared => self.shared.store(addr, width, v),
             Space::Local => local_store(self.local, addr, width, v),
             Space::Const => {
@@ -269,15 +289,17 @@ fn apply_atom(op: AtomOp, old: u64, v: u64, v2: u64, width: MemWidth) -> u64 {
 ///
 /// Returns the [`TrapKind`] the instruction raised, if any.
 pub fn exec_scalar(i: &Instr, env: &mut ExecEnv<'_>) -> Result<Flow, TrapKind> {
-    exec_family(i.op.family(), i, env)
+    exec_family(i.op.family(), i, env, &mut Unobserved)
 }
 
 /// [`exec_scalar`] with the opcode's family already decoded (`fam` must be
-/// `i.op.family()`), so a warp decodes it once per issue, not per lane.
+/// `i.op.family()`), so a warp decodes it once per issue, not per lane,
+/// and with the launch's observer told of every global access.
 pub(crate) fn exec_family(
     fam: ExecFamily,
     i: &Instr,
     env: &mut ExecEnv<'_>,
+    obs: &mut impl Observe,
 ) -> Result<Flow, TrapKind> {
     use ExecFamily::*;
     match fam {
@@ -633,7 +655,7 @@ pub(crate) fn exec_family(
         Ld => {
             let m = i.mem_ref().ok_or(TrapKind::IllegalInstruction)?;
             let w = mem_width(i.modifier);
-            let v = env.mem_load(m, w)?;
+            let v = env.mem_load(m, w, obs)?;
             if w == MemWidth::B64 {
                 env.write_dst_u64(i, v);
             } else {
@@ -648,7 +670,7 @@ pub(crate) fn exec_family(
             } else {
                 env.rd_u32(i.srcs[1]) as u64
             };
-            env.mem_store(m, w, v)?;
+            env.mem_store(m, w, v, obs)?;
         }
         Atom | Red => {
             let m = i.mem_ref().ok_or(TrapKind::IllegalInstruction)?;
@@ -659,9 +681,9 @@ pub(crate) fn exec_family(
             };
             let v = env.rd_u32(i.srcs[1]) as u64;
             let v2 = env.rd_u32(i.srcs[2]) as u64;
-            let old = env.mem_load(m, w)?;
+            let old = env.mem_load(m, w, obs)?;
             let new = apply_atom(op, old, v, v2, w);
-            env.mem_store(m, w, new)?;
+            env.mem_store(m, w, new, obs)?;
             if fam == Atom {
                 env.write_dst_u32(i, old as u32);
             }

@@ -1,11 +1,12 @@
 //! The device front-end: the device's shape and caps, launches, and
 //! statistics.
 
-use crate::block::{BlockState, Counters, NoTally, Tally};
+use crate::block::{BlockState, Counters};
 use crate::error::SimError;
 use crate::grid::Dim3;
 use crate::hooks::Instrumentation;
 use crate::memory::GlobalMem;
+use crate::observe::{LaunchObserver, Observe, Unobserved};
 use gpu_isa::{Kernel, OPCODE_COUNT};
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +17,7 @@ pub const MAX_BLOCK_THREADS: u64 = 1024;
 pub const MAX_PARAM_BYTES: usize = 4096;
 
 /// Executed thread instructions per opcode, indexed by
-/// [`gpu_isa::Opcode::encode`] — what [`Gpu::launch_counted`] adds to.
+/// [`gpu_isa::Opcode::encode`] — what a [`LaunchObserver`] adds to.
 pub type OpcodeCounts = [u64; OPCODE_COUNT];
 
 /// Streaming multiprocessors of the simulated device, a Titan V (the
@@ -134,38 +135,43 @@ impl Gpu {
         global: &mut GlobalMem,
         instrumentation: Option<&mut Instrumentation<'_>>,
     ) -> Result<LaunchStats, SimError> {
-        self.launch_counted(l, global, instrumentation, None)
+        self.launch_observed(l, global, instrumentation, None)
     }
 
-    /// [`Gpu::launch`], also adding every executed thread instruction to
-    /// `opcodes` under its opcode: the per-opcode counts NVBitFI's profiler
-    /// collects, at the cost of one add per warp issue. With `None` it is
-    /// exactly [`Gpu::launch`], whose warp loop is compiled without the add.
+    /// [`Gpu::launch`], also reporting to `observer` every executed thread
+    /// instruction under its opcode (the per-opcode counts NVBitFI's
+    /// profiler collects, at one add per warp issue) and, if it records
+    /// accesses, every global word read or written. With `None` it is
+    /// exactly [`Gpu::launch`], whose warp loop is compiled without any of
+    /// it.
     ///
     /// # Errors
     ///
-    /// Same as [`Gpu::launch`]; a trapped launch's counts cover the
+    /// Same as [`Gpu::launch`]; a trapped launch's observations cover the
     /// instructions it executed.
-    pub fn launch_counted(
+    pub fn launch_observed(
         &self,
         l: &Launch<'_>,
         global: &mut GlobalMem,
         instrumentation: Option<&mut Instrumentation<'_>>,
-        opcodes: Option<&mut OpcodeCounts>,
+        observer: Option<&mut LaunchObserver>,
     ) -> Result<LaunchStats, SimError> {
-        match opcodes {
-            Some(opcodes) => self.launch_tallied(l, global, instrumentation, opcodes),
-            None => self.launch_tallied(l, global, instrumentation, NoTally),
+        match observer {
+            None => self.launch_with(l, global, instrumentation, Unobserved),
+            Some(observer) => {
+                observer.start(global.allocated());
+                self.launch_with(l, global, instrumentation, observer)
+            }
         }
     }
 
-    /// [`Gpu::launch_counted`] with its tally resolved at compile time.
-    fn launch_tallied<T: Tally>(
+    /// [`Gpu::launch_observed`] with its observer resolved at compile time.
+    fn launch_with<O: Observe>(
         &self,
         l: &Launch<'_>,
         global: &mut GlobalMem,
         mut instrumentation: Option<&mut Instrumentation<'_>>,
-        opcodes: T,
+        observer: O,
     ) -> Result<LaunchStats, SimError> {
         let threads = l.block.count();
         if threads == 0 || l.grid.count() == 0 {
@@ -219,7 +225,7 @@ impl Gpu {
             cycles: 0,
             budget: l.instr_budget.unwrap_or(DEFAULT_INSTR_BUDGET),
             deadline: self.deadline,
-            opcodes,
+            observer,
         };
         // An already-expired deadline traps before any instruction executes,
         // so even trivially short launches cannot extend a runaway run.

@@ -33,9 +33,10 @@
 //!   the budget and deadline once, then runs the active lanes in one
 //!   ascending pass — with the before/after hooks around each lane's
 //!   execution where the pc is instrumented,
-//! * **opcode counters** — [`Gpu::launch_counted`] adds each issue's
+//! * **golden observer** — [`Gpu::launch_observed`] adds each issue's
 //!   executed lanes to a per-opcode tally, so a golden run yields the
-//!   profiler's counts without instrumenting anything.
+//!   profiler's counts without instrumenting anything, and can record
+//!   every global word a launch reads and writes ([`LaunchObserver`]).
 //!
 //! See the [`Gpu::launch`] docs for a complete runnable example.
 
@@ -47,6 +48,7 @@ mod gpu;
 mod grid;
 mod hooks;
 mod memory;
+mod observe;
 mod regfile;
 mod trap;
 
@@ -58,7 +60,10 @@ pub use gpu::{
 };
 pub use grid::Dim3;
 pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
-pub use memory::{DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem, MAX_GLOBAL_BYTES};
+pub use memory::{
+    ByteRanges, DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem, MAX_GLOBAL_BYTES,
+};
+pub use observe::LaunchObserver;
 pub use regfile::RegFile;
 pub use trap::{TrapInfo, TrapKind};
 
@@ -130,12 +135,12 @@ mod integration_tests {
     #[test]
     fn counted_launch_tallies_each_opcode() {
         let kernel = vecadd_kernel();
-        let launch = |opcodes: Option<&mut OpcodeCounts>| {
+        let launch = |observer: Option<&mut LaunchObserver>| {
             let mut mem = GlobalMem::new();
             let bufs: Vec<u32> =
                 (0..3).map(|_| mem.alloc(256 * 4).expect("alloc").addr()).collect();
-            gpu()
-                .launch_counted(
+            let stats = gpu()
+                .launch_observed(
                     &Launch {
                         kernel: &kernel,
                         grid: Dim3::from(4),
@@ -145,18 +150,32 @@ mod integration_tests {
                     },
                     &mut mem,
                     None,
-                    opcodes,
+                    observer,
                 )
-                .expect("launch")
+                .expect("launch");
+            (stats, bufs)
         };
-        let mut counts = [0; gpu_isa::OPCODE_COUNT];
-        let stats = launch(Some(&mut counts));
-        assert_eq!(stats, launch(None), "counting changes nothing observable");
-        let count = |op: gpu_isa::Opcode| counts[op.encode() as usize];
-        assert_eq!(count(gpu_isa::Opcode::LDC), 3 * 256);
-        assert_eq!(count(gpu_isa::Opcode::FADD), 256);
-        assert_eq!(count(gpu_isa::Opcode::EXIT), 256);
-        assert_eq!(counts.iter().sum::<u64>(), stats.dyn_instrs);
+        for accesses in [false, true] {
+            let mut observer = LaunchObserver::new(accesses);
+            let (stats, bufs) = launch(Some(&mut observer));
+            assert_eq!(stats, launch(None).0, "observing changes nothing observable");
+            let counts: std::collections::HashMap<_, _> =
+                observer.take_opcodes().into_iter().collect();
+            assert_eq!(counts[&gpu_isa::Opcode::LDC], 3 * 256);
+            assert_eq!(counts[&gpu_isa::Opcode::FADD], 256);
+            assert_eq!(counts[&gpu_isa::Opcode::EXIT], 256);
+            assert_eq!(counts.values().sum::<u64>(), stats.dyn_instrs);
+            assert!(observer.take_opcodes().is_empty(), "taking resets the counts");
+
+            let (reads, writes) = observer.take_accesses();
+            if accesses {
+                // `a` and `b` are adjacent allocations, so their reads merge.
+                assert_eq!(reads.ranges(), std::slice::from_ref(&(bufs[0]..bufs[2])));
+                assert_eq!(writes.ranges(), std::slice::from_ref(&(bufs[2]..bufs[2] + 256 * 4)));
+            } else {
+                assert!(reads.is_empty() && writes.is_empty());
+            }
+        }
     }
 
     #[test]

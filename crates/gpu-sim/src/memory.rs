@@ -9,6 +9,7 @@ use crate::trap::TrapKind;
 use gpu_isa::{MemWidth, Space};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// A device pointer into global memory (32-bit address space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -75,7 +76,7 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-const NULL_PAGE: u32 = 4096;
+pub(crate) const NULL_PAGE: u32 = 4096;
 
 /// Most bytes of global memory one run may allocate (the `cudaMalloc`
 /// budget): the resource governor's allocation cap, and the device's only
@@ -88,13 +89,38 @@ pub const MAX_GLOBAL_BYTES: u32 = 48 << 20;
 /// A snapshot of [`GlobalMem`]: a copy of the allocated bytes, which also
 /// fixes the allocation break.
 ///
-/// Taking or restoring one copies every allocated byte, so its cost grows
-/// with the allocation. Snapshots are
-/// `Send + Sync`, so checkpoint stores can hand the same snapshot to many
-/// injection workers.
-#[derive(Debug, Clone)]
+/// Taking one copies every allocated byte, so its cost grows with the
+/// allocation; [`GlobalMem::copy_from_snapshot`] copies back only a set of
+/// bytes. Snapshots are `Send + Sync`, so checkpoint stores can hand the
+/// same snapshot to many injection workers.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemSnapshot {
     bytes: Vec<u8>,
+}
+
+impl MemSnapshot {
+    /// Bytes allocated when the snapshot was taken.
+    pub fn allocated(&self) -> u32 {
+        self.bytes.len() as u32
+    }
+}
+
+/// A set of global-memory byte addresses, as ascending, disjoint and
+/// non-adjacent half-open ranges — how a golden launch's read and write
+/// sets are kept.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ByteRanges(pub(crate) Vec<Range<u32>>);
+
+impl ByteRanges {
+    /// The ranges, ascending.
+    pub fn ranges(&self) -> &[Range<u32>] {
+        &self.0
+    }
+
+    /// `true` if the set holds no byte.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// Device global memory: a bump-allocated, bounds-checked address space.
@@ -147,12 +173,29 @@ impl GlobalMem {
         MemSnapshot { bytes: self.bytes.clone() }
     }
 
-    /// Restore contents and allocation state from a snapshot, copying its
-    /// bytes into this memory's buffer. Anything allocated since is
-    /// dropped, so a later allocation reads zero again.
-    pub fn restore(&mut self, snap: &MemSnapshot) {
-        self.bytes.clear();
-        self.bytes.extend_from_slice(&snap.bytes);
+    /// `true` if this memory holds the same bytes as `snap` at every
+    /// address of `set`. An address either side has not allocated
+    /// disagrees.
+    pub fn agrees_with(&self, snap: &MemSnapshot, set: &ByteRanges) -> bool {
+        set.0.iter().all(|r| {
+            let span = (r.start - NULL_PAGE) as usize..(r.end - NULL_PAGE) as usize;
+            match (self.bytes.get(span.clone()), snap.bytes.get(span)) {
+                (Some(mine), Some(theirs)) => mine == theirs,
+                _ => false,
+            }
+        })
+    }
+
+    /// Copy `snap`'s bytes at every address of `set` into this memory.
+    ///
+    /// # Panics
+    ///
+    /// If `set` reaches past what either memory has allocated.
+    pub fn copy_from_snapshot(&mut self, snap: &MemSnapshot, set: &ByteRanges) {
+        for r in &set.0 {
+            let span = (r.start - NULL_PAGE) as usize..(r.end - NULL_PAGE) as usize;
+            self.bytes[span.clone()].copy_from_slice(&snap.bytes[span]);
+        }
     }
 
     /// The buffer range of a host copy of `len` bytes at `addr`.
@@ -559,35 +602,28 @@ mod tests {
         assert_eq!(back, data);
     }
 
+    /// The set of the `n` bytes at `p`.
+    fn span(p: DevPtr, n: u32) -> ByteRanges {
+        ByteRanges(std::iter::once(p.0..p.0 + n).collect())
+    }
+
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut m = GlobalMem::new();
         let p = m.alloc(4096).expect("alloc");
         m.write_u32s(p, &[1, 2, 3, 4]).expect("write");
         let snap = m.snapshot();
+        assert_eq!(snap.allocated(), m.allocated());
 
         m.write_u32s(p, &[9, 9, 9, 9]).expect("overwrite");
+        assert!(!m.agrees_with(&snap, &span(p, 16)));
+        assert!(m.agrees_with(&snap, &span(p.offset(16), 4080)), "untouched bytes agree");
+        m.copy_from_snapshot(&snap, &span(p.offset(4), 8));
+        assert_eq!(m.read_u32s(p, 4).expect("read"), vec![9, 2, 3, 9], "only the set is copied");
+
         let q = m.alloc(4096).expect("alloc after snapshot");
-        m.write_u32s(q, &[7]).expect("write");
-
-        m.restore(&snap);
-        assert_eq!(m.read_u32s(p, 4).expect("read"), vec![1, 2, 3, 4]);
-        assert_eq!(m.allocated(), snap.bytes.len() as u32, "brk restored");
-        assert!(m.read_u32s(q, 1).is_err(), "post-snapshot allocation rolled back");
-    }
-
-    #[test]
-    fn restore_drops_bytes_allocated_after_the_snapshot() {
-        let mut m = GlobalMem::new();
-        m.alloc(64).expect("alloc");
-        let snap = m.snapshot();
-        let q = m.alloc(64).expect("alloc after snapshot");
-        m.write_u32s(q, &[0xDEAD_BEEF; 16]).expect("write");
-
-        m.restore(&snap);
-        let again = m.alloc(64).expect("alloc after restore");
-        assert_eq!(again, q, "the bump allocator hands out the same range");
-        assert_eq!(m.read_u32s(again, 16).expect("read"), vec![0; 16], "no stale bytes");
+        assert!(!m.agrees_with(&snap, &span(q, 4)), "bytes the snapshot lacks disagree");
+        assert!(m.agrees_with(&snap, &ByteRanges::default()));
     }
 
     #[test]
@@ -599,14 +635,16 @@ mod tests {
         m.write_u32s(p, &[77]).expect("write");
 
         let mut other = GlobalMem::new();
-        other.restore(&snap);
+        other.alloc(64).expect("alloc");
+        other.copy_from_snapshot(&snap, &span(p, 4));
         assert_eq!(other.read_u32s(p, 1).expect("read"), vec![42], "snapshot kept old value");
         assert_eq!(m.read_u32s(p, 1).expect("read"), vec![77], "live memory kept new value");
 
-        // Writing through the restored copy must not leak into the snapshot.
+        // Writing through the copy must not leak into the snapshot.
         other.write_u32s(p, &[5]).expect("write");
         let mut third = GlobalMem::new();
-        third.restore(&snap);
+        third.alloc(64).expect("alloc");
+        third.copy_from_snapshot(&snap, &span(p, 4));
         assert_eq!(third.read_u32s(p, 1).expect("read"), vec![42]);
     }
 

@@ -16,6 +16,7 @@ fn as_output(g: &GoldenOutput) -> ProgramOutput {
         anomalies: Vec::new(),
         summary: g.summary.clone(),
         prefix_instrs_skipped: 0,
+        tail_replayed: Default::default(),
     }
 }
 

@@ -117,6 +117,7 @@ prop_compose! {
             injected,
             wall: std::time::Duration::from_micros(u64::from(wall_us)),
             prefix_instrs_skipped: u64::from(skipped),
+            tail_replayed: Default::default(),
             pruned,
             attempts,
             resumed: false,
@@ -368,15 +369,23 @@ fn arb_msg() -> impl Strategy<Value = nvbitfi::Msg> {
         Just(Msg::Ready),
         (any::<u64>(), arb_wire_string()).prop_map(|(id, site)| Msg::Run { id, site }),
         Just(Msg::Heartbeat),
-        (any::<u64>(), arb_wire_string(), any::<bool>(), any::<u64>(), any::<u64>()).prop_map(
-            |(id, outcome, injected, wall_us, skip_instrs)| Msg::Done {
-                id,
-                outcome,
-                injected,
-                wall_us,
-                skip_instrs,
-            }
-        ),
+        (
+            (any::<u64>(), arb_wire_string(), any::<bool>(), any::<u64>()),
+            (any::<u64>(), any::<u64>(), any::<u64>())
+        )
+            .prop_map(
+                |((id, outcome, injected, wall_us), (skip_instrs, tail_launches, tail_instrs))| {
+                    Msg::Done {
+                        id,
+                        outcome,
+                        injected,
+                        wall_us,
+                        skip_instrs,
+                        tail_launches,
+                        tail_instrs,
+                    }
+                }
+            ),
         arb_wire_string().prop_map(|message| Msg::Error { message }),
         Just(Msg::Shutdown),
     ]

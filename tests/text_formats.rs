@@ -41,6 +41,7 @@ fn run(pruned: bool) -> InjectionRun {
         injected: !pruned,
         wall: Duration::from_micros(if pruned { 0 } else { 1234 }),
         prefix_instrs_skipped: if pruned { 0 } else { 99 },
+        tail_replayed: Default::default(),
         pruned,
         attempts: if pruned { 1 } else { 2 },
         resumed: false,
@@ -110,8 +111,10 @@ fn every_text_format_is_byte_exact() {
                 injected: true,
                 wall_us: 1234,
                 skip_instrs: 99,
+                tail_launches: 3,
+                tail_instrs: 4567,
             },
-            "done\t7\tSDC:stdout+pdue\t1\t1234\t99",
+            "done\t7\tSDC:stdout+pdue\t1\t1234\t99\t3\t4567",
         ),
         (
             Msg::Error { message: "golden run failed: boom".into() },
