@@ -154,6 +154,17 @@ fn permanent_injection_reports_activations() {
 }
 
 #[test]
+fn permanent_campaign_reports_experiments_answered_from_golden() {
+    let o = nvbitfi(&["pf-campaign", "303.ostencil", "--scale", "test"]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let out = stdout(&o);
+    assert!(out.contains("over 16 opcode experiments"), "{out}");
+    // At the default seed two placements miss every lane their opcode runs
+    // on, so those two experiments are answered without simulation.
+    assert!(out.contains("answered from golden: 2 of 16 experiments"), "{out}");
+}
+
+#[test]
 fn disasm_prints_sass() {
     let o = nvbitfi(&["disasm", "314.omriq", "--scale", "test"]);
     assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));

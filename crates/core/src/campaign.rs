@@ -4,7 +4,8 @@
 //! N injection runs → classify each against golden. A permanent campaign
 //! runs one experiment per *executed* opcode (the profile prunes unused
 //! opcodes, as §IV-C describes) and weights outcomes by each opcode's
-//! dynamic instruction share (Figure 3).
+//! dynamic instruction share (Figure 3); an experiment whose opcode never
+//! ran on its SM and lane in the golden run is answered from golden.
 //!
 //! Both take their profile from the golden run's opcode counters
 //! ([`PreparedGolden::profile`]) rather than a separate profiler run, so a
@@ -633,8 +634,13 @@ pub struct PermanentRun {
     /// Wall-clock duration of the run.
     pub wall: Duration,
     /// Execution attempts the verdict took (`> 1` means retries after a
-    /// worker panic or deadline overrun).
+    /// worker panic or deadline overrun; 0 for an experiment answered from
+    /// golden).
     pub attempts: u32,
+    /// `false` when the experiment was answered from the golden run without
+    /// simulation: its fault could never activate
+    /// ([`PreparedGolden::may_activate`]).
+    pub simulated: bool,
 }
 
 /// Dynamic-count-weighted outcome fractions (Figure 3's y-axis).
@@ -664,6 +670,9 @@ pub struct PermanentCampaign {
     /// Duration of the profiling step: building the profile from the
     /// golden run's opcode counters.
     pub profiling_wall: Duration,
+    /// Dynamic instructions of the golden run: what one simulated
+    /// experiment executes, and what each answered one does not.
+    pub golden_instrs: u64,
 }
 
 impl PermanentCampaign {
@@ -671,10 +680,18 @@ impl PermanentCampaign {
     pub fn total_time(&self) -> Duration {
         self.profiling_wall + self.runs.iter().map(|r| r.wall).sum::<Duration>()
     }
+
+    /// Experiments answered from the golden run without simulation.
+    pub fn answered(&self) -> usize {
+        self.runs.iter().filter(|r| !r.simulated).count()
+    }
 }
 
 /// Run a complete permanent-fault campaign on one program: one experiment
-/// per (executed) opcode, outcomes weighted by dynamic count.
+/// per (executed) opcode, outcomes weighted by dynamic count. An
+/// experiment whose fault can never activate
+/// ([`PreparedGolden::may_activate`]) is answered from the golden run —
+/// Masked, 0 activations — without simulating it.
 ///
 /// # Errors
 ///
@@ -689,6 +706,7 @@ pub fn run_permanent_campaign(
     let t0 = Instant::now();
     let profile = golden.profile(ProfilingMode::Approximate);
     let profiling_wall = t0.elapsed();
+    let golden_instrs = golden.checkpoints.records().map(|r| r.stats.dyn_instrs).sum();
 
     let executed = profile.executed_opcodes();
     let opcodes: Vec<gpu_isa::Opcode> = if cfg.skip_unused {
@@ -697,10 +715,12 @@ pub fn run_permanent_campaign(
         gpu_isa::Opcode::ALL.to_vec()
     };
 
-    // Draw fault placement from the SMs and lanes the program actually
-    // occupies. With the paper's full-scale workloads every SM and lane is
-    // busy, so this coincides with Table III's full 0..N-1 ranges; with
-    // simulator-scaled grids it avoids trivially-masked dead placements.
+    // Draw the SM below the largest grid and the lane below the largest
+    // block, over all launches. An opcode that runs only in smaller
+    // launches may never reach its placement: at Figure 3's seed 0x5eed,
+    // 89 of the suite's 310 experiments never activate (EXPERIMENTS.md).
+    // Such an experiment is answered from golden below; the draw and its
+    // RNG order stay as they are, so sites and verdicts do not move.
     let launches = || golden.checkpoints.records();
     let max_blocks = launches().map(|l| l.stats.blocks).max().unwrap_or(1).max(1);
     let used_sms = gpu_sim::NUM_SMS.min(max_blocks.min(u32::MAX as u64) as u32).max(1);
@@ -717,7 +737,21 @@ pub fn run_permanent_campaign(
                 bit_mask: 1u32 << rng.gen_range(0..32),
                 opcode_id: op.encode(),
             };
-            (i, Job::Run((params, profile.opcode_total(*op))))
+            let weight = profile.opcode_total(*op);
+            let job = if golden.may_activate(&params) {
+                Job::Run((params, weight))
+            } else {
+                Job::Known(PermanentRun {
+                    params,
+                    outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
+                    weight,
+                    activations: 0,
+                    wall: Duration::ZERO,
+                    attempts: 0,
+                    simulated: false,
+                })
+            };
+            (i, job)
         })
         .collect();
 
@@ -725,7 +759,8 @@ pub fn run_permanent_campaign(
     // panicked or deadline-killed experiment is retried, then recorded as
     // InfraError — one opcode's verdict, not the campaign, is what a
     // runaway run costs. A permanent fault is active from the first launch,
-    // so every experiment is a full run.
+    // so every simulated experiment is a full run; answered ones never
+    // reach a worker.
     golden.config.wall_deadline = cfg.run_deadline;
     let plan = Plan {
         workers: cfg.workers,
@@ -751,6 +786,7 @@ pub fn run_permanent_campaign(
             activations: s.detail.unwrap_or(0),
             wall: s.wall,
             attempts: s.attempts,
+            simulated: true,
         },
         |_| {},
     );
@@ -782,6 +818,7 @@ pub fn run_permanent_campaign(
         weighted: w,
         runs,
         profiling_wall,
+        golden_instrs,
     })
 }
 

@@ -2,14 +2,15 @@
 
 use crate::error::FiError;
 use crate::outcome::{classify, Outcome, SdcCheck};
-use crate::params::TransientParams;
+use crate::params::{PermanentParams, TransientParams};
 use crate::profile::{Profile, ProfilingMode};
 use crate::prune::sites_may_prune;
-use gpu_isa::Module;
+use gpu_isa::{Kernel, Module, Operand, SpecialReg};
 use gpu_runtime::{
     run_program, run_program_fast_forward, run_program_golden, CheckpointStore, Program,
     ProgramOutput, RunSummary, RuntimeConfig, Tool,
 };
+use gpu_sim::LaneTable;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -68,10 +69,11 @@ pub fn golden_run_recording(
 /// golden ledger injection runs replay from, and the budgeted runtime
 /// configuration every injection run uses. The ledger also holds each
 /// launch's opcode counts, and the same simulation keeps the loaded
-/// modules, so campaign setup takes its profile
-/// ([`PreparedGolden::profile`]) and its pruning pre-check
-/// ([`PreparedGolden::may_prune`]) from it instead of simulating the
-/// program again.
+/// modules and the lanes that executed each opcode on each SM, so
+/// campaign setup takes its profile ([`PreparedGolden::profile`]), its
+/// pruning pre-check ([`PreparedGolden::may_prune`]) and the permanent
+/// faults that cannot activate ([`PreparedGolden::may_activate`]) from it
+/// instead of simulating the program again.
 ///
 /// Without checkpoints the ledger holds no memory, so nothing replays and
 /// every injection run simulates in full — the `--no-checkpoint` escape
@@ -89,6 +91,8 @@ pub struct PreparedGolden {
     pub(crate) config: RuntimeConfig,
     /// The modules the golden run loaded.
     modules: Vec<Arc<Module>>,
+    /// The lanes that executed each opcode on each SM in the golden run.
+    lanes: LaneTable,
 }
 
 impl PreparedGolden {
@@ -114,6 +118,7 @@ impl PreparedGolden {
             checkpoints: capture.ledger.into_shared(),
             config,
             modules: capture.modules,
+            lanes: capture.lanes,
         })
     }
 
@@ -138,6 +143,17 @@ impl PreparedGolden {
         sites_may_prune(&self.modules, sites)
     }
 
+    /// `false` when the permanent fault `params` is certain never to
+    /// activate: its opcode never executed on its SM and lane in the golden
+    /// run, so the run has no opportunity and is the golden run,
+    /// instruction for instruction — Masked, with no activations. A
+    /// program that reads `SR_CLOCKLO` always may: the injector's hooks
+    /// add cycles wherever its opcode runs, and the clock shows them.
+    pub fn may_activate(&self, params: &PermanentParams) -> bool {
+        self.lanes.executed(params.opcode(), params.sm_id, params.lane_id)
+            || self.modules.iter().flat_map(|m| m.kernels()).any(reads_clock)
+    }
+
     /// Run `program` with `tool` attached and classify the run against the
     /// golden outputs. Every launch `tool` declines whose inputs are still
     /// golden's replays from the ledger: the whole prefix before the first
@@ -159,6 +175,11 @@ impl PreparedGolden {
         );
         (classify(&self.output, &out, check), out)
     }
+}
+
+/// `true` if some instruction of `kernel` reads `SR_CLOCKLO`.
+fn reads_clock(kernel: &Kernel) -> bool {
+    kernel.instrs().iter().any(|i| i.srcs.contains(&Operand::Sr(SpecialReg::ClockLo)))
 }
 
 fn validate(program: &dyn Program, out: ProgramOutput) -> Result<GoldenOutput, FiError> {

@@ -124,11 +124,16 @@ pub fn phase_breakdown(t: &crate::campaign::CampaignTiming) -> String {
     out
 }
 
-/// One-paragraph summary of a permanent campaign.
+/// One-paragraph summary of a permanent campaign, followed by how many
+/// experiments were answered from the golden run without simulation.
 pub fn permanent_summary(c: &PermanentCampaign) -> String {
+    let answered = c.answered();
+    let share = if c.runs.is_empty() { 0.0 } else { answered as f64 / c.runs.len() as f64 };
     format!(
         "{}: weighted SDC {} DUE {} Masked {} over {} opcode experiments; \
-         unweighted {}; campaign total {:?}",
+         unweighted {}; campaign total {:?}\n\
+         answered from golden: {} of {} experiments could never activate \
+         ({} golden instructions not simulated, {} of the campaign's)",
         c.program,
         pct(c.weighted.sdc),
         pct(c.weighted.due),
@@ -136,6 +141,10 @@ pub fn permanent_summary(c: &PermanentCampaign) -> String {
         c.runs.len(),
         c.counts,
         c.total_time(),
+        answered,
+        c.runs.len(),
+        answered as u64 * c.golden_instrs,
+        pct(share),
     )
 }
 

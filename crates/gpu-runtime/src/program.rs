@@ -5,7 +5,7 @@ use crate::error::RuntimeError;
 use crate::runtime::{Runtime, RuntimeConfig};
 use crate::tool::{RunSummary, Tool};
 use gpu_isa::Module;
-use gpu_sim::TrapInfo;
+use gpu_sim::{LaneTable, TrapInfo};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -95,6 +95,8 @@ pub struct GoldenCapture {
     /// The golden ledger: one entry per launch, with memory and access
     /// sets only if recorded ([`Runtime::record_ledger`]).
     pub ledger: CheckpointStore,
+    /// The lanes that executed each opcode on each SM, over the whole run.
+    pub lanes: LaneTable,
     /// The modules the program loaded, in load order.
     pub modules: Vec<Arc<Module>>,
 }
@@ -119,7 +121,8 @@ pub fn run_program(
 /// Run a program as a campaign's golden run: record its ledger — each
 /// launch's record, executed opcodes, params and geometry, plus, if
 /// `record_checkpoints`, the post-launch memory and access sets injection
-/// runs replay from — and keep the loaded modules.
+/// runs replay from — and the run's executed-lane table, and keep the
+/// loaded modules.
 pub fn run_program_golden(
     program: &dyn Program,
     cfg: RuntimeConfig,
@@ -170,10 +173,8 @@ fn drive(program: &dyn Program, mut rt: Runtime) -> (ProgramOutput, GoldenCaptur
             Termination::Normal { exit_code: 1 }
         }
     };
-    let capture = GoldenCapture {
-        ledger: rt.take_ledger().unwrap_or_default(),
-        modules: rt.modules().to_vec(),
-    };
+    let (ledger, lanes) = rt.take_ledger().unwrap_or_default();
+    let capture = GoldenCapture { ledger, lanes, modules: rt.modules().to_vec() };
     let prefix_instrs_skipped = rt.prefix_instrs_skipped();
     let tail_replayed = rt.tail_replayed();
     let (stdout, files, anomalies) = rt.into_output();

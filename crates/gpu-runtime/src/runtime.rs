@@ -5,8 +5,8 @@ use crate::error::{KernelFault, RuntimeError};
 use crate::tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
 use gpu_isa::{encode, Module};
 use gpu_sim::{
-    DevPtr, Dim3, GlobalMem, Gpu, Instrumentation, Launch, LaunchObserver, MemError, SimError,
-    TrapInfo, TrapKind,
+    DevPtr, Dim3, GlobalMem, Gpu, Instrumentation, LaneTable, Launch, LaunchObserver, MemError,
+    SimError, TrapInfo, TrapKind,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -127,7 +127,9 @@ impl Runtime {
     /// record and executed-opcode counts and, if `memory`, a
     /// [`LaunchCapture`] of its params, geometry, host-write flag,
     /// post-launch memory and global read and write sets (what injection
-    /// runs replay from). Collect the result with [`Runtime::take_ledger`].
+    /// runs replay from); and, for the whole run, the [`LaneTable`] of the
+    /// lanes that executed each opcode on each SM. Collect both with
+    /// [`Runtime::take_ledger`].
     pub fn record_ledger(&mut self, memory: bool) {
         self.ledger = Some(Ledger {
             store: CheckpointStore::new(),
@@ -136,10 +138,10 @@ impl Runtime {
         });
     }
 
-    /// Detach and return the ledger recorded so far, disabling further
-    /// recording. `None` if recording was never enabled.
-    pub fn take_ledger(&mut self) -> Option<CheckpointStore> {
-        self.ledger.take().map(|l| l.store)
+    /// Detach and return the ledger and lane table recorded so far,
+    /// disabling further recording. `None` if recording was never enabled.
+    pub fn take_ledger(&mut self) -> Option<(CheckpointStore, LaneTable)> {
+        self.ledger.take().map(|l| (l.store, l.observer.into_lanes()))
     }
 
     /// Replay launches from a golden ledger instead of simulating them.

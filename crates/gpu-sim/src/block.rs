@@ -67,11 +67,11 @@ pub(crate) struct Counters<O> {
 }
 
 impl<O: Observe> Counters<O> {
-    /// Record that dynamic instructions `first..upto` of the launch
-    /// executed `op`.
-    fn retire(&mut self, op: Opcode, first: u64, upto: u64) {
+    /// Record that `lanes` of a warp on SM `sm` executed `op`, bringing the
+    /// launch's dynamic instructions to `upto`.
+    fn retire(&mut self, op: Opcode, sm: u32, lanes: u32, upto: u64) {
         self.executed = upto;
-        self.observer.retire(op, upto - first);
+        self.observer.retire(op, sm, lanes);
     }
 }
 
@@ -87,6 +87,8 @@ pub(crate) struct BlockState {
     shared: SharedMem,
     grid: Dim3,
     flat_ctaid: u32,
+    /// The SM the armed block runs on.
+    sm: u32,
     /// One past the highest GPR the kernel writes: without hooks, registers
     /// from here up stay zero.
     written_regs: usize,
@@ -169,6 +171,7 @@ impl BlockState {
             shared: SharedMem::new(kernel.shared_bytes()),
             grid,
             flat_ctaid: 0,
+            sm: 0,
             written_regs,
             hooked: false,
             live: 0,
@@ -205,6 +208,7 @@ impl BlockState {
         }
         self.shared.zero();
         self.flat_ctaid = flat_ctaid;
+        self.sm = sm;
         self.hooked = false;
         self.live = nthreads;
         self.waiting = 0;
@@ -258,7 +262,7 @@ impl BlockState {
         counters: &mut Counters<O>,
         instrumentation: &mut Option<&mut Instrumentation<'_>>,
     ) -> Result<bool, TrapInfo> {
-        let BlockState { threads, warps, shared, flat_ctaid, hooked, live, waiting, .. } = self;
+        let BlockState { threads, warps, shared, flat_ctaid, sm, hooked, live, waiting, .. } = self;
         let trap = |kind, pc, thread: usize| TrapInfo {
             kind,
             kernel: kernel.name().to_string(),
@@ -378,7 +382,7 @@ impl BlockState {
                     warp.pcs[lane] = pc + 1;
                 }
                 Err(kind) => {
-                    counters.retire(instr.op, first, dyn_index + 1);
+                    counters.retire(instr.op, *sm, run & lane_mask(lane + 1), dyn_index + 1);
                     return Err(trap(kind, pc, base + lane));
                 }
             }
@@ -391,7 +395,7 @@ impl BlockState {
             }
             dyn_index += 1;
         }
-        counters.retire(instr.op, first, dyn_index);
+        counters.retire(instr.op, *sm, run, dyn_index);
         if let Some((_, kind)) = stop {
             let lane = (active & !run).trailing_zeros() as usize;
             return Err(trap(kind, pc, base + lane));

@@ -35,8 +35,10 @@
 //!   execution where the pc is instrumented,
 //! * **golden observer** — [`Gpu::launch_observed`] adds each issue's
 //!   executed lanes to a per-opcode tally, so a golden run yields the
-//!   profiler's counts without instrumenting anything, and can record
-//!   every global word a launch reads and writes ([`LaunchObserver`]).
+//!   profiler's counts without instrumenting anything, ORs them into a
+//!   per-(opcode, SM) [`LaneTable`] of the lanes that ever executed, and
+//!   can record every global word a launch reads and writes
+//!   ([`LaunchObserver`]).
 //!
 //! See the [`Gpu::launch`] docs for a complete runnable example.
 
@@ -63,7 +65,7 @@ pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
 pub use memory::{
     ByteRanges, DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem, MAX_GLOBAL_BYTES,
 };
-pub use observe::LaunchObserver;
+pub use observe::{LaneTable, LaunchObserver};
 pub use regfile::RegFile;
 pub use trap::{TrapInfo, TrapKind};
 
@@ -176,6 +178,52 @@ mod integration_tests {
                 assert!(reads.is_empty() && writes.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn lane_table_holds_the_lanes_that_passed_the_guard_on_each_sm() {
+        // 82 blocks of 24 threads: one partial warp per block, and blocks
+        // 80 and 81 wrap around to SMs 0 and 1.
+        let mut k = KernelBuilder::new("lanes");
+        k.s2r(Reg(0), SpecialReg::LaneId);
+        k.isetp(PReg(0), CmpOp::Lt, Reg(0), 4);
+        k.iaddi(Reg(1), Reg(0), 1).guard = gpu_isa::Guard::if_true(PReg(0));
+        k.s2r(Reg(2), SpecialReg::CtaIdX);
+        k.isetp(PReg(1), CmpOp::Ge, Reg(2), 80);
+        k.imul(Reg(3), Reg(0), Reg(0)).guard = gpu_isa::Guard::if_true(PReg(1));
+        k.exit();
+        let kernel = k.finish();
+        let mut observer = LaunchObserver::new(false);
+        let launch = |observer: &mut LaunchObserver, blocks: u32, threads: u32| {
+            let l = Launch {
+                kernel: &kernel,
+                grid: Dim3::from(blocks),
+                block: Dim3::from(threads),
+                params: &[],
+                instr_budget: None,
+            };
+            gpu().launch_observed(&l, &mut GlobalMem::new(), None, Some(observer))
+        };
+        launch(&mut observer, 82, 24).expect("launch");
+        // The table spans launches, and taking a launch's counts leaves it
+        // alone: a full warp on SM 0 adds lanes 24..31 there.
+        observer.take_opcodes();
+        launch(&mut observer, 1, 32).expect("launch");
+        let t = observer.into_lanes();
+        use gpu_isa::Opcode::{DFMA, EXIT, IADD32I, IMUL};
+        let warp = (1 << 24) - 1;
+        assert_eq!(t.lanes(EXIT, 0), u32::MAX);
+        for sm in 0..NUM_SMS {
+            if sm > 0 {
+                assert_eq!(t.lanes(EXIT, sm), warp, "SM {sm}: every thread exits");
+            }
+            assert_eq!(t.lanes(IADD32I, sm), 0b1111, "SM {sm}: guard-failed lanes are absent");
+            let wrapped = if sm < 2 { warp } else { 0 };
+            assert_eq!(t.lanes(IMUL, sm), wrapped, "SM {sm}: only blocks 80 and 81");
+            assert_eq!(t.lanes(DFMA, sm), 0);
+        }
+        assert!(t.executed(IADD32I, 5, 3) && !t.executed(IADD32I, 5, 4));
+        assert!(!t.executed(EXIT, NUM_SMS, 0) && !t.executed(EXIT, 0, 32), "off the device");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! What a golden launch observes beside its statistics: executed thread
-//! instructions per opcode and, when asked, the global-memory bytes it read
-//! and wrote.
+//! instructions per opcode, the lanes of each SM that executed each opcode
+//! and, when asked, the global-memory bytes it read and wrote.
 //!
 //! The warp loop reports to an [`Observe`] implementation chosen per
 //! launch, and is compiled once per implementation, so launches that
@@ -8,14 +8,15 @@
 //! observing code at all. Golden runs report to a [`LaunchObserver`],
 //! which records accesses only when asked.
 
-use crate::gpu::OpcodeCounts;
+use crate::gpu::{OpcodeCounts, NUM_SMS};
 use crate::memory::{ByteRanges, NULL_PAGE};
 use gpu_isa::{MemWidth, Opcode, OPCODE_COUNT};
 
 /// Where the warp loop reports what a launch executes and touches.
 pub(crate) trait Observe {
-    /// `n` thread instructions of `op` executed.
-    fn retire(&mut self, op: Opcode, n: u64);
+    /// The `lanes` of a warp on SM `sm` executed `op`: they passed its
+    /// guard and ran it, one thread instruction each.
+    fn retire(&mut self, op: Opcode, sm: u32, lanes: u32);
 
     /// A global load (or the read half of an atomic) at `addr` succeeded.
     #[inline(always)]
@@ -36,13 +37,14 @@ pub(crate) struct Unobserved;
 
 impl Observe for Unobserved {
     #[inline(always)]
-    fn retire(&mut self, _: Opcode, _: u64) {}
+    fn retire(&mut self, _: Opcode, _: u32, _: u32) {}
 }
 
 impl Observe for &mut LaunchObserver {
     #[inline(always)]
-    fn retire(&mut self, op: Opcode, n: u64) {
-        self.opcodes[op.encode() as usize] += n;
+    fn retire(&mut self, op: Opcode, sm: u32, lanes: u32) {
+        self.opcodes[op.encode() as usize] += u64::from(lanes.count_ones());
+        self.lanes.0[op.encode() as usize][sm as usize] |= lanes;
     }
 
     #[inline(always)]
@@ -84,23 +86,68 @@ struct WordMaps {
     allocated: u32,
 }
 
-/// A golden run's per-launch observations, gathered by
-/// [`crate::Gpu::launch_observed`] and drained after each launch.
+/// Which lanes of each SM executed each opcode, over every launch a
+/// [`LaunchObserver`] saw: one `u32` lane mask per (opcode, SM), about
+/// 55 KB. A lane counts once it passed the instruction's guard and ran it
+/// — exactly the threads an `After` hook on that instruction would see —
+/// so a permanent fault at an (opcode, SM, lane) whose bit is clear has
+/// nothing to act on.
+#[derive(Clone)]
+pub struct LaneTable(Box<[[u32; NUM_SMS as usize]]>);
+
+impl LaneTable {
+    /// The lanes of SM `sm` that executed `op` (none for an SM beyond the
+    /// device's).
+    pub fn lanes(&self, op: Opcode, sm: u32) -> u32 {
+        self.0[op.encode() as usize].get(sm as usize).copied().unwrap_or(0)
+    }
+
+    /// `true` if lane `lane` of SM `sm` executed `op`.
+    pub fn executed(&self, op: Opcode, sm: u32, lane: u32) -> bool {
+        lane < 32 && self.lanes(op, sm) >> lane & 1 != 0
+    }
+}
+
+impl Default for LaneTable {
+    /// A table in which nothing executed.
+    fn default() -> LaneTable {
+        LaneTable(vec![[0; NUM_SMS as usize]; OPCODE_COUNT].into_boxed_slice())
+    }
+}
+
+impl std::fmt::Debug for LaneTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let lanes: u32 = self.0.iter().flatten().map(|m| m.count_ones()).sum();
+        f.debug_struct("LaneTable").field("executed_lanes", &lanes).finish()
+    }
+}
+
+/// A golden run's observations: per-launch ones gathered by
+/// [`crate::Gpu::launch_observed`] and drained after each launch, and the
+/// run's [`LaneTable`], which spans every launch.
 #[derive(Debug)]
 pub struct LaunchObserver {
     opcodes: Box<OpcodeCounts>,
+    lanes: LaneTable,
     /// `None` unless the launch's read and write sets are recorded.
     words: Option<WordMaps>,
 }
 
 impl LaunchObserver {
-    /// An observer counting opcodes and, if `accesses`, recording each
-    /// launch's global read and write sets.
+    /// An observer counting opcodes and executed lanes and, if
+    /// `accesses`, recording each launch's global read and write sets.
     pub fn new(accesses: bool) -> LaunchObserver {
         LaunchObserver {
             opcodes: Box::new([0; OPCODE_COUNT]),
+            lanes: LaneTable::default(),
             words: accesses.then(WordMaps::default),
         }
+    }
+
+    /// Consume the observer, keeping its [`LaneTable`]: the lanes that
+    /// executed each opcode on each SM over every launch it observed.
+    pub fn into_lanes(self) -> LaneTable {
+        self.lanes
     }
 
     /// The last launch's nonzero `(opcode, thread instructions)` counts,

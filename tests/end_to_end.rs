@@ -4,7 +4,7 @@
 
 use nvbitfi::{
     run_permanent_campaign, run_transient_campaign, CampaignConfig, InfraKind, OutcomeClass,
-    PermanentCampaignConfig, ProfilingMode, WeightedOutcomes,
+    PermanentCampaignConfig, ProfilingMode,
 };
 use workloads::Scale;
 
@@ -105,9 +105,11 @@ fn permanent_campaign_end_to_end_md() {
 
 #[test]
 fn permanent_deadline_overruns_retry_then_record_infra_errors() {
-    // An already-expired deadline fails every attempt of every experiment:
-    // each opcode spends its retry and settles as InfraError(Deadline), and
-    // infra weight leaves the weighted denominator entirely.
+    // An already-expired deadline fails every attempt of every simulated
+    // experiment: each spends its retry and settles as
+    // InfraError(Deadline), and infra weight leaves the weighted
+    // denominator entirely. An experiment that cannot activate is answered
+    // from golden before any attempt, so no deadline touches it.
     let program = workloads::md::Md { scale: Scale::Test };
     let check = workloads::md::Md::check();
     let cfg = PermanentCampaignConfig {
@@ -119,13 +121,23 @@ fn permanent_deadline_overruns_retry_then_record_infra_errors() {
         ..Default::default()
     };
     let result = run_permanent_campaign(&program, &check, &cfg).expect("campaign survives");
-    assert!(!result.runs.is_empty());
+    let simulated = result.runs.len() - result.answered();
+    assert!(simulated > 0, "some experiment must reach the deadline");
     for run in &result.runs {
-        assert_eq!(run.outcome.class, OutcomeClass::InfraError(InfraKind::Deadline));
-        assert_eq!(run.attempts, 2, "max_retries = 1 means two attempts");
+        if run.simulated {
+            assert_eq!(run.outcome.class, OutcomeClass::InfraError(InfraKind::Deadline));
+            assert_eq!(run.attempts, 2, "max_retries = 1 means two attempts");
+        } else {
+            assert!(run.outcome.is_masked(), "{run:?}");
+            assert_eq!(run.attempts, 0, "answered from golden, never attempted");
+        }
     }
-    assert_eq!(result.counts.infra as usize, result.runs.len());
-    assert_eq!(result.weighted, WeightedOutcomes::default(), "no weight left to distribute");
+    assert_eq!(result.counts.infra as usize, simulated);
+    // Only the answered experiments' weight is left, all of it Masked.
+    let w = result.weighted;
+    assert_eq!((w.sdc, w.due), (0.0, 0.0));
+    let masked = if result.answered() > 0 { 1.0 } else { 0.0 };
+    assert!((w.masked - masked).abs() < 1e-12, "{w:?}");
 }
 
 #[test]

@@ -51,7 +51,7 @@ fn run_recorded(
         result,
         stdout: rt.stdout().to_string(),
         anomalies: rt.anomalies().len(),
-        ledger: rt.take_ledger().expect("recorded"),
+        ledger: rt.take_ledger().expect("recorded").0,
         prefix: rt.prefix_instrs_skipped(),
         tail: rt.tail_replayed(),
     }
