@@ -5,7 +5,7 @@
 
 use gpu_isa::InstrClass;
 use gpu_runtime::RuntimeConfig;
-use nvbitfi::{profile_program, ProfilingMode};
+use nvbitfi::{PreparedGolden, ProfilingMode};
 use std::collections::BTreeSet;
 
 fn main() {
@@ -23,12 +23,9 @@ fn main() {
     ]];
     let mut union: BTreeSet<gpu_isa::Opcode> = BTreeSet::new();
     for entry in args.programs() {
-        let profile = profile_program(
-            entry.program.as_ref(),
-            RuntimeConfig::default(),
-            ProfilingMode::Approximate,
-        )
-        .expect("profile");
+        let profile = PreparedGolden::new(entry.program.as_ref(), RuntimeConfig::default(), false)
+            .expect("golden run")
+            .profile(ProfilingMode::Approximate);
         let executed = profile.executed_opcodes();
         union.extend(executed.iter().copied());
         let by_class = |c: InstrClass| executed.iter().filter(|o| o.class() == c).count();

@@ -15,6 +15,8 @@ use nvbitfi::{
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use workloads::{BenchEntry, Scale};
@@ -141,8 +143,7 @@ fn list() -> Result<(), String> {
 fn profile(args: &Args) -> Result<(), String> {
     let e = entry(args, parse_scale(args.get("scale"))?)?;
     let mode = args.get_with("mode", ProfilingMode::Exact, parse_mode)?;
-    let p = nvbitfi::profile_program(e.program.as_ref(), RuntimeConfig::default(), mode)
-        .map_err(|err| err.to_string())?;
+    let p = prepare(&e)?.profile(mode);
     if let Some(path) = write_out(args, &p.to_file())? {
         println!(
             "wrote {} dynamic kernels ({} dynamic instructions, {mode} profiling) to {path}",
@@ -189,8 +190,9 @@ fn select(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The golden run single injections are classified against: default
-/// runtime, no checkpoints, so every injection is a full replay.
+/// The golden run of `e`, under the default runtime and without
+/// checkpoints: single injections are classified against it (each one a
+/// full replay), and `profile` and `trace` read its opcode counters.
 fn prepare(e: &BenchEntry) -> Result<PreparedGolden, String> {
     PreparedGolden::new(e.program.as_ref(), RuntimeConfig::default(), false)
         .map_err(|err| err.to_string())
@@ -531,42 +533,37 @@ fn lint(args: &Args) -> Result<(), String> {
 }
 
 fn trace(args: &Args) -> Result<(), String> {
-    // The classic NVBit example tools, driven together: instr_count,
-    // opcode_hist, and a mem_trace sample.
+    // The classic NVBit example tools: instr_count and opcode_hist read
+    // the golden run's opcode counters, and mem_trace samples a run of its
+    // own, since access addresses are not in the golden ledger.
     let e = entry(args, parse_scale(args.get("scale"))?)?;
     let top: usize = args.get_or("top", 10)?;
     let mem_n: usize = args.get_or("mem", 8)?;
 
-    let (tool, counts) = nvbit::tools::InstrCounter::new();
-    let out = run_program(e.program.as_ref(), RuntimeConfig::default(), Some(Box::new(tool)));
-    if !out.termination.is_clean() {
-        return Err(format!("program did not run cleanly: {:?}", out.termination));
+    let profile = prepare(&e)?.profile(ProfilingMode::Exact);
+    let mut per_kernel = BTreeMap::new();
+    for k in &profile.kernels {
+        *per_kernel.entry(k.kernel.as_str()).or_insert(0) += k.total();
     }
-    let counts = counts.get();
-    println!("instr_count: {} dynamic instructions", counts.total);
-    for (kernel, n) in counts.per_kernel.iter().take(top) {
+    println!("instr_count: {} dynamic instructions", profile.total());
+    for (kernel, n) in per_kernel.iter().take(top) {
         println!("  {kernel:<24} {n}");
     }
-    if counts.per_kernel.len() > top {
-        println!("  … {} more kernels", counts.per_kernel.len() - top);
+    if per_kernel.len() > top {
+        println!("  … {} more kernels", per_kernel.len() - top);
     }
 
-    let (tool, hist) = nvbit::tools::OpcodeHistogram::new();
-    run_program(e.program.as_ref(), RuntimeConfig::default(), Some(Box::new(tool)));
-    println!(
-        "
-opcode_hist (top {top}):"
-    );
-    for (op, n) in hist.get().hottest().into_iter().take(top) {
+    let mut hottest: Vec<_> =
+        profile.executed_opcodes().into_iter().map(|op| (op, profile.opcode_total(op))).collect();
+    hottest.sort_by_key(|&(_, n)| Reverse(n));
+    println!("\nopcode_hist (top {top}):");
+    for (op, n) in hottest.into_iter().take(top) {
         println!("  {:<10} {n}", op.mnemonic());
     }
 
     let (tool, trace) = nvbit::tools::MemTracer::new(mem_n);
     run_program(e.program.as_ref(), RuntimeConfig::default(), Some(Box::new(tool)));
-    println!(
-        "
-mem_trace (first {mem_n} accesses):"
-    );
+    println!("\nmem_trace (first {mem_n} accesses):");
     for a in trace.get() {
         println!(
             "  {} pc {:>3} tid {:>4} {} {:#010x}",

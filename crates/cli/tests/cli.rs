@@ -598,6 +598,9 @@ fn disasm_edit_assemble_roundtrip() {
     }
 }
 
+/// `trace` prints the three NVBit example tools' reports: `instr_count`
+/// and `opcode_hist` from the golden run's opcode counters, and a
+/// `mem_trace` sample from an instrumented run.
 #[test]
 fn trace_runs_the_nvbit_example_tools() {
     let o = nvbitfi(&["trace", "314.omriq", "--scale", "test", "--top", "3", "--mem", "5"]);
@@ -607,4 +610,70 @@ fn trace_runs_the_nvbit_example_tools() {
     assert!(out.contains("opcode_hist"), "{out}");
     assert!(out.contains("mem_trace"), "{out}");
     assert!(out.contains("MUFU"), "{out}");
+}
+
+/// The counts `trace` and `profile` read from the golden run are the ones
+/// NVBitFI's profiler measures, on every test-scale program: `trace`'s
+/// total, each per-kernel line and each opcode line (hottest first, ties
+/// in opcode order), and `profile`'s whole file in both modes.
+#[test]
+fn trace_and_profile_print_the_profilers_counts_on_every_program() {
+    use gpu_runtime::RuntimeConfig;
+    use nvbitfi::{profile_program, ProfilingMode};
+    use std::collections::BTreeMap;
+
+    for entry in workloads::suite(workloads::Scale::Test) {
+        let name = entry.name;
+        let reference = |mode| {
+            profile_program(entry.program.as_ref(), RuntimeConfig::default(), mode).expect(name)
+        };
+        let exact = reference(ProfilingMode::Exact);
+
+        let o = nvbitfi(&["trace", name, "--scale", "test", "--top", "1000", "--mem", "1"]);
+        assert!(o.status.success(), "{name}: {}", String::from_utf8_lossy(&o.stderr));
+        let out = stdout(&o);
+        let mut sections = out.split("\n\n");
+        let (counts, hist) = (sections.next().expect(name), sections.next().expect(name));
+        let mut counts = counts.lines();
+        assert_eq!(
+            counts.next(),
+            Some(format!("instr_count: {} dynamic instructions", exact.total()).as_str()),
+            "{name}"
+        );
+        let mut per_kernel = BTreeMap::new();
+        for k in &exact.kernels {
+            *per_kernel.entry(k.kernel.clone()).or_insert(0) += k.total();
+        }
+        let printed: BTreeMap<String, u64> = counts
+            .map(|l| {
+                let (kernel, n) = l.trim().split_once(' ').expect(l);
+                (kernel.to_string(), n.trim().parse().expect(l))
+            })
+            .collect();
+        assert_eq!(printed, per_kernel, "{name}: per-kernel lines");
+
+        let mut hist = hist.lines();
+        assert_eq!(hist.next(), Some("opcode_hist (top 1000):"), "{name}");
+        let ops: Vec<(gpu_isa::Opcode, u64)> = hist
+            .map(|l| {
+                let (m, n) = l.trim().split_once(' ').expect(l);
+                (gpu_isa::Opcode::from_mnemonic(m).expect(l), n.trim().parse().expect(l))
+            })
+            .collect();
+        let printed_ops: Vec<_> = ops.iter().map(|(op, _)| *op).collect();
+        let mut executed: Vec<_> = exact.executed_opcodes().into_iter().collect();
+        executed.sort_by_key(|op| std::cmp::Reverse(exact.opcode_total(*op)));
+        assert_eq!(printed_ops, executed, "{name}: opcodes, hottest first");
+        for (op, n) in ops {
+            assert_eq!(n, exact.opcode_total(op), "{name}: {op}");
+        }
+
+        for (mode, flag) in
+            [(ProfilingMode::Exact, "exact"), (ProfilingMode::Approximate, "approx")]
+        {
+            let o = nvbitfi(&["profile", name, "--scale", "test", "--mode", flag]);
+            assert!(o.status.success(), "{name}: {}", String::from_utf8_lossy(&o.stderr));
+            assert_eq!(stdout(&o), reference(mode).to_file(), "{name}: {mode} profile");
+        }
+    }
 }

@@ -511,7 +511,8 @@ fn run_sites(
     // Inject and classify. Each site executes behind an isolation
     // boundary: a worker panic, a worker death, or a deadline overrun costs
     // (after `max_retries` further attempts) only that site's verdict —
-    // recorded as InfraError — never the campaign.
+    // recorded as InfraError — never the campaign. Both isolation modes
+    // share the one dispatch; only process mode fills a slot's worker.
     let plan = Plan {
         workers: cfg.workers,
         max_retries: cfg.max_retries,
@@ -534,31 +535,21 @@ fn run_sites(
         }
     };
     let on_done = |run: &InjectionRun| hooks.on_run(run);
-    let (mut tagged, interrupted) = match &cfg.isolation {
-        IsolationMode::Thread => dispatch(
-            &plan,
-            jobs,
-            &stop,
-            |_: &mut (), _, params, fault| {
-                attempt_transient(&golden, program, check, params, fault)
-            },
-            settle,
-            on_done,
-        ),
-        IsolationMode::Process(iso) => {
-            let init = iso.init(cfg, program.name());
-            dispatch(
-                &plan,
-                jobs,
-                &stop,
-                |worker: &mut Option<Worker>, index, params, kill| {
-                    pool::attempt(iso, &init, worker, index, params, kill)
-                },
-                settle,
-                on_done,
-            )
-        }
+    let process = match &cfg.isolation {
+        IsolationMode::Process(iso) => Some((iso, iso.init(cfg, program.name()))),
+        IsolationMode::Thread => None,
     };
+    let (mut tagged, interrupted) = dispatch(
+        &plan,
+        jobs,
+        &stop,
+        |worker: &mut Option<Worker>, index, params, fault| match &process {
+            Some((iso, init)) => pool::attempt(iso, init, worker, index, params, fault),
+            None => attempt_transient(&golden, program, check, params, fault),
+        },
+        settle,
+        on_done,
+    );
     // Report in the sites' order, with reloaded prior verdicts merged back
     // in.
     tagged.extend(reloaded);

@@ -17,9 +17,9 @@
 //! A real GPU cannot report per-opcode counts, which is why NVBitFI needs
 //! the profiler run at all. The simulator can: a campaign's golden run
 //! counts opcodes as it executes, and [`crate::PreparedGolden::profile`]
-//! builds either mode's profile from those counters. [`Profiler`] and
-//! [`profile_program`] remain as the paper's `profiler.so`, for the
-//! `profile` command and the Figure 4 overhead measurement.
+//! builds either mode's profile from them, for campaigns, `profile` and
+//! `trace`. [`Profiler`] and [`profile_program`] remain as the paper's
+//! `profiler.so`, for Figure 4's overhead and the parity tests' reference.
 
 use crate::error::FiError;
 use crate::igid::InstrGroup;

@@ -3,7 +3,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointStore, FastForward, LaunchCapture, TailReplay};
 use crate::error::{KernelFault, RuntimeError};
 use crate::tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
-use gpu_isa::{encode, Module};
+use gpu_isa::{encode, Kernel, Module};
 use gpu_sim::{
     DevPtr, Dim3, GlobalMem, Gpu, Instrumentation, LaneTable, Launch, LaunchObserver, MemError,
     SimError, TrapInfo, TrapKind,
@@ -350,36 +350,49 @@ impl Runtime {
         };
 
         let host_wrote = std::mem::take(&mut self.host_wrote);
-        if self.sticky.is_some() {
+        let (record, fatal) = if self.sticky.is_some() {
             // Context corrupted: the launch is dropped on the floor.
-            let record = LaunchRecord {
+            let skipped = LaunchRecord {
                 kernel: k.name().to_string(),
                 instance,
                 stats: Default::default(),
                 trap: None,
                 skipped: true,
             };
-            if let Some(tool) = self.tool.as_deref_mut() {
-                tool.after_launch(&record);
+            (skipped, None)
+        } else {
+            let info = KernelLaunchInfo { kernel: k, instance, grid, block };
+            let masks = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
+            let replayed = match masks {
+                None => self.replay(k.name(), instance, grid, block, params),
+                Some(_) => None,
+            };
+            match replayed {
+                Some(record) => (record, None),
+                None => self.simulate(k, instance, grid, block, params, masks)?,
             }
-            self.log_launch(&record, params, grid, block, host_wrote);
-            self.records.push(record);
-            return Ok(());
-        }
+        };
 
-        let info = KernelLaunchInfo { kernel: k, instance, grid, block };
-        let masks: Option<InstrMasks> = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
-
-        if masks.is_none() {
-            if let Some(record) = self.replay(k.name(), instance, grid, block, params) {
-                if let Some(tool) = self.tool.as_deref_mut() {
-                    tool.after_launch(&record);
-                }
-                self.log_launch(&record, params, grid, block, host_wrote);
-                self.records.push(record);
-                return Ok(());
-            }
+        if let Some(tool) = self.tool.as_deref_mut() {
+            tool.after_launch(&record);
         }
+        self.log_launch(&record, params, grid, block, host_wrote);
+        self.records.push(record);
+        fatal.map_or(Ok(()), Err)
+    }
+
+    /// Simulate one launch, instrumented by `masks` if the tool asked for
+    /// it. Returns its record and the error that ends the run, if any; a
+    /// non-fatal trap latches the sticky error instead.
+    fn simulate(
+        &mut self,
+        k: &Kernel,
+        instance: u64,
+        grid: Dim3,
+        block: Dim3,
+        params: &[u32],
+        masks: Option<InstrMasks>,
+    ) -> Result<(LaunchRecord, Option<RuntimeError>), RuntimeError> {
         if let Some(ff) = &mut self.fast_forward {
             ff.simulated = true;
         }
@@ -425,18 +438,9 @@ impl Runtime {
             }
             Err(other) => return Err(RuntimeError::LaunchConfig(other.to_string())),
         };
-
         let record =
             LaunchRecord { kernel: k.name().to_string(), instance, stats, trap, skipped: false };
-        if let Some(tool) = self.tool.as_deref_mut() {
-            tool.after_launch(&record);
-        }
-        self.log_launch(&record, params, grid, block, host_wrote);
-        self.records.push(record);
-        match fatal {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok((record, fatal))
     }
 
     /// Replay the next global launch from the ledger if the replay rule

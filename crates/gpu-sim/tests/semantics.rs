@@ -615,6 +615,112 @@ fn f32s(f: impl Fn(f32, f32) -> f32) -> impl Fn(u32, u32) -> u32 {
     move |x, y| f(f32::from_bits(x), f32::from_bits(y)).to_bits()
 }
 
+/// A conversion input: any bit pattern (NaN, infinities, subnormals),
+/// values around the `i32` range, halves (rounding ties), and the floats
+/// nearest the `i32` bounds.
+fn conv_f32() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        (-3.0e9f32..3.0e9).prop_map(f32::to_bits),
+        (0u32..128).prop_map(|n| ((n as f32 - 64.0) / 2.0).to_bits()),
+        (0usize..4).prop_map(|i| {
+            [f32::NAN, 2_147_483_520.0, 2_147_483_648.0, -2_147_483_904.0][i].to_bits()
+        }),
+    ]
+}
+
+/// [`conv_f32`] for `f64` inputs.
+fn conv_f64() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        (-3.0e9f64..3.0e9).prop_map(f64::to_bits),
+        (0u32..128).prop_map(|n| ((f64::from(n) - 64.0) / 2.0).to_bits()),
+        (0usize..4).prop_map(|i| {
+            [f64::NAN, 2_147_483_647.5, -2_147_483_648.5, 2_147_483_648.0][i].to_bits()
+        }),
+    ]
+}
+
+/// The host's rounding to an integral value, then Rust's saturating cast:
+/// NaN gives 0 and out-of-range values clamp to the `i32` bounds.
+fn host_f2i(mode: RoundMode, x: f64) -> u32 {
+    let r = match mode {
+        RoundMode::Rn => x.round_ties_even(),
+        RoundMode::Rz => x.trunc(),
+        RoundMode::Rm => x.floor(),
+        RoundMode::Rp => x.ceil(),
+    };
+    r as i32 as u32
+}
+
+/// `op dst, src` with `modifier`, reading and writing the 64-bit harness's
+/// registers.
+fn convert(
+    op: Opcode,
+    modifier: Modifier,
+    dst: Dst,
+    src: Operand,
+) -> impl FnOnce(&mut KernelBuilder) {
+    move |k| {
+        let mut i = Instr::new(op);
+        i.modifier = modifier;
+        i.dsts[0] = dst;
+        i.srcs[0] = src;
+        k.push(i);
+    }
+}
+
+/// Every lane of one warp applies `ATOMG.op R0, [word], R1, R2` to the same
+/// word, which starts at `init`, with lane `i` holding `xs[i]` in R1 and
+/// `ys[i]` in R2. Returns each lane's returned old value and the final word.
+fn atom_warp(op: AtomOp, init: u32, xs: &[u32], ys: &[u32]) -> (Vec<u32>, u32) {
+    let n = xs.len();
+    let kernel = unary_binary_harness("atom", |k| {
+        k.ldc(Reg(3), 12);
+        let mut i = Instr::new(Opcode::ATOMG);
+        i.modifier = Modifier::AtomOp(op);
+        i.dsts[0] = Dst::R(Reg(0));
+        let word = gpu_isa::MemRef { base: Reg(3), offset: 0, space: gpu_isa::Space::Global };
+        i.srcs = [Operand::Mem(word), r(1), r(2), NONE];
+        k.push(i);
+    });
+    let mut mem = GlobalMem::new();
+    let out = mem.alloc((n * 4) as u32).expect("out");
+    let a = mem.alloc((n * 4) as u32).expect("a");
+    let b = mem.alloc((n * 4) as u32).expect("b");
+    let word = mem.alloc(4).expect("word");
+    mem.write_u32s(a, xs).expect("w");
+    mem.write_u32s(b, ys).expect("w");
+    mem.write_u32s(word, &[init]).expect("w");
+    run_kernel(&kernel, n as u32, &[out.addr(), a.addr(), b.addr(), word.addr()], &mut mem);
+    (mem.read_u32s(out, n).expect("r"), mem.read_u32s(word, 1).expect("r")[0])
+}
+
+/// An atomic's new word from the old word and the lane's two operands.
+type AtomFn = fn(u32, u32, u32) -> u32;
+
+/// The host's fold of `f(old, x, y)` over the lanes in lane order: each
+/// lane's old value and the final word.
+fn host_atom_fold(init: u32, xs: &[u32], ys: &[u32], f: AtomFn) -> (Vec<u32>, u32) {
+    let mut word = init;
+    let olds = xs
+        .iter()
+        .zip(ys)
+        .map(|(&x, &y)| {
+            let old = word;
+            word = f(old, x, y);
+            old
+        })
+        .collect();
+    (olds, word)
+}
+
+/// Lane inputs for atomics: any word, or one of a few small ones, so that
+/// compare-and-swap both matches and misses.
+fn atom_words() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(prop_oneof![any::<u32>(), 0u32..4], 32..33)
+}
+
 proptest! {
     #[test]
     fn fp32_arith_matches_host(xs in warp_words(), ys in warp_words()) {
@@ -754,6 +860,81 @@ proptest! {
             prop_assert_eq!(
                 eval2(body, x, y),
                 zip(x, y, |p, q| if host_cmp(c, p as i32, q as i32) { p } else { q })
+            );
+        }
+    }
+
+    #[test]
+    fn f2i_rounds_and_saturates_like_host(
+        xs in prop::collection::vec(conv_f32(), 32..33),
+        ds in prop::collection::vec(conv_f64(), 32..33),
+    ) {
+        for mode in RoundMode::ALL {
+            let m = Modifier::Round(mode);
+            prop_assert_eq!(
+                eval2(one(Opcode::F2I, m, [r(1), NONE, NONE, NONE]), &xs, &xs),
+                xs.iter().map(|&x| host_f2i(mode, f64::from(f32::from_bits(x)))).collect::<Vec<_>>(),
+                "{:?}",
+                mode
+            );
+            let f2i_64 = convert(Opcode::F2I, m, Dst::R(Reg(14)), Operand::R64(Reg(10)));
+            prop_assert_eq!(
+                eval2_64(f2i_64, &ds, &ds).iter().map(|&v| v as u32).collect::<Vec<_>>(),
+                ds.iter().map(|&d| host_f2i(mode, f64::from_bits(d))).collect::<Vec<_>>(),
+                "{:?}",
+                mode
+            );
+        }
+    }
+
+    #[test]
+    fn i2f_and_f2f_convert_like_host(
+        xs in warp_words(),
+        fs in prop::collection::vec(conv_f32(), 32..33),
+        ds in prop::collection::vec(conv_f64(), 32..33),
+    ) {
+        let m = Modifier::None;
+        prop_assert_eq!(
+            eval2(one(Opcode::I2F, m, [r(1), NONE, NONE, NONE]), &xs, &xs),
+            xs.iter().map(|&x| (x as i32 as f32).to_bits()).collect::<Vec<_>>()
+        );
+        let wide: Vec<u64> = xs.iter().map(|&x| u64::from(x)).collect();
+        prop_assert_eq!(
+            eval2_64(convert(Opcode::I2F, m, Dst::R64(Reg(14)), r(10)), &wide, &wide),
+            xs.iter().map(|&x| f64::from(x as i32).to_bits()).collect::<Vec<_>>()
+        );
+        // F2F widens an f32 into a register pair, and narrows a pair back.
+        let wide: Vec<u64> = fs.iter().map(|&x| u64::from(x)).collect();
+        prop_assert_eq!(
+            eval2_64(convert(Opcode::F2F, m, Dst::R64(Reg(14)), r(10)), &wide, &wide),
+            fs.iter().map(|&x| f64::from(f32::from_bits(x)).to_bits()).collect::<Vec<_>>()
+        );
+        let got = eval2_64(convert(Opcode::F2F, m, Dst::R(Reg(14)), Operand::R64(Reg(10))), &ds, &ds);
+        prop_assert_eq!(
+            got.iter().map(|&v| v as u32).collect::<Vec<_>>(),
+            ds.iter().map(|&d| (f64::from_bits(d) as f32).to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn warp_atomics_on_one_word_fold_in_lane_order(
+        xs in atom_words(),
+        ys in atom_words(),
+        init in prop_oneof![any::<u32>(), 0u32..4],
+    ) {
+        let ops: [(AtomOp, AtomFn); 5] = [
+            (AtomOp::Add, |old, x, _| old.wrapping_add(x)),
+            (AtomOp::Min, |old, x, _| (old as i32).min(x as i32) as u32),
+            (AtomOp::Max, |old, x, _| (old as i32).max(x as i32) as u32),
+            (AtomOp::Exch, |_, x, _| x),
+            (AtomOp::Cas, |old, x, y| if old == x { y } else { old }),
+        ];
+        for (op, f) in ops {
+            prop_assert_eq!(
+                atom_warp(op, init, &xs, &ys),
+                host_atom_fold(init, &xs, &ys, f),
+                "{:?}",
+                op
             );
         }
     }

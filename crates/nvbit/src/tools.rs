@@ -1,8 +1,11 @@
-//! Ready-made instrumentation tools — analogs of the example tools the real
-//! NVBit distribution ships (`instr_count`, `opcode_hist`, `mem_trace`),
-//! which the paper's related work (SASSI/NVBit lineage) grew out of.
+//! A ready-made instrumentation tool: `mem_trace`, the analog of the
+//! memory-trace example the real NVBit distribution ships. Its siblings
+//! `instr_count` and `opcode_hist` need no tool here: every golden run
+//! already counts each opcode of each launch (`nvbitfi trace` reads them
+//! from `nvbitfi::PreparedGolden::profile`), while access addresses are
+//! not in the golden ledger and still take an instrumented run.
 //!
-//! Each tool follows the same pattern as the fault injectors: construct via
+//! The tool follows the same pattern as the fault injectors: construct via
 //! `new`, attach the returned [`NvBit`] adapter to a runtime, and read the
 //! results through the returned handle after the run.
 
@@ -10,104 +13,7 @@ use crate::adapter::{CallSite, NvBit, NvBitTool};
 use crate::insert::{Inserter, When};
 use gpu_isa::{Kernel, Opcode};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// `instr_count`: total dynamic (thread-level) instructions, per kernel
-/// name and overall.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct InstrCounts {
-    /// Per kernel-name totals.
-    pub per_kernel: BTreeMap<String, u64>,
-    /// Whole-program total.
-    pub total: u64,
-}
-
-/// Handle to read [`InstrCounts`] after the run.
-#[derive(Debug, Clone)]
-pub struct InstrCountHandle(Arc<Mutex<InstrCounts>>);
-
-impl InstrCountHandle {
-    /// Snapshot the counts.
-    pub fn get(&self) -> InstrCounts {
-        self.0.lock().clone()
-    }
-}
-
-/// The `instr_count` tool.
-pub struct InstrCounter {
-    counts: Arc<Mutex<InstrCounts>>,
-}
-
-impl InstrCounter {
-    /// Create the tool and its result handle.
-    pub fn new() -> (NvBit<InstrCounter>, InstrCountHandle) {
-        let counts = Arc::new(Mutex::new(InstrCounts::default()));
-        (NvBit::new(InstrCounter { counts: Arc::clone(&counts) }), InstrCountHandle(counts))
-    }
-}
-
-impl NvBitTool for InstrCounter {
-    fn instrument_kernel(&mut self, _kernel: &Kernel, inserter: &mut Inserter<'_>) {
-        inserter.insert_call_everywhere(When::Before, 0);
-    }
-
-    fn device_call(&mut self, site: &CallSite<'_>, _t: &mut gpu_sim::ThreadCtx<'_>) {
-        let mut c = self.counts.lock();
-        *c.per_kernel.entry(site.kernel.to_string()).or_insert(0) += 1;
-        c.total += 1;
-    }
-}
-
-/// `opcode_hist`: dynamic execution counts per opcode, whole-program.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpcodeHist {
-    /// Dynamic count per opcode.
-    pub counts: BTreeMap<Opcode, u64>,
-}
-
-impl OpcodeHist {
-    /// Opcodes sorted by descending dynamic count.
-    pub fn hottest(&self) -> Vec<(Opcode, u64)> {
-        let mut v: Vec<_> = self.counts.iter().map(|(o, n)| (*o, *n)).collect();
-        v.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
-        v
-    }
-}
-
-/// Handle to read the [`OpcodeHist`] after the run.
-#[derive(Debug, Clone)]
-pub struct OpcodeHistHandle(Arc<Mutex<OpcodeHist>>);
-
-impl OpcodeHistHandle {
-    /// Snapshot the histogram.
-    pub fn get(&self) -> OpcodeHist {
-        self.0.lock().clone()
-    }
-}
-
-/// The `opcode_hist` tool.
-pub struct OpcodeHistogram {
-    hist: Arc<Mutex<OpcodeHist>>,
-}
-
-impl OpcodeHistogram {
-    /// Create the tool and its result handle.
-    pub fn new() -> (NvBit<OpcodeHistogram>, OpcodeHistHandle) {
-        let hist = Arc::new(Mutex::new(OpcodeHist::default()));
-        (NvBit::new(OpcodeHistogram { hist: Arc::clone(&hist) }), OpcodeHistHandle(hist))
-    }
-}
-
-impl NvBitTool for OpcodeHistogram {
-    fn instrument_kernel(&mut self, _kernel: &Kernel, inserter: &mut Inserter<'_>) {
-        inserter.insert_call_everywhere(When::Before, 0);
-    }
-
-    fn device_call(&mut self, site: &CallSite<'_>, _t: &mut gpu_sim::ThreadCtx<'_>) {
-        *self.hist.lock().counts.entry(site.instr.opcode()).or_insert(0) += 1;
-    }
-}
 
 /// One record from the `mem_trace` tool: a device memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,33 +128,6 @@ mod tests {
             rt.synchronize()?;
             Ok(())
         }
-    }
-
-    #[test]
-    fn instr_counter_matches_simulator_totals() {
-        let (tool, handle) = InstrCounter::new();
-        let out = run_program(&App, RuntimeConfig::default(), Some(Box::new(tool)));
-        assert!(out.termination.is_clean());
-        let counts = handle.get();
-        // 10 instructions × 32 threads × 2 launches.
-        assert_eq!(counts.total, 10 * 32 * 2);
-        assert_eq!(counts.per_kernel["square"], 640);
-        // Cross-check against the runtime's own statistics.
-        assert_eq!(counts.total, out.summary.dyn_instrs);
-    }
-
-    #[test]
-    fn opcode_hist_sees_the_right_mix() {
-        let (tool, handle) = OpcodeHistogram::new();
-        let out = run_program(&App, RuntimeConfig::default(), Some(Box::new(tool)));
-        assert!(out.termination.is_clean());
-        let hist = handle.get();
-        assert_eq!(hist.counts[&Opcode::LDC], 2 * 32 * 2);
-        assert_eq!(hist.counts[&Opcode::FMUL], 32 * 2);
-        assert_eq!(hist.counts[&Opcode::EXIT], 32 * 2);
-        let (hottest, n) = hist.hottest()[0];
-        assert_eq!(n, 128);
-        assert!(matches!(hottest, Opcode::LDC | Opcode::IADD), "{hottest}");
     }
 
     #[test]
