@@ -1,15 +1,14 @@
-//! Checkpoint replay benchmarks: memory snapshot cost, single injection
-//! runs with and without replay — a late target, where the replayed prefix
-//! is long, and an early target, where the replayed tail is — and whole
-//! campaigns with checkpoints on vs. `--no-checkpoint`. Writes the
-//! measurements to `BENCH_checkpoint.json` for EXPERIMENTS.md.
+//! Checkpoint replay benchmarks: single injection runs with and without
+//! replay — a late target, where the replayed prefix is long, and an early
+//! target, where the replayed tail is — and whole campaigns with
+//! checkpoints on vs. `--no-checkpoint`. Writes the measurements to
+//! `BENCH_checkpoint.json` for EXPERIMENTS.md.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_isa::{encode, Module};
 use gpu_runtime::{
     run_program, run_program_fast_forward, Program, Runtime, RuntimeConfig, RuntimeError,
 };
-use gpu_sim::GlobalMem;
 use nvbitfi::{
     golden_run_recording, profile_program, select_transient, BitFlipModel, CampaignConfig,
     InstrGroup, ProfilingMode, TransientInjector, TransientParams,
@@ -18,19 +17,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use workloads::Scale;
-
-/// A snapshot copies every allocated byte, so its cost grows linearly with
-/// the allocation (4 KiB per page here).
-fn bench_snapshot(c: &mut Criterion) {
-    let mut g = c.benchmark_group("snapshot");
-    for pages in [1u32, 64, 1024] {
-        let mut mem = GlobalMem::new();
-        mem.alloc(pages * 4096).expect("alloc");
-        g.throughput(Throughput::Elements(u64::from(pages)));
-        g.bench_function(format!("{pages}_pages_allocated"), |b| b.iter(|| mem.snapshot()));
-    }
-    g.finish();
-}
 
 /// The first fault site drawn in dynamic kernel `which` of a profile.
 fn site_in(profile: &nvbitfi::Profile, which: &nvbitfi::KernelProfile) -> TransientParams {
@@ -253,7 +239,7 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(10)
         .json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_checkpoint.json"));
-    targets = bench_snapshot, bench_injection_run, bench_injection_run_early_target,
+    targets = bench_injection_run, bench_injection_run_early_target,
         bench_campaign_uniform_sites, bench_campaign_late_sites
 }
 criterion_main!(benches);

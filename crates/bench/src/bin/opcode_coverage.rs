@@ -29,10 +29,8 @@ fn main() {
         let executed = profile.executed_opcodes();
         union.extend(executed.iter().copied());
         let by_class = |c: InstrClass| executed.iter().filter(|o| o.class() == c).count();
-        let mut hot: Vec<_> =
-            executed.iter().map(|o| (profile.opcode_total(*o), o.mnemonic())).collect();
-        hot.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
-        let top: Vec<&str> = hot.iter().take(3).map(|(_, m)| *m).collect();
+        let hot = profile.hottest_opcodes();
+        let top: Vec<&str> = hot.iter().take(3).map(|(op, _)| op.mnemonic()).collect();
         rows.push(vec![
             entry.name.to_string(),
             format!("{}/171", executed.len()),

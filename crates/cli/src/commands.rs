@@ -15,7 +15,6 @@ use nvbitfi::{
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -553,11 +552,8 @@ fn trace(args: &Args) -> Result<(), String> {
         println!("  … {} more kernels", per_kernel.len() - top);
     }
 
-    let mut hottest: Vec<_> =
-        profile.executed_opcodes().into_iter().map(|op| (op, profile.opcode_total(op))).collect();
-    hottest.sort_by_key(|&(_, n)| Reverse(n));
     println!("\nopcode_hist (top {top}):");
-    for (op, n) in hottest.into_iter().take(top) {
+    for (op, n) in profile.hottest_opcodes().into_iter().take(top) {
         println!("  {:<10} {n}", op.mnemonic());
     }
 

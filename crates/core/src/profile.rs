@@ -115,6 +115,15 @@ impl Profile {
         self.kernels.iter().map(|k| k.counts.get(&op).copied().unwrap_or(0)).sum()
     }
 
+    /// Each executed opcode with its [`Profile::opcode_total`], in
+    /// descending count, ties in opcode order.
+    pub fn hottest_opcodes(&self) -> Vec<(Opcode, u64)> {
+        let mut hot: Vec<_> =
+            self.executed_opcodes().into_iter().map(|op| (op, self.opcode_total(op))).collect();
+        hot.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+        hot
+    }
+
     /// The profile `mode` would measure, from each launch's record and
     /// executed-opcode counts, in launch order: exact keeps every launch's
     /// own counts; approximate gives every later instance of a kernel its

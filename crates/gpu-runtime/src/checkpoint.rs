@@ -11,24 +11,21 @@
 //! 1. The golden run records a [`Checkpoint`] per launch
 //!    ([`crate::Runtime::record_ledger`]): the [`LaunchRecord`] and the
 //!    executed-opcode counts (the profile's raw material), and — for a run
-//!    that records memory — a [`LaunchCapture`]: the launch's params and
-//!    geometry, whether the host wrote device memory since the previous
-//!    launch, the post-launch global memory as a [`MemSnapshot`], and the
-//!    launch's global read set R and write set W as merged byte ranges. A
-//!    store with memory holds launches × allocated bytes; the suite's
-//!    largest, `354.cg`, is about 1.7 MB.
+//!    that records memory — a self-contained [`LaunchCapture`]: "given
+//!    these params, this geometry and golden's bytes on R, the launch
+//!    writes golden's bytes on W", where R and W are its global read and
+//!    write sets. The suite's entries hold 2.4 MB, `354.cg`'s 362 KB.
 //! 2. Each injection run attaches the ledger with
 //!    [`crate::Runtime::fast_forward`]. The host application runs
-//!    unmodified (host logic is deterministic and cheap). Each launch `j`
-//!    the tool declines *replays* instead of simulating when its kernel,
-//!    instance, params, grid, block and allocated length equal the
-//!    ledger's, no sticky error is latched, and everything it reads is
-//!    golden's: either no launch of the run has simulated yet (nothing can
-//!    differ), or golden's host wrote no device memory before launch `j`
-//!    and the run's bytes on R_j equal checkpoint `j − 1`'s. Replaying
-//!    copies checkpoint `j`'s bytes on W_j into the run's memory. That is
-//!    exact by determinism: a launch whose inputs are golden's writes
-//!    golden's values to exactly W_j, whatever differs elsewhere.
+//!    unmodified (host logic is deterministic and cheap). Launch `j`, if
+//!    the tool declines it, *replays* instead of simulating when its
+//!    kernel, instance, params, geometry and allocated length equal entry
+//!    `j`'s, no sticky error is latched, and either no launch of the run
+//!    has simulated yet (nothing can differ) or the run's bytes on R_j
+//!    equal entry `j`'s inputs. Replaying copies entry `j`'s outputs into
+//!    memory. That is exact by determinism: a launch whose inputs are
+//!    golden's writes golden's values to exactly W_j, whatever differs
+//!    elsewhere, host writes included.
 //!
 //! The pre-injection prefix is this rule with nothing yet differing; the
 //! tail after the target replays every launch the corruption never
@@ -40,7 +37,7 @@
 
 use crate::tool::LaunchRecord;
 use gpu_isa::Opcode;
-use gpu_sim::{ByteRanges, Dim3, MemSnapshot};
+use gpu_sim::{Dim3, SetBytes};
 use std::sync::Arc;
 
 /// The golden ledger's entry for one launch.
@@ -55,10 +52,10 @@ pub struct Checkpoint {
     pub capture: Option<Box<LaunchCapture>>,
 }
 
-/// What a memory-recording golden run keeps of one launch for replay: the
-/// launch's inputs besides memory, the memory it left, and the global
-/// bytes it read and wrote.
-#[derive(Debug, Clone)]
+/// What a memory-recording golden run keeps of one launch for replay: its
+/// inputs besides memory, golden's bytes on its global read set R before
+/// it ran, and golden's bytes on its global write set W after it ran.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchCapture {
     /// The launch's kernel parameters.
     pub params: Box<[u32]>,
@@ -66,15 +63,12 @@ pub struct LaunchCapture {
     pub grid: Dim3,
     /// Block dimensions.
     pub block: Dim3,
-    /// `true` if the host copied to or allocated device memory since the
-    /// previous launch (or, for the first launch, since the run began).
-    pub host_wrote: bool,
-    /// Post-launch global memory (a copy of the allocated bytes).
-    pub mem: MemSnapshot,
-    /// Global bytes the launch read.
-    pub reads: ByteRanges,
-    /// Global bytes the launch wrote.
-    pub writes: ByteRanges,
+    /// Bytes of global memory allocated at the launch.
+    pub allocated: u32,
+    /// Golden's bytes on R before the launch.
+    pub inputs: SetBytes,
+    /// Golden's bytes on W after the launch.
+    pub outputs: SetBytes,
 }
 
 /// The golden ledger of one run, indexed by *global* launch index

@@ -419,7 +419,7 @@ mod tests {
             assert_eq!(capture.modules.len(), 1);
             let ledger = capture.ledger;
             assert_eq!(ledger.len(), out.summary.launches.len());
-            for (i, (entry, launch)) in ledger.iter().zip(&out.summary.launches).enumerate() {
+            for (entry, launch) in ledger.iter().zip(&out.summary.launches) {
                 assert_eq!(&entry.record, launch);
                 assert!(entry.opcodes.iter().all(|&(_, n)| n > 0), "only nonzero counts are kept");
                 let total: u64 = entry.opcodes.iter().map(|&(_, n)| n).sum();
@@ -430,11 +430,11 @@ mod tests {
                 };
                 assert!(record, "captures only when memory is recorded");
                 assert_eq!((c.grid, c.block), (Dim3::from(2), Dim3::from(32)));
-                assert_eq!(c.host_wrote, i == 0, "only the allocation precedes a launch");
-                assert!(c.reads.is_empty(), "`square` reads no global memory");
+                assert_eq!(c.allocated, 3 * 64 * 4);
+                assert!(c.inputs.set().is_empty(), "`square` reads no global memory");
                 // Each launch writes its own 64-word slice.
                 let slice = c.params[0];
-                assert_eq!(c.writes.ranges(), std::slice::from_ref(&(slice..slice + 256)));
+                assert_eq!(c.outputs.set().ranges(), std::slice::from_ref(&(slice..slice + 256)));
             }
         }
     }

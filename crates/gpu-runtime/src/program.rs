@@ -92,8 +92,8 @@ pub trait Program: Sync {
 /// campaign setup needs, from one simulation.
 #[derive(Debug, Default)]
 pub struct GoldenCapture {
-    /// The golden ledger: one entry per launch, with memory and access
-    /// sets only if recorded ([`Runtime::record_ledger`]).
+    /// The golden ledger: one entry per launch, with the bytes each launch
+    /// read and wrote only if recorded ([`Runtime::record_ledger`]).
     pub ledger: CheckpointStore,
     /// The lanes that executed each opcode on each SM, over the whole run.
     pub lanes: LaneTable,
@@ -119,10 +119,9 @@ pub fn run_program(
 }
 
 /// Run a program as a campaign's golden run: record its ledger — each
-/// launch's record, executed opcodes, params and geometry, plus, if
-/// `record_checkpoints`, the post-launch memory and access sets injection
-/// runs replay from — and the run's executed-lane table, and keep the
-/// loaded modules.
+/// launch's record and executed opcodes, plus, if `record_checkpoints`, the
+/// params, geometry and bytes read and written that injection runs replay
+/// from — and the run's executed-lane table, and keep the loaded modules.
 pub fn run_program_golden(
     program: &dyn Program,
     cfg: RuntimeConfig,

@@ -6,7 +6,7 @@ use crate::tool::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
 use gpu_isa::{encode, Kernel, Module};
 use gpu_sim::{
     DevPtr, Dim3, GlobalMem, Gpu, Instrumentation, LaneTable, Launch, LaunchObserver, MemError,
-    SimError, TrapInfo, TrapKind,
+    SetBytes, SimError, TrapInfo, TrapKind,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -69,8 +69,6 @@ pub struct Runtime {
     files: BTreeMap<String, Vec<u8>>,
     hang: Option<TrapInfo>,
     ledger: Option<Ledger>,
-    /// The host copied to or allocated device memory since the last launch.
-    host_wrote: bool,
     fast_forward: Option<FastForward>,
     output_bytes: u64,
     output_truncated: bool,
@@ -114,7 +112,6 @@ impl Runtime {
             files: BTreeMap::new(),
             hang: None,
             ledger: None,
-            host_wrote: false,
             fast_forward: None,
             output_bytes: 0,
             output_truncated: false,
@@ -125,16 +122,16 @@ impl Runtime {
 
     /// Record the golden ledger: a [`Checkpoint`] per launch, with its
     /// record and executed-opcode counts and, if `memory`, a
-    /// [`LaunchCapture`] of its params, geometry, host-write flag,
-    /// post-launch memory and global read and write sets (what injection
-    /// runs replay from); and, for the whole run, the [`LaneTable`] of the
-    /// lanes that executed each opcode on each SM. Collect both with
-    /// [`Runtime::take_ledger`].
+    /// [`LaunchCapture`] of its params, geometry, allocated length, and
+    /// bytes on its global read set before it and write set after it (what
+    /// injection runs replay from); and, for the whole run, the
+    /// [`LaneTable`] of the lanes that executed each opcode on each SM.
+    /// Collect both with [`Runtime::take_ledger`].
     pub fn record_ledger(&mut self, memory: bool) {
         self.ledger = Some(Ledger {
             store: CheckpointStore::new(),
             observer: LaunchObserver::new(memory),
-            memory,
+            before: memory.then(GlobalMem::new),
         });
     }
 
@@ -148,17 +145,16 @@ impl Runtime {
     ///
     /// The host application still runs in full. Each launch the attached
     /// tool declines replays — one copy of the bytes the golden launch
-    /// wrote instead of a simulation — when the ledger shows its result is
-    /// golden's: the same kernel, instance, params, geometry and allocated
-    /// length, no latched sticky error, and inputs equal to golden's. Until
-    /// the run's first simulated launch nothing can differ; after it, the
-    /// launch replays only if golden's host wrote no device memory before
-    /// it and the run's bytes on the launch's golden read set equal the
-    /// previous checkpoint's (see [`crate::CheckpointStore`]). Every other
-    /// launch — the injection target, and tail launches the corruption
-    /// reaches — simulates. `upto` caps replay: no launch at or beyond
-    /// global index `upto` replays (pass the store's length for no cap).
-    /// A ledger recorded without memory replays nothing.
+    /// wrote instead of a simulation — when its ledger entry shows its
+    /// result is golden's: the same kernel, instance, params, geometry and
+    /// allocated length, no latched sticky error, and, once a launch of the
+    /// run has simulated, the run's bytes on the launch's golden read set
+    /// equal to the bytes golden's launch read (see
+    /// [`crate::CheckpointStore`]). Every other launch — the injection
+    /// target, and tail launches the corruption reaches — simulates. `upto`
+    /// caps replay: no launch at or beyond global index `upto` replays
+    /// (pass the store's length for no cap). A ledger recorded without
+    /// memory replays nothing.
     pub fn fast_forward(&mut self, store: Arc<CheckpointStore>, upto: u64) {
         self.fast_forward = Some(FastForward {
             store,
@@ -185,11 +181,6 @@ impl Runtime {
     /// be attached; attaching replaces any previous tool.
     pub fn attach_tool(&mut self, tool: Box<dyn Tool>) {
         self.tool = Some(tool);
-    }
-
-    /// `true` if a tool is attached.
-    pub fn tool_attached(&self) -> bool {
-        self.tool.is_some()
     }
 
     // --- modules -----------------------------------------------------------
@@ -235,7 +226,6 @@ impl Runtime {
     /// run is killed like a sandboxed OOM), or [`RuntimeError::Mem`] when
     /// device memory is genuinely exhausted.
     pub fn alloc(&mut self, bytes: u32) -> Result<DevPtr, RuntimeError> {
-        self.host_wrote = true;
         match self.mem.alloc(bytes) {
             Err(MemError::LimitExceeded { requested, limit }) => {
                 let info = TrapInfo {
@@ -264,7 +254,6 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::Mem`] for copies touching unallocated memory.
     pub fn write_f32s(&mut self, dst: DevPtr, v: &[f32]) -> Result<(), RuntimeError> {
-        self.host_wrote = true;
         Ok(self.mem.write_f32s(dst, v)?)
     }
 
@@ -283,7 +272,6 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::Mem`] for copies touching unallocated memory.
     pub fn write_f64s(&mut self, dst: DevPtr, v: &[f64]) -> Result<(), RuntimeError> {
-        self.host_wrote = true;
         Ok(self.mem.write_f64s(dst, v)?)
     }
 
@@ -302,7 +290,6 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::Mem`] for copies touching unallocated memory.
     pub fn write_u32s(&mut self, dst: DevPtr, v: &[u32]) -> Result<(), RuntimeError> {
-        self.host_wrote = true;
         Ok(self.mem.write_u32s(dst, v)?)
     }
 
@@ -349,7 +336,6 @@ impl Runtime {
             i
         };
 
-        let host_wrote = std::mem::take(&mut self.host_wrote);
         let (record, fatal) = if self.sticky.is_some() {
             // Context corrupted: the launch is dropped on the floor.
             let skipped = LaunchRecord {
@@ -376,7 +362,7 @@ impl Runtime {
         if let Some(tool) = self.tool.as_deref_mut() {
             tool.after_launch(&record);
         }
-        self.log_launch(&record, params, grid, block, host_wrote);
+        self.log_launch(&record, params, grid, block);
         self.records.push(record);
         fatal.map_or(Ok(()), Err)
     }
@@ -398,7 +384,12 @@ impl Runtime {
         }
 
         let launch = Launch { kernel: k, grid, block, params, instr_budget: self.cfg.instr_budget };
-        let observer = self.ledger.as_mut().map(|l| &mut l.observer);
+        let observer = self.ledger.as_mut().map(|l| {
+            if let Some(before) = &mut l.before {
+                before.clone_from(&self.mem);
+            }
+            &mut l.observer
+        });
         let result = match (&mut self.tool, masks) {
             (Some(tool), Some(m)) => {
                 let mut ins = Instrumentation {
@@ -455,10 +446,7 @@ impl Runtime {
     ) -> Option<LaunchRecord> {
         let ff = self.fast_forward.as_mut()?;
         let idx = self.records.len() as u64;
-        if idx >= ff.upto {
-            return None;
-        }
-        let cp = ff.store.get(idx)?;
+        let cp = ff.store.get(idx).filter(|_| idx < ff.upto)?;
         let golden = cp.capture.as_deref()?;
         let same_launch = cp.record.kernel == kernel
             && cp.record.instance == instance
@@ -467,20 +455,12 @@ impl Runtime {
             && *golden.params == *params
             && golden.grid == grid
             && golden.block == block
-            && golden.mem.allocated() == self.mem.allocated();
-        // Until a launch simulates, the run's memory is golden's. After
-        // that, the previous checkpoint stands for golden's memory before
-        // this launch unless golden's host wrote in between.
-        let golden_inputs = !ff.simulated
-            || (!golden.host_wrote
-                && idx
-                    .checked_sub(1)
-                    .and_then(|prev| ff.store.get(prev)?.capture.as_deref())
-                    .is_some_and(|before| self.mem.agrees_with(&before.mem, &golden.reads)));
-        if !(same_launch && golden_inputs) {
+            && golden.allocated == self.mem.allocated();
+        // Until a launch simulates, the run's memory is golden's.
+        if !(same_launch && (!ff.simulated || golden.inputs.agree(&self.mem))) {
             return None;
         }
-        self.mem.copy_from_snapshot(&golden.mem, &golden.writes);
+        golden.outputs.apply(&mut self.mem);
         let record = cp.record.clone();
         if ff.simulated {
             ff.tail += TailReplay { launches: 1, instrs: record.stats.dyn_instrs };
@@ -492,33 +472,28 @@ impl Runtime {
 
     /// Append the launch's ledger entry, where a ledger is recorded. A
     /// replayed launch's entry observed nothing: no opcodes, no accesses.
-    fn log_launch(
-        &mut self,
-        record: &LaunchRecord,
-        params: &[u32],
-        grid: Dim3,
-        block: Dim3,
-        host_wrote: bool,
-    ) {
-        if let Some(ledger) = &mut self.ledger {
-            let (reads, writes) = ledger.observer.take_accesses();
-            let capture = ledger.memory.then(|| {
-                Box::new(LaunchCapture {
-                    params: params.into(),
-                    grid,
-                    block,
-                    host_wrote,
-                    mem: self.mem.snapshot(),
-                    reads,
-                    writes,
-                })
-            });
-            ledger.store.push(Checkpoint {
-                record: record.clone(),
-                opcodes: ledger.observer.take_opcodes().into(),
-                capture,
-            });
-        }
+    fn log_launch(&mut self, record: &LaunchRecord, params: &[u32], grid: Dim3, block: Dim3) {
+        let Some(ledger) = &mut self.ledger else { return };
+        let opcodes: Box<[_]> = ledger.observer.take_opcodes().into();
+        let (reads, writes) = ledger.observer.take_accesses();
+        let capture = ledger.before.as_mut().map(|before| {
+            let inputs = SetBytes::capture(before, reads);
+            let outputs = SetBytes::capture(&self.mem, writes);
+            // Replay is exact only if W holds every byte the launch changed.
+            if cfg!(debug_assertions) && !opcodes.is_empty() {
+                outputs.apply(before);
+                assert!(*before == self.mem, "{} wrote outside its write set", record.kernel);
+            }
+            Box::new(LaunchCapture {
+                params: params.into(),
+                grid,
+                block,
+                allocated: self.mem.allocated(),
+                inputs,
+                outputs,
+            })
+        });
+        ledger.store.push(Checkpoint { record: record.clone(), opcodes, capture });
     }
 
     // --- error observation -------------------------------------------------------
@@ -674,7 +649,7 @@ impl Runtime {
 struct Ledger {
     store: CheckpointStore,
     observer: LaunchObserver,
-    /// Record post-launch memory and access sets, not only records and
-    /// opcode counts.
-    memory: bool,
+    /// When memory is recorded, a copy of it before the last simulated
+    /// launch, reused launch after launch.
+    before: Option<GlobalMem>,
 }

@@ -62,9 +62,7 @@ pub use gpu::{
 };
 pub use grid::Dim3;
 pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
-pub use memory::{
-    ByteRanges, DevPtr, GlobalMem, MemError, MemSnapshot, SharedMem, MAX_GLOBAL_BYTES,
-};
+pub use memory::{ByteRanges, DevPtr, GlobalMem, MemError, SetBytes, SharedMem, MAX_GLOBAL_BYTES};
 pub use observe::{LaneTable, LaunchObserver};
 pub use regfile::RegFile;
 pub use trap::{TrapInfo, TrapKind};
@@ -73,7 +71,7 @@ pub use trap::{TrapInfo, TrapKind};
 mod integration_tests {
     use super::*;
     use gpu_isa::asm::KernelBuilder;
-    use gpu_isa::{AtomOp, CmpOp, PReg, Reg, ShflMode, SpecialReg};
+    use gpu_isa::{AtomOp, CmpOp, MemWidth, Modifier, PReg, Reg, ShflMode, SpecialReg};
 
     fn gpu() -> Gpu {
         Gpu::new()
@@ -224,6 +222,97 @@ mod integration_tests {
         }
         assert!(t.executed(IADD32I, 5, 3) && !t.executed(IADD32I, 5, 4));
         assert!(!t.executed(EXIT, NUM_SMS, 0) && !t.executed(EXIT, 0, 32), "off the device");
+    }
+
+    /// Kernels over params `[a, b, out]` that write global memory every
+    /// way a launch can: a word store, a pair store, an atomic update and
+    /// stores narrower than a word.
+    fn writing_kernels() -> Vec<gpu_isa::Kernel> {
+        let (pa, pc, gtid, off) = (Reg(4), Reg(8), Reg(0), Reg(1));
+        let prologue = |name: &str, shift: u32| {
+            let mut k = KernelBuilder::new(name);
+            k.ldc(pa, 0);
+            k.ldc(pc, 8);
+            k.s2r(gtid, SpecialReg::GlobalTidX);
+            k.shli(off, gtid, shift);
+            k.iadd(pa, pa, off);
+            k
+        };
+        let mut pairs = prologue("pairs", 3);
+        pairs.ldg64(Reg(10), pa, 0);
+        pairs.iadd(pc, pc, off);
+        pairs.stg64(pc, 0, Reg(10));
+        // out[0] += a[i]; out[i + 1] = the old value.
+        let mut atomic = prologue("atomic", 2);
+        atomic.ldg(Reg(10), pa, 0);
+        atomic.atomg(AtomOp::Add, Reg(11), pc, 0, Reg(10));
+        atomic.iadd(pc, pc, off);
+        atomic.stg(pc, 4, Reg(11));
+        // Byte 2i of out, and the low half of out's word 64 + i: each word
+        // they touch keeps bytes the launch does not write.
+        let mut narrow = prologue("narrow", 2);
+        narrow.ldg(Reg(10), pa, 0);
+        narrow.iadd(Reg(13), pc, off);
+        narrow.stg(Reg(13), 256, Reg(10)).modifier = Modifier::Width(MemWidth::B16);
+        narrow.shri(off, off, 1);
+        narrow.iadd(Reg(12), pc, off);
+        narrow.stg(Reg(12), 0, Reg(10)).modifier = Modifier::Width(MemWidth::B8);
+        let mut kernels = vec![vecadd_kernel()];
+        for mut k in [pairs, atomic, narrow] {
+            k.exit();
+            kernels.push(k.finish());
+        }
+        kernels
+    }
+
+    /// Replaying a golden launch from its inputs and outputs is exact only
+    /// if its write set W holds every byte it changed and its read set R
+    /// every byte its writes depend on. Both are checked directly: applying
+    /// its bytes on W to the memory before it gives the memory after it,
+    /// and scrambling every byte outside R changes none of them.
+    #[test]
+    fn access_sets_hold_every_changed_byte_and_every_byte_read() {
+        let mut golden = GlobalMem::new();
+        let bufs: Vec<DevPtr> = (0..3).map(|_| golden.alloc(64 * 8).expect("alloc")).collect();
+        let pattern: Vec<u32> = (0..128u32).map(|i| (i + 1).wrapping_mul(0x9E37_79B9)).collect();
+        for b in &bufs {
+            golden.write_u32s(*b, &pattern).expect("write");
+        }
+        let params: Vec<u32> = bufs.iter().map(|b| b.addr()).collect();
+        let whole = DevPtr(memory::NULL_PAGE);
+        for kernel in writing_kernels() {
+            let name = kernel.name();
+            let run = |mem: &mut GlobalMem| {
+                let l = Launch {
+                    kernel: &kernel,
+                    grid: Dim3::from(2),
+                    block: Dim3::from(32),
+                    params: &params,
+                    instr_budget: None,
+                };
+                let mut observer = LaunchObserver::new(true);
+                gpu().launch_observed(&l, mem, None, Some(&mut observer)).expect("launch");
+                observer.take_accesses()
+            };
+            let mut after = golden.clone();
+            let (reads, writes) = run(&mut after);
+            let outputs = SetBytes::capture(&after, writes.clone());
+            let mut replayed = golden.clone();
+            outputs.apply(&mut replayed);
+            assert!(replayed == after, "{name}: a changed byte lies outside W");
+
+            let mut bytes = vec![0; golden.allocated() as usize];
+            golden.copy_to_host(whole, &mut bytes).expect("read");
+            for (addr, b) in (whole.addr()..).zip(&mut bytes) {
+                if !reads.ranges().iter().any(|r| r.contains(&addr)) {
+                    *b ^= 0xA5;
+                }
+            }
+            let mut scrambled = golden.clone();
+            scrambled.copy_from_host(whole, &bytes).expect("write");
+            assert_eq!(run(&mut scrambled), (reads, writes), "{name}: the same accesses");
+            assert!(outputs.agree(&scrambled), "{name}: W depends on a byte outside R");
+        }
     }
 
     #[test]

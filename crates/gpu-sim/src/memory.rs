@@ -86,25 +86,6 @@ pub(crate) const NULL_PAGE: u32 = 4096;
 /// (Table V, OS-detected), not a host out-of-memory.
 pub const MAX_GLOBAL_BYTES: u32 = 48 << 20;
 
-/// A snapshot of [`GlobalMem`]: a copy of the allocated bytes, which also
-/// fixes the allocation break.
-///
-/// Taking one copies every allocated byte, so its cost grows with the
-/// allocation; [`GlobalMem::copy_from_snapshot`] copies back only a set of
-/// bytes. Snapshots are `Send + Sync`, so checkpoint stores can hand the
-/// same snapshot to many injection workers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemSnapshot {
-    bytes: Vec<u8>,
-}
-
-impl MemSnapshot {
-    /// Bytes allocated when the snapshot was taken.
-    pub fn allocated(&self) -> u32 {
-        self.bytes.len() as u32
-    }
-}
-
 /// A set of global-memory byte addresses, as ascending, disjoint and
 /// non-adjacent half-open ranges — how a golden launch's read and write
 /// sets are kept.
@@ -123,15 +104,76 @@ impl ByteRanges {
     }
 }
 
+/// Global memory's bytes on a [`ByteRanges`] set, packed in address order:
+/// how a golden ledger entry keeps a launch's inputs and outputs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SetBytes {
+    set: ByteRanges,
+    bytes: Box<[u8]>,
+}
+
+impl SetBytes {
+    /// `mem`'s bytes on `set`. Panics if `set` reaches past what `mem` has
+    /// allocated.
+    pub fn capture(mem: &GlobalMem, set: ByteRanges) -> SetBytes {
+        let bytes = set.0.iter().flat_map(|r| &mem.bytes[span(r)]).copied().collect();
+        SetBytes { set, bytes }
+    }
+
+    /// The addresses the bytes are on.
+    pub fn set(&self) -> &ByteRanges {
+        &self.set
+    }
+
+    /// `true` if `mem` holds these bytes at every address of the set. An
+    /// address `mem` has not allocated disagrees.
+    pub fn agree(&self, mem: &GlobalMem) -> bool {
+        self.pieces().all(|(span, piece)| mem.bytes.get(span) == Some(piece))
+    }
+
+    /// Write these bytes into `mem`. Panics if the set reaches past what
+    /// `mem` has allocated.
+    pub fn apply(&self, mem: &mut GlobalMem) {
+        for (span, piece) in self.pieces() {
+            mem.bytes[span].copy_from_slice(piece);
+        }
+    }
+
+    /// Each range's span of the memory buffer, with its bytes.
+    fn pieces(&self) -> impl Iterator<Item = (Range<usize>, &[u8])> {
+        let mut rest = &self.bytes[..];
+        self.set.0.iter().map(move |r| {
+            let (piece, tail) = rest.split_at(r.len());
+            rest = tail;
+            (span(r), piece)
+        })
+    }
+}
+
+/// The span of [`GlobalMem`]'s buffer that holds addresses `r`.
+fn span(r: &Range<u32>) -> Range<usize> {
+    (r.start - NULL_PAGE) as usize..(r.end - NULL_PAGE) as usize
+}
+
 /// Device global memory: a bump-allocated, bounds-checked address space.
 ///
 /// One buffer holds exactly the allocated bytes, `[null page, brk)`:
 /// [`GlobalMem::alloc`] grows it with zeros, so a fresh device costs
 /// nothing until programs allocate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct GlobalMem {
     /// Bytes at addresses `NULL_PAGE..brk`; `brk` is `NULL_PAGE + len`.
     bytes: Vec<u8>,
+}
+
+impl Clone for GlobalMem {
+    fn clone(&self) -> GlobalMem {
+        GlobalMem { bytes: self.bytes.clone() }
+    }
+
+    fn clone_from(&mut self, source: &GlobalMem) {
+        self.bytes.clone_from(&source.bytes); // reuses the buffer
+    }
 }
 
 impl GlobalMem {
@@ -166,36 +208,6 @@ impl GlobalMem {
     /// Bytes currently allocated (excluding the null page).
     pub fn allocated(&self) -> u32 {
         self.bytes.len() as u32
-    }
-
-    /// Capture a snapshot: a copy of the allocated bytes.
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot { bytes: self.bytes.clone() }
-    }
-
-    /// `true` if this memory holds the same bytes as `snap` at every
-    /// address of `set`. An address either side has not allocated
-    /// disagrees.
-    pub fn agrees_with(&self, snap: &MemSnapshot, set: &ByteRanges) -> bool {
-        set.0.iter().all(|r| {
-            let span = (r.start - NULL_PAGE) as usize..(r.end - NULL_PAGE) as usize;
-            match (self.bytes.get(span.clone()), snap.bytes.get(span)) {
-                (Some(mine), Some(theirs)) => mine == theirs,
-                _ => false,
-            }
-        })
-    }
-
-    /// Copy `snap`'s bytes at every address of `set` into this memory.
-    ///
-    /// # Panics
-    ///
-    /// If `set` reaches past what either memory has allocated.
-    pub fn copy_from_snapshot(&mut self, snap: &MemSnapshot, set: &ByteRanges) {
-        for r in &set.0 {
-            let span = (r.start - NULL_PAGE) as usize..(r.end - NULL_PAGE) as usize;
-            self.bytes[span.clone()].copy_from_slice(&snap.bytes[span]);
-        }
     }
 
     /// The buffer range of a host copy of `len` bytes at `addr`.
@@ -603,49 +615,52 @@ mod tests {
     }
 
     /// The set of the `n` bytes at `p`.
-    fn span(p: DevPtr, n: u32) -> ByteRanges {
+    fn set(p: DevPtr, n: u32) -> ByteRanges {
         ByteRanges(std::iter::once(p.0..p.0 + n).collect())
     }
 
     #[test]
-    fn snapshot_restore_roundtrip() {
+    fn set_bytes_agree_and_apply_only_on_their_set() {
         let mut m = GlobalMem::new();
         let p = m.alloc(4096).expect("alloc");
         m.write_u32s(p, &[1, 2, 3, 4]).expect("write");
-        let snap = m.snapshot();
-        assert_eq!(snap.allocated(), m.allocated());
+        let ends = SetBytes::capture(&m, ByteRanges(vec![p.0..p.0 + 4, p.0 + 12..p.0 + 16]));
+        let middle = SetBytes::capture(&m, set(p.offset(4), 8));
+        assert_eq!(middle.set(), &set(p.offset(4), 8));
 
         m.write_u32s(p, &[9, 9, 9, 9]).expect("overwrite");
-        assert!(!m.agrees_with(&snap, &span(p, 16)));
-        assert!(m.agrees_with(&snap, &span(p.offset(16), 4080)), "untouched bytes agree");
-        m.copy_from_snapshot(&snap, &span(p.offset(4), 8));
-        assert_eq!(m.read_u32s(p, 4).expect("read"), vec![9, 2, 3, 9], "only the set is copied");
+        assert!(!ends.agree(&m) && !middle.agree(&m));
+        middle.apply(&mut m);
+        assert_eq!(m.read_u32s(p, 4).expect("read"), vec![9, 2, 3, 9], "only the set is written");
+        assert!(middle.agree(&m) && !ends.agree(&m));
+        ends.apply(&mut m);
+        assert_eq!(m.read_u32s(p, 4).expect("read"), vec![1, 2, 3, 4], "pieces land in order");
+        assert!(ends.agree(&m));
 
-        let q = m.alloc(4096).expect("alloc after snapshot");
-        assert!(!m.agrees_with(&snap, &span(q, 4)), "bytes the snapshot lacks disagree");
-        assert!(m.agrees_with(&snap, &ByteRanges::default()));
+        let q = m.alloc(4096).expect("alloc");
+        let fresh = SetBytes::capture(&m, set(q, 4));
+        assert!(fresh.agree(&m));
+        assert!(!fresh.agree(&GlobalMem::new()), "bytes the memory lacks disagree");
+        assert!(SetBytes::default().agree(&GlobalMem::new()), "the empty set agrees");
     }
 
     #[test]
-    fn snapshot_is_isolated_from_later_writes() {
+    fn set_bytes_are_isolated_from_later_writes() {
         let mut m = GlobalMem::new();
         let p = m.alloc(64).expect("alloc");
         m.write_u32s(p, &[42]).expect("write");
-        let snap = m.snapshot();
+        let kept = SetBytes::capture(&m, set(p, 4));
+        let mut copy = GlobalMem::new();
+        copy.clone_from(&m);
+        assert_eq!(copy, m);
         m.write_u32s(p, &[77]).expect("write");
+        assert_ne!(copy, m, "the copy kept the old value");
 
         let mut other = GlobalMem::new();
         other.alloc(64).expect("alloc");
-        other.copy_from_snapshot(&snap, &span(p, 4));
-        assert_eq!(other.read_u32s(p, 1).expect("read"), vec![42], "snapshot kept old value");
+        kept.apply(&mut other);
+        assert_eq!(other.read_u32s(p, 1).expect("read"), vec![42], "captured bytes kept old value");
         assert_eq!(m.read_u32s(p, 1).expect("read"), vec![77], "live memory kept new value");
-
-        // Writing through the copy must not leak into the snapshot.
-        other.write_u32s(p, &[5]).expect("write");
-        let mut third = GlobalMem::new();
-        third.alloc(64).expect("alloc");
-        third.copy_from_snapshot(&snap, &span(p, 4));
-        assert_eq!(third.read_u32s(p, 1).expect("read"), vec![42]);
     }
 
     #[test]

@@ -922,13 +922,18 @@ proptest! {
         ys in atom_words(),
         init in prop_oneof![any::<u32>(), 0u32..4],
     ) {
-        let ops: [(AtomOp, AtomFn); 5] = [
+        let ops: [(AtomOp, AtomFn); 9] = [
             (AtomOp::Add, |old, x, _| old.wrapping_add(x)),
             (AtomOp::Min, |old, x, _| (old as i32).min(x as i32) as u32),
             (AtomOp::Max, |old, x, _| (old as i32).max(x as i32) as u32),
             (AtomOp::Exch, |_, x, _| x),
             (AtomOp::Cas, |old, x, y| if old == x { y } else { old }),
+            (AtomOp::And, |old, x, _| old & x),
+            (AtomOp::Or, |old, x, _| old | x),
+            (AtomOp::Xor, |old, x, _| old ^ x),
+            (AtomOp::FAdd, |old, x, _| (f32::from_bits(old) + f32::from_bits(x)).to_bits()),
         ];
+        prop_assert_eq!(ops.map(|(op, _)| op), AtomOp::ALL, "the table covers every atomic");
         for (op, f) in ops {
             prop_assert_eq!(
                 atom_warp(op, init, &xs, &ys),
