@@ -13,13 +13,11 @@
 
 use crate::campaign::TransientCampaign;
 use crate::igid::InstrGroup;
-use crate::profile::Profile;
 use crate::stats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An AVF estimate with its sampling error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvfEstimate {
     /// Number of injections behind the estimate.
     pub injections: usize,
@@ -62,7 +60,7 @@ pub fn from_campaign(c: &TransientCampaign) -> AvfEstimate {
 }
 
 /// One group's contribution to a whole-program AVF.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupAvf {
     /// The instruction group sampled.
     pub group: InstrGroup,
@@ -94,13 +92,6 @@ pub fn combine(groups: &[GroupAvf]) -> Option<AvfEstimate> {
         injections += g.estimate.injections;
     }
     Some(AvfEstimate { injections, sdc, due, margin90: margin })
-}
-
-/// The population weights the combination uses, for reporting: each base
-/// group's share of the profile's dynamic instructions.
-pub fn group_weights(profile: &Profile) -> Vec<(InstrGroup, f64)> {
-    let total = profile.total().max(1) as f64;
-    InstrGroup::ALL[..6].iter().map(|g| (*g, profile.total_in_group(*g) as f64 / total)).collect()
 }
 
 #[cfg(test)]
@@ -156,24 +147,5 @@ mod tests {
         assert!(s.contains("AVF 25.0%"), "{s}");
         assert!(s.contains("SDC 20.0%"), "{s}");
         assert!(s.contains("100 injections"), "{s}");
-    }
-
-    #[test]
-    fn group_weights_sum_to_one() {
-        use crate::profile::{KernelProfile, ProfilingMode};
-        use gpu_isa::Opcode;
-        let mut counts = std::collections::BTreeMap::new();
-        counts.insert(Opcode::FADD, 60u64);
-        counts.insert(Opcode::LDG, 30);
-        counts.insert(Opcode::EXIT, 10);
-        let p = Profile {
-            mode: ProfilingMode::Exact,
-            kernels: vec![KernelProfile { kernel: "k".into(), instance: 0, counts }],
-        };
-        let weights = group_weights(&p);
-        let sum: f64 = weights.iter().map(|(_, w)| w).sum();
-        assert!((sum - 1.0).abs() < 1e-12, "base groups partition: {sum}");
-        let fp32 = weights.iter().find(|(g, _)| *g == InstrGroup::Fp32).expect("fp32").1;
-        assert!((fp32 - 0.6).abs() < 1e-12);
     }
 }

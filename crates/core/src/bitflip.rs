@@ -9,11 +9,10 @@
 //! 4. `ZERO_VALUE`:      mask = the original register value, so the XOR
 //!    produces `0x0`
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A bit-level corruption pattern (Table II *bit-flip model*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BitFlipModel {
     /// Flip a single bit.

@@ -16,12 +16,11 @@
 use gpu_isa::Opcode;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A corruption function applied to a destination register (§V: "supporting
 /// corruption functions beyond the current set of XOR, random, and zero").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionFn {
     /// XOR with a mask (the baseline model).
     Xor(u32),
@@ -47,7 +46,7 @@ impl CorruptionFn {
 }
 
 /// When an intermittent/extended fault is active.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActivationPattern {
     /// Active on every opportunity (a permanent fault).
     Always,
@@ -84,7 +83,7 @@ impl ActivationPattern {
 
 /// An extended fault: one or more opcodes at one (SM, lane), with a chosen
 /// corruption function and activation pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtFault {
     /// Opcodes affected (§V: "allowing a permanent fault to affect multiple
     /// opcodes").
@@ -107,7 +106,7 @@ pub struct ExtFault {
 pub type FaultDictionary = BTreeMap<Opcode, DictEntry>;
 
 /// One dictionary entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DictEntry {
     /// Corruption applied when the entry fires.
     pub corruption: CorruptionFn,

@@ -93,6 +93,8 @@ pub struct PreparedGolden {
     modules: Vec<Arc<Module>>,
     /// The lanes that executed each opcode on each SM in the golden run.
     lanes: LaneTable,
+    /// Whether some loaded kernel reads `SR_CLOCKLO`.
+    reads_clock: bool,
 }
 
 impl PreparedGolden {
@@ -113,12 +115,14 @@ impl PreparedGolden {
         // The ledger holds the launch records: keep one copy while the
         // campaign runs.
         output.summary.launches = Vec::new();
+        let reads_clock = capture.modules.iter().flat_map(|m| m.kernels()).any(reads_clock);
         Ok(PreparedGolden {
             output,
             checkpoints: capture.ledger.into_shared(),
             config,
             modules: capture.modules,
             lanes: capture.lanes,
+            reads_clock,
         })
     }
 
@@ -150,8 +154,7 @@ impl PreparedGolden {
     /// program that reads `SR_CLOCKLO` always may: the injector's hooks
     /// add cycles wherever its opcode runs, and the clock shows them.
     pub fn may_activate(&self, params: &PermanentParams) -> bool {
-        self.lanes.executed(params.opcode(), params.sm_id, params.lane_id)
-            || self.modules.iter().flat_map(|m| m.kernels()).any(reads_clock)
+        self.reads_clock || self.lanes.executed(params.opcode(), params.sm_id, params.lane_id)
     }
 
     /// Run `program` with `tool` attached and classify the run against the

@@ -16,11 +16,10 @@
 //! | 8  | G_GP      | all − G_NODEST − G_PR (writes GP registers)          |
 
 use gpu_isa::{InstrClass, Opcode};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An instruction group (Table II *arch state id*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum InstrGroup {
     /// FP64 arithmetic instructions.

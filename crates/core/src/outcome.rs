@@ -22,11 +22,10 @@
 
 use crate::golden::GoldenOutput;
 use gpu_runtime::{ProgramOutput, Termination};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a run was declared SDC.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SdcReason {
     /// Standard output differs from golden.
     Stdout,
@@ -47,7 +46,7 @@ impl fmt::Display for SdcReason {
 }
 
 /// How a DUE was detected (Table V's DUE symptoms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DueKind {
     /// Timeout, indicating a hang (monitor detection).
     Timeout,
@@ -68,7 +67,7 @@ impl fmt::Display for DueKind {
 }
 
 /// Why the harness — not the program — failed an injection run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InfraKind {
     /// The injection worker panicked while driving the run.
     WorkerPanic,
@@ -94,7 +93,7 @@ impl fmt::Display for InfraKind {
 }
 
 /// The top-level outcome class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OutcomeClass {
     /// No difference detected.
     Masked,
@@ -108,7 +107,7 @@ pub enum OutcomeClass {
 }
 
 /// A classified run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outcome {
     /// The outcome class.
     pub class: OutcomeClass,
@@ -228,7 +227,7 @@ pub fn classify(golden: &GoldenOutput, run: &ProgramOutput, check: &dyn SdcCheck
 }
 
 /// Aggregated outcome counts for a campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// Masked runs.
     pub masked: u64,
@@ -245,7 +244,6 @@ pub struct OutcomeCounts {
     /// Runs the harness failed (worker panic, deadline) after retries.
     /// Counted in [`OutcomeCounts::total`] but excluded from
     /// [`OutcomeCounts::classified`] and every rate denominator.
-    #[serde(default)]
     pub infra: u64,
 }
 

@@ -13,11 +13,10 @@ use crate::bitflip::BitFlipModel;
 use crate::error::FiError;
 use crate::igid::InstrGroup;
 use crate::logfile::{parse_bit_flip, parse_group};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters for one transient fault (Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransientParams {
     /// Instruction subset to inject (*arch state id*).
     pub group: InstrGroup,
@@ -150,7 +149,7 @@ impl fmt::Display for TransientParams {
 }
 
 /// Parameters for one permanent fault (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PermanentParams {
     /// Which SM to inject (`0..`[`gpu_sim::NUM_SMS`]).
     pub sm_id: u32,

@@ -19,11 +19,10 @@ use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What a permanent-fault run did (readable after the run).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PermanentRecord {
     /// Times a target opcode executed on any SM and lane.
     pub executions: u64,

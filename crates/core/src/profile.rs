@@ -29,12 +29,11 @@ use gpu_runtime::{
 };
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Exact or approximate profiling (§III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProfilingMode {
     /// Count every dynamic instruction of every dynamic kernel.
     Exact,
@@ -52,7 +51,7 @@ impl std::fmt::Display for ProfilingMode {
 }
 
 /// Per-opcode dynamic instruction counts of one dynamic kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Kernel name.
     pub kernel: String,
@@ -76,7 +75,7 @@ impl KernelProfile {
 
 /// A program's instruction profile: one entry per dynamic kernel, in launch
 /// order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     /// How the profile was produced.
     pub mode: ProfilingMode,

@@ -68,19 +68,6 @@ pub fn error_margin(n: usize, confidence: f64) -> f64 {
     z_score(confidence) * (0.25 / n as f64).sqrt()
 }
 
-/// Error margin for a specific observed fraction `p` (tighter than the
-/// worst case when `p` is far from 0.5).
-///
-/// # Panics
-///
-/// Panics if `n` is zero, `confidence` is not in `(0, 1)`, or `p` is outside
-/// `[0, 1]`.
-pub fn error_margin_at(p: f64, n: usize, confidence: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-    assert!(n > 0, "need at least one injection");
-    z_score(confidence) * (p * (1.0 - p) / n as f64).sqrt()
-}
-
 /// Minimum injections for a worst-case error margin at a confidence level.
 ///
 /// # Panics
@@ -124,12 +111,6 @@ mod tests {
         assert!((900..=1100).contains(&n), "got {n}");
         let n = injections_needed(0.0823, 0.90);
         assert!((95..=105).contains(&n), "got {n}");
-    }
-
-    #[test]
-    fn margin_at_extremes_is_tighter() {
-        assert!(error_margin_at(0.1, 100, 0.90) < error_margin(100, 0.90));
-        assert_eq!(error_margin_at(0.0, 100, 0.90), 0.0);
     }
 
     #[test]

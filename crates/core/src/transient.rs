@@ -22,11 +22,10 @@ use gpu_runtime::KernelLaunchInfo;
 use gpu_sim::ThreadCtx;
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What the injector corrupted.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CorruptedTarget {
     /// A general-purpose register was XORed.
     Gpr {
@@ -54,7 +53,7 @@ pub enum CorruptedTarget {
 }
 
 /// A record of one performed injection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionDetail {
     /// Kernel the fault landed in.
     pub kernel: String,
@@ -71,7 +70,7 @@ pub struct InjectionDetail {
 }
 
 /// Outcome of the injector's attempt at one site (readable after the run).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// `true` once the fault was injected.
     pub injected: bool,

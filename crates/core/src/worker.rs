@@ -365,17 +365,20 @@ pub fn serve<R: Read, W: Write>(mut input: R, mut output: W, resolve: &Resolver)
                 let attempt = run_with_heartbeat(heartbeat, &mut output, || {
                     attempt_transient(&golden, &*program, &*check, &params, false)
                 })?;
-                let wall_us = u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let (outcome, detail) = match attempt {
-                    Attempt::Ran { outcome, detail, .. } => (outcome, detail),
+                // The run's own timing, as in thread mode; only a lost
+                // attempt, which has none, is timed from here.
+                let (outcome, detail, wall) = match attempt {
+                    Attempt::Ran { outcome, wall, detail } => (outcome, detail, wall),
                     // A panic inside the run stays inside the worker: report
                     // it as the same infra verdict thread-mode isolation uses
                     // and keep serving (the supervisor decides about retries).
                     Attempt::Lost(kind) => (
                         Outcome { class: OutcomeClass::InfraError(kind), potential_due: false },
                         RunDetail::default(),
+                        t.elapsed(),
                     ),
                 };
+                let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
                 let done = Msg::Done {
                     id,
                     outcome: outcome_code(&outcome),

@@ -201,12 +201,6 @@ impl Cfg {
         self.block_of[pc as usize]
     }
 
-    /// Per-instruction successor indices (in-range only; terminators and
-    /// statically unenumerable edges contribute nothing).
-    pub fn instr_succs(kernel: &Kernel, pc: u32) -> Vec<u32> {
-        instr_successors(kernel, pc).0
-    }
-
     /// Block-level reachability from the entry block.
     pub fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.blocks.len()];

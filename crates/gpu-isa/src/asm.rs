@@ -321,17 +321,6 @@ impl KernelBuilder {
         )
     }
 
-    /// `DSETP.cmp Pd, Ra.64, Rb.64`.
-    pub fn dsetp(&mut self, p: PReg, cmp: CmpOp, a: Reg, b: Reg) -> &mut Instr {
-        let i = self.emit(
-            Opcode::DSETP,
-            [Dst::P(p), Dst::None],
-            [Operand::R64(a), Operand::R64(b), Operand::None, Operand::None],
-        );
-        i.modifier = Modifier::Cmp(cmp);
-        i
-    }
-
     // --- integer -------------------------------------------------------------
 
     /// `IADD Rd, Ra, Rb`.
@@ -376,15 +365,6 @@ impl KernelBuilder {
             Opcode::IMAD,
             [Dst::R(d), Dst::None],
             [Operand::R(a), Operand::R(b), Operand::R(c), Operand::None],
-        )
-    }
-
-    /// `IMAD32I Rd, Ra, imm, Rc`.
-    pub fn imadi(&mut self, d: Reg, a: Reg, imm: i32, c: Reg) -> &mut Instr {
-        self.emit(
-            Opcode::IMAD32I,
-            [Dst::R(d), Dst::None],
-            [Operand::R(a), Operand::imm_i32(imm), Operand::R(c), Operand::None],
         )
     }
 

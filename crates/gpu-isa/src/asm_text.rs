@@ -67,7 +67,7 @@ fn parse_imm(s: &str, line: usize) -> Result<u32, IsaError> {
 
 /// The address space an opcode's memory operands live in (as in real SASS,
 /// where the space is part of the opcode).
-pub fn opcode_space(op: Opcode) -> Space {
+fn opcode_space(op: Opcode) -> Space {
     use Opcode::*;
     match op {
         LDS | STS | ATOMS => Space::Shared,

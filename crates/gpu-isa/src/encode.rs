@@ -26,7 +26,6 @@ use crate::{
     Dst, Guard, Instr, IsaError, Kernel, MemRef, Modifier, Module, Opcode, Operand, PReg, Reg,
     Space, SpecialReg,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes at the start of every module binary.
 pub const MAGIC: [u8; 8] = *b"GSASSMOD";
@@ -37,20 +36,28 @@ pub const VERSION: u16 = 1;
 /// Encoded size of one instruction record, in bytes.
 pub const INSTR_BYTES: usize = 34;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+/// Encoded size of a kernel with an empty name and no instructions.
+const MIN_KERNEL_BYTES: usize = 2 + 4 + 4;
+
+/// Split the next `N` bytes off the front of `buf`, or report truncation.
+fn take<const N: usize>(buf: &mut &[u8], context: &'static str) -> Result<[u8; N], IsaError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(IsaError::Truncated { context })?;
+    *buf = rest;
+    Ok(*head)
 }
 
-fn get_str(buf: &mut Bytes, context: &'static str) -> Result<String, IsaError> {
-    if buf.remaining() < 2 {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn get_str(buf: &mut &[u8], context: &'static str) -> Result<String, IsaError> {
+    let len = u16::from_le_bytes(take(buf, context)?) as usize;
+    if buf.len() < len {
         return Err(IsaError::Truncated { context });
     }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(IsaError::Truncated { context });
-    }
-    let raw = buf.copy_to_bytes(len);
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
     String::from_utf8(raw.to_vec()).map_err(|_| IsaError::BadKernelName)
 }
 
@@ -111,76 +118,72 @@ fn decode_src(tag: u8, payload: u32) -> Result<Operand, IsaError> {
     })
 }
 
-/// Encode a single instruction into `buf`.
-pub fn encode_instr(i: &Instr, buf: &mut BytesMut) {
-    buf.put_u16_le(i.op.encode());
-    buf.put_u8(i.guard.encode());
+/// Encode a single instruction onto the end of `buf`.
+pub fn encode_instr(i: &Instr, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&i.op.encode().to_le_bytes());
+    buf.push(i.guard.encode());
     let (mtag, mpayload) = i.modifier.encode();
-    buf.put_u8(mtag);
-    buf.put_u16_le(mpayload);
+    buf.push(mtag);
+    buf.extend_from_slice(&mpayload.to_le_bytes());
     for d in i.dsts {
         let (t, p) = encode_dst(d);
-        buf.put_u8(t);
-        buf.put_u8(p);
+        buf.extend_from_slice(&[t, p]);
     }
     for s in i.srcs {
         let (t, p) = encode_src(s);
-        buf.put_u8(t);
-        buf.put_u32_le(p);
+        buf.push(t);
+        buf.extend_from_slice(&p.to_le_bytes());
     }
-    buf.put_u32_le(i.target);
+    buf.extend_from_slice(&i.target.to_le_bytes());
 }
 
-/// Decode a single instruction from `buf`.
+/// Decode a single instruction from the front of `buf`, advancing it past
+/// the record.
 ///
 /// # Errors
 ///
 /// Returns [`IsaError::Truncated`] if fewer than [`INSTR_BYTES`] bytes remain
 /// and other [`IsaError`] variants for malformed fields.
-pub fn decode_instr(buf: &mut Bytes) -> Result<Instr, IsaError> {
-    if buf.remaining() < INSTR_BYTES {
-        return Err(IsaError::Truncated { context: "instruction record" });
-    }
-    let raw_op = buf.get_u16_le();
+pub fn decode_instr(buf: &mut &[u8]) -> Result<Instr, IsaError> {
+    let rec: [u8; INSTR_BYTES] = take(buf, "instruction record")?;
+    let u16_at = |o: usize| u16::from_le_bytes([rec[o], rec[o + 1]]);
+    let u32_at = |o: usize| u32::from_le_bytes([rec[o], rec[o + 1], rec[o + 2], rec[o + 3]]);
+    let raw_op = u16_at(0);
     let op = Opcode::decode(raw_op).ok_or(IsaError::UnknownOpcode { value: raw_op })?;
-    let guard = Guard::decode(buf.get_u8());
-    let mtag = buf.get_u8();
-    let mpayload = buf.get_u16_le();
-    let modifier = Modifier::decode(mtag, mpayload)?;
+    let guard = Guard::decode(rec[2]);
+    let modifier = Modifier::decode(rec[3], u16_at(4))?;
     let mut dsts = [Dst::None; crate::instr::MAX_DSTS];
-    for d in &mut dsts {
-        let t = buf.get_u8();
-        let p = buf.get_u8();
-        *d = decode_dst(t, p)?;
+    for (k, d) in dsts.iter_mut().enumerate() {
+        *d = decode_dst(rec[6 + 2 * k], rec[7 + 2 * k])?;
     }
+    let src_base = 6 + 2 * crate::instr::MAX_DSTS;
     let mut srcs = [Operand::None; crate::instr::MAX_SRCS];
-    for s in &mut srcs {
-        let t = buf.get_u8();
-        let p = buf.get_u32_le();
-        *s = decode_src(t, p)?;
+    for (k, s) in srcs.iter_mut().enumerate() {
+        let o = src_base + 5 * k;
+        *s = decode_src(rec[o], u32_at(o + 1))?;
     }
-    let target = buf.get_u32_le();
+    let target = u32_at(src_base + 5 * crate::instr::MAX_SRCS);
     Ok(Instr { guard, op, modifier, dsts, srcs, target })
 }
 
 /// Encode a whole module into a byte vector (the "cubin").
 pub fn encode_module(m: &Module) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(
+    let mut buf = Vec::with_capacity(
         64 + m.kernels().iter().map(|k| 32 + k.len() * INSTR_BYTES).sum::<usize>(),
     );
-    buf.put_slice(&MAGIC);
-    buf.put_u16_le(VERSION);
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     put_str(&mut buf, m.name());
-    buf.put_u32_le(m.kernels().len() as u32);
+    buf.extend_from_slice(&(m.kernels().len() as u32).to_le_bytes());
     for k in m.kernels() {
         put_str(&mut buf, k.name());
-        buf.put_u32_le(k.shared_bytes());
-        buf.put_u32_le(k.len() as u32);
+        buf.extend_from_slice(&k.shared_bytes().to_le_bytes());
+        buf.extend_from_slice(&(k.len() as u32).to_le_bytes());
         for i in k.instrs() {
             encode_instr(i, &mut buf);
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decode a module binary produced by [`encode_module`].
@@ -190,36 +193,25 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
 /// Returns an [`IsaError`] describing the first malformed field: bad magic,
 /// unsupported version, truncation, unknown opcodes, or malformed operands.
 pub fn decode_module(bytes: &[u8]) -> Result<Module, IsaError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < 8 {
-        return Err(IsaError::Truncated { context: "module magic" });
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
+    let mut buf = bytes;
+    let magic = take::<8>(&mut buf, "module magic")?;
     if magic != MAGIC {
         return Err(IsaError::BadMagic { found: magic });
     }
-    if buf.remaining() < 2 {
-        return Err(IsaError::Truncated { context: "module version" });
-    }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(take(&mut buf, "module version")?);
     if version != VERSION {
         return Err(IsaError::BadVersion { found: version });
     }
     let mod_name = get_str(&mut buf, "module name")?;
-    if buf.remaining() < 4 {
-        return Err(IsaError::Truncated { context: "kernel count" });
-    }
-    let nkernels = buf.get_u32_le();
-    let mut kernels = Vec::with_capacity(nkernels as usize);
+    let nkernels = u32::from_le_bytes(take(&mut buf, "kernel count")?);
+    // Counts come from the binary: reserve no more than the bytes left can
+    // hold, so a corrupt count fails when the bytes run out instead of allocating.
+    let mut kernels = Vec::with_capacity((nkernels as usize).min(buf.len() / MIN_KERNEL_BYTES));
     for _ in 0..nkernels {
         let name = get_str(&mut buf, "kernel name")?;
-        if buf.remaining() < 8 {
-            return Err(IsaError::Truncated { context: "kernel header" });
-        }
-        let shared_bytes = buf.get_u32_le();
-        let ninstr = buf.get_u32_le();
-        let mut instrs = Vec::with_capacity(ninstr as usize);
+        let shared_bytes = u32::from_le_bytes(take(&mut buf, "kernel header")?);
+        let ninstr = u32::from_le_bytes(take(&mut buf, "kernel header")?);
+        let mut instrs = Vec::with_capacity((ninstr as usize).min(buf.len() / INSTR_BYTES));
         for _ in 0..ninstr {
             instrs.push(decode_instr(&mut buf)?);
         }
@@ -256,7 +248,7 @@ mod tests {
 
     #[test]
     fn instr_record_is_fixed_width() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_instr(&sample_instr(), &mut buf);
         assert_eq!(buf.len(), INSTR_BYTES);
     }
@@ -264,11 +256,12 @@ mod tests {
     #[test]
     fn instr_roundtrip() {
         let i = sample_instr();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_instr(&i, &mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = buf.as_slice();
         let back = decode_instr(&mut bytes).expect("decode");
         assert_eq!(back, i);
+        assert!(bytes.is_empty(), "the reader advances past the record");
     }
 
     #[test]
@@ -301,6 +294,17 @@ mod tests {
             assert!(res.is_err(), "decode of {cut}-byte prefix should fail");
         }
         assert!(decode_module(&bytes).is_ok());
+    }
+
+    #[test]
+    fn corrupt_counts_fail_without_reserving_their_size() {
+        let bytes = encode_module(&sample_module());
+        // Kernel count, then the first kernel's instruction count.
+        for off in [8 + 2 + 7, 8 + 2 + 7 + 4 + 7 + 4] {
+            let mut bad = bytes.clone();
+            bad[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_module(&bad).is_err(), "{off}");
+        }
     }
 
     #[test]

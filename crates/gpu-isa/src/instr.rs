@@ -1,11 +1,10 @@
 //! The instruction, kernel, and module model.
 
 use crate::{ExecFamily, IsaError, Modifier, Opcode, PReg, Reg, SpecialReg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Memory address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Space {
     /// Device-global memory, shared by all blocks.
@@ -40,7 +39,7 @@ impl fmt::Display for Space {
 /// Addresses are 32-bit in this ISA (a documented simplification over real
 /// SASS's 64-bit register pairs); the effective address is
 /// `regs[base].wrapping_add(offset as u32)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Base address register.
     pub base: Reg,
@@ -63,7 +62,7 @@ impl fmt::Display for MemRef {
 }
 
 /// A source operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Operand {
     /// Unused source slot.
     #[default]
@@ -120,7 +119,7 @@ impl fmt::Display for Operand {
 }
 
 /// A destination operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dst {
     /// Unused destination slot.
     #[default]
@@ -175,7 +174,7 @@ impl fmt::Display for Dst {
 ///
 /// Instructions whose guard evaluates false are skipped *and excluded from
 /// the fault-injection profile* (paper §III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Guard {
     /// Guarding predicate register.
     pub pred: PReg,
@@ -245,7 +244,7 @@ impl fmt::Display for Guard {
 /// def/use sets (reads of them are constants, writes to them are
 /// discarded). This is the vocabulary of the dataflow analyses in
 /// `gpu-analysis`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RegSlot {
     /// A general-purpose 32-bit register unit (`R0`–`R254`).
     Gpr(Reg),
@@ -282,7 +281,7 @@ pub const MAX_DSTS: usize = 2;
 ///
 /// Branch targets ([`Instr::target`]) are instruction indices within the
 /// kernel, resolved by the assembler from labels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instr {
     /// Predicate guard (`@PT` when unconditional).
     pub guard: Guard,
@@ -329,11 +328,6 @@ impl Instr {
     /// destination (GPR or predicate).
     pub fn has_dest(&self) -> bool {
         !self.gpr_dests().is_empty() || !self.pred_dests().is_empty()
-    }
-
-    /// The number of used source slots.
-    pub fn src_count(&self) -> usize {
-        self.srcs.iter().filter(|s| !s.is_none()).count()
     }
 
     /// The memory reference, if any source is a [`Operand::Mem`].
@@ -421,7 +415,7 @@ impl fmt::Display for Instr {
 }
 
 /// A compiled kernel: a name, an instruction stream, and resource needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     name: String,
     instrs: Vec<Instr>,
@@ -482,7 +476,7 @@ impl Kernel {
 
 /// A loadable module: a named collection of kernels, the unit shipped as a
 /// binary (the analog of a `cubin`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     name: String,
     kernels: Vec<Kernel>,

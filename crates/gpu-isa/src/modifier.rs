@@ -6,11 +6,10 @@
 //! instruction with a compact, stable binary encoding.
 
 use crate::IsaError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operator for `*SETP` / `*SET` / `*CMP` / `*MNMX` instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CmpOp {
     /// Less than.
@@ -59,7 +58,7 @@ impl CmpOp {
 }
 
 /// Boolean combiner for `SETP`-style instructions (`result = cmp BOOL pred`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BoolOp {
     /// Logical AND.
@@ -95,7 +94,7 @@ impl BoolOp {
 }
 
 /// Access width for memory instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MemWidth {
     /// 8-bit (zero-extended on load).
@@ -135,7 +134,7 @@ impl MemWidth {
 }
 
 /// Transcendental function selector for `MUFU` (multi-function unit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MufuFunc {
     /// Reciprocal `1/x`.
@@ -194,8 +193,8 @@ impl MufuFunc {
     }
 }
 
-/// Rounding / conversion mode for `FRND`, `F2I`, `F2F`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Rounding / conversion mode for `FRND`, `F2I`, `I2F` and `F2F`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum RoundMode {
     /// Round to nearest even.
@@ -248,7 +247,7 @@ impl RoundMode {
 /// a [`CmpOp`] and optionally a [`BoolOp`]; memory instructions carry a
 /// [`MemWidth`]; `MUFU` a [`MufuFunc`]; conversions a [`RoundMode`]; `LOP3` /
 /// `PLOP3` an 8-bit truth table; `SHFL` a shuffle mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Modifier {
     /// No modifier.
     #[default]
@@ -272,7 +271,7 @@ pub enum Modifier {
 }
 
 /// Warp shuffle source-lane computation for `SHFL`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ShflMode {
     /// Source lane = absolute lane index.
@@ -301,7 +300,7 @@ impl ShflMode {
 }
 
 /// Read-modify-write operation for `ATOM`/`ATOMS`/`ATOMG`/`RED`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum AtomOp {
     /// Integer add.

@@ -13,7 +13,6 @@
 //!   illegal-instruction trap, exactly like running an unsupported encoding
 //!   on real hardware.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Destination-based instruction classification.
@@ -22,7 +21,7 @@ use std::fmt;
 /// (instruction group) parameter from: FP64 and FP32 arithmetic, memory
 /// reads, predicate-only writers, instructions with no destination, and
 /// everything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrClass {
     /// FP64 arithmetic writing a general-purpose register pair.
     Fp64,
@@ -70,7 +69,7 @@ impl fmt::Display for InstrClass {
 /// opcodes (e.g. `FADD` and `FADD32I`) share a family and differ only in
 /// their operand kinds. Families the synthetic workloads cannot reach are
 /// collapsed into [`ExecFamily::Unimplemented`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 // The variant names *are* the semantics (FAdd = FP32 add, …); per-variant
 // doc comments would only repeat them.
 #[allow(missing_docs)]
@@ -175,7 +174,7 @@ macro_rules! opcodes {
         /// A SASS-like opcode. See the module documentation for the
         /// table's provenance; there are exactly `OPCODE_COUNT` (171)
         /// opcodes.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         // Variants are the SASS mnemonics themselves; see the table below.
         #[allow(non_camel_case_types, missing_docs)]
         #[repr(u16)]
@@ -415,33 +414,6 @@ impl Opcode {
         self as u16
     }
 
-    /// `true` if this opcode writes at least one general-purpose register.
-    #[inline]
-    pub fn writes_gpr(self) -> bool {
-        matches!(
-            self.class(),
-            InstrClass::Fp32 | InstrClass::Fp64 | InstrClass::Ld | InstrClass::Other
-        )
-    }
-
-    /// `true` if this opcode writes only predicate registers.
-    #[inline]
-    pub fn writes_pred_only(self) -> bool {
-        self.class() == InstrClass::Pr
-    }
-
-    /// `true` if this opcode has no destination register at all.
-    #[inline]
-    pub fn has_no_dest(self) -> bool {
-        self.class() == InstrClass::NoDest
-    }
-
-    /// `true` if the simulator implements real semantics for this opcode.
-    #[inline]
-    pub fn is_implemented(self) -> bool {
-        self.family() != ExecFamily::Unimplemented
-    }
-
     /// Look an opcode up by its mnemonic, e.g. `"FADD"`.
     pub fn from_mnemonic(m: &str) -> Option<Opcode> {
         Opcode::ALL.iter().copied().find(|op| op.mnemonic() == m)
@@ -490,16 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn class_predicates_are_consistent() {
-        for op in Opcode::ALL {
-            let c = op.class();
-            assert_eq!(op.writes_gpr(), !matches!(c, InstrClass::Pr | InstrClass::NoDest));
-            assert_eq!(op.writes_pred_only(), c == InstrClass::Pr);
-            assert_eq!(op.has_no_dest(), c == InstrClass::NoDest);
-        }
-    }
-
-    #[test]
     fn every_class_is_populated() {
         for class in InstrClass::ALL {
             assert!(Opcode::ALL.iter().any(|o| o.class() == class), "no opcode in class {class}");
@@ -516,7 +478,7 @@ mod tests {
             "SHR", "LOP3", "MUFU", "I2F", "F2I", "SEL", "SHFL", "ATOMG",
         ] {
             let op = Opcode::from_mnemonic(m).expect(m);
-            assert!(op.is_implemented(), "{m} must be implemented");
+            assert_ne!(op.family(), ExecFamily::Unimplemented, "{m} must be implemented");
         }
     }
 

@@ -1,6 +1,5 @@
 //! Architectural registers: general-purpose, predicate, and special registers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A general-purpose 32-bit register, `R0`–`R255`.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(Reg(13).to_string(), "R13");
 /// assert_eq!(Reg::RZ.to_string(), "RZ");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -76,7 +75,7 @@ impl From<u8> for Reg {
 /// assert_eq!(PReg(2).to_string(), "P2");
 /// assert_eq!(PReg::PT.to_string(), "PT");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PReg(pub u8);
 
 impl PReg {
@@ -117,7 +116,7 @@ impl From<u8> for PReg {
 /// These give kernels access to their position in the launch grid and to the
 /// physical placement (lane, warp, SM) that the permanent-fault model keys
 /// its *SM id* / *lane id* parameters on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SpecialReg {
     /// Thread index within the block, x dimension.

@@ -144,7 +144,7 @@ mod tests {
         let spin = rt.get_kernel(m, "spin").expect("kernel");
         let err = rt.launch(spin, 1u32, 32u32, &[]).unwrap_err();
         assert!(matches!(err, RuntimeError::Hang(_)));
-        assert!(rt.hang().is_some());
+        assert!(rt.anomalies().iter().any(|a| a.kind.is_hang()));
     }
 
     #[test]

@@ -6,12 +6,11 @@ use crate::runtime::{Runtime, RuntimeConfig};
 use crate::tool::{RunSummary, Tool};
 use gpu_isa::Module;
 use gpu_sim::{LaneTable, TrapInfo};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How a program run ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Termination {
     /// The process exited with a status code (0 = success).
     Normal {

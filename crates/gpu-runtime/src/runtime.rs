@@ -67,7 +67,6 @@ pub struct Runtime {
     records: Vec<LaunchRecord>,
     stdout: String,
     files: BTreeMap<String, Vec<u8>>,
-    hang: Option<TrapInfo>,
     ledger: Option<Ledger>,
     fast_forward: Option<FastForward>,
     output_bytes: u64,
@@ -110,7 +109,6 @@ impl Runtime {
             records: Vec::new(),
             stdout: String::new(),
             files: BTreeMap::new(),
-            hang: None,
             ledger: None,
             fast_forward: None,
             output_bytes: 0,
@@ -396,7 +394,6 @@ impl Runtime {
                     before_mask: &m.before,
                     after_mask: &m.after,
                     hook: tool.as_mut(),
-                    kernel_instance: instance,
                 };
                 self.gpu.launch_observed(&launch, &mut self.mem, Some(&mut ins), observer)
             }
@@ -419,7 +416,6 @@ impl Runtime {
                 } else {
                     self.anomalies.push(info.clone());
                     if kind.is_hang() {
-                        self.hang = Some(info.clone());
                         (stats, Some(kind), Some(RuntimeError::Hang(info)))
                     } else {
                         self.sticky = Some(KernelFault { info });
@@ -536,11 +532,6 @@ impl Runtime {
     /// classification reads (Table V).
     pub fn anomalies(&self) -> &[TrapInfo] {
         &self.anomalies
-    }
-
-    /// The hang that aborted the run, if any.
-    pub fn hang(&self) -> Option<&TrapInfo> {
-        self.hang.as_ref()
     }
 
     // --- program-visible output -----------------------------------------------------

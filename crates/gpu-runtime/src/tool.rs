@@ -18,7 +18,6 @@
 
 use gpu_isa::{Kernel, Module};
 use gpu_sim::{Dim3, ExecHook, LaunchStats, TrapKind};
-use serde::{Deserialize, Serialize};
 
 /// Per-static-instruction instrumentation marks returned by a tool.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -62,7 +61,7 @@ pub struct KernelLaunchInfo<'a> {
 }
 
 /// Result record handed to [`Tool::after_launch`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchRecord {
     /// Kernel name.
     pub kernel: String,
@@ -78,7 +77,7 @@ pub struct LaunchRecord {
 }
 
 /// End-of-run summary handed to [`Tool::on_exit`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSummary {
     /// Per-launch records, in launch order.
     pub launches: Vec<LaunchRecord>,

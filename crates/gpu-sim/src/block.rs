@@ -333,11 +333,7 @@ impl BlockState {
             None => (false, false),
         };
         *hooked |= before || after;
-        let site = |ins: &Instrumentation<'_>| InstrSite {
-            pc,
-            instr,
-            kernel_instance: ins.kernel_instance,
-        };
+        let site = InstrSite { pc, instr };
 
         let mut dyn_index = first;
         for lane in lanes(run) {
@@ -346,7 +342,7 @@ impl BlockState {
                 if let Some(ins) = instrumentation.as_deref_mut() {
                     counters.cycles += HOOK_CYCLES;
                     let mut ctx = ThreadCtx { regs: &mut t.regs, meta: t.meta, dyn_index };
-                    ins.hook.before(&mut ctx, site(ins));
+                    ins.hook.before(&mut ctx, site);
                 }
             }
             let flow = match &snap {
@@ -390,7 +386,7 @@ impl BlockState {
                 if let Some(ins) = instrumentation.as_deref_mut() {
                     counters.cycles += HOOK_CYCLES;
                     let mut ctx = ThreadCtx { regs: &mut t.regs, meta: t.meta, dyn_index };
-                    ins.hook.after(&mut ctx, site(ins));
+                    ins.hook.after(&mut ctx, site);
                 }
             }
             dyn_index += 1;

@@ -14,7 +14,7 @@ use gpu_isa::ExecFamily;
 /// is compiled once per observer kind, and with several callers the
 /// compiler would otherwise leave these as calls.
 #[inline(always)]
-pub fn latency(family: ExecFamily) -> u64 {
+pub(crate) fn latency(family: ExecFamily) -> u64 {
     use ExecFamily::*;
     match family {
         // Core FP32 / integer ALU
@@ -50,7 +50,7 @@ pub fn latency(family: ExecFamily) -> u64 {
 
 /// Extra cycles charged when an instrumentation callback fires, modeling the
 /// cost of the injected `insert_call` trampoline on real hardware.
-pub const HOOK_CYCLES: u64 = 18;
+pub(crate) const HOOK_CYCLES: u64 = 18;
 
 #[cfg(test)]
 mod tests {

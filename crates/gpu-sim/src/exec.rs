@@ -1,12 +1,12 @@
 //! Scalar (per-thread) instruction semantics.
 //!
-//! [`exec_scalar`] executes one guard-passing instruction for one thread.
+//! [`exec_family`] executes one guard-passing instruction for one thread.
 //! Cross-lane families (`SHFL`, `VOTE`, `FSWZADD`) are handled by the block
 //! scheduler, which can see the whole warp; everything else is defined here.
 
 use crate::hooks::ThreadMeta;
 use crate::memory::{const_load, local_load, local_store, GlobalMem, SharedMem};
-use crate::observe::{Observe, Unobserved};
+use crate::observe::Observe;
 use crate::regfile::RegFile;
 use crate::trap::TrapKind;
 use gpu_isa::{
@@ -16,7 +16,7 @@ use gpu_isa::{
 
 /// What the thread does next after executing an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
+pub(crate) enum Flow {
     /// Fall through to `pc + 1`.
     Next,
     /// Jump to an instruction index.
@@ -29,7 +29,7 @@ pub enum Flow {
 
 /// Execution environment for one thread: registers, all memory spaces, and
 /// thread identity.
-pub struct ExecEnv<'a> {
+pub(crate) struct ExecEnv<'a> {
     /// The thread's register file.
     pub regs: &'a mut RegFile,
     /// Device global memory.
@@ -229,6 +229,23 @@ fn round_mode(m: Modifier) -> RoundMode {
     }
 }
 
+/// Round `x` to `f32` in `mode`, IEEE-754 style: the nearest float (ties to
+/// even) for `Rn`, else the neighbour on the mode's side of `x`. Overflow
+/// gives ±inf, or ±`f32::MAX` where the mode rounds toward zero.
+fn narrow(mode: RoundMode, x: f64) -> f32 {
+    let near = x as f32;
+    // Positive when rounding to nearest went up; NaN for a NaN input, which
+    // every mode passes through.
+    let err = f64::from(near) - x;
+    match mode {
+        RoundMode::Rm if err > 0.0 => near.next_down(),
+        RoundMode::Rp if err < 0.0 => near.next_up(),
+        RoundMode::Rz if err > 0.0 && x > 0.0 => near.next_down(),
+        RoundMode::Rz if err < 0.0 && x < 0.0 => near.next_up(),
+        _ => near,
+    }
+}
+
 fn lut(m: Modifier) -> u8 {
     match m {
         Modifier::Lut(l) => l,
@@ -282,19 +299,11 @@ fn apply_atom(op: AtomOp, old: u64, v: u64, v2: u64, width: MemWidth) -> u64 {
 
 /// Execute one instruction for one thread whose guard already passed.
 ///
-/// Cross-lane opcodes (`SHFL`, `VOTE`, `FSWZADD`) must be handled by the
-/// caller; reaching them here raises [`TrapKind::IllegalInstruction`].
-///
-/// # Errors
-///
-/// Returns the [`TrapKind`] the instruction raised, if any.
-pub fn exec_scalar(i: &Instr, env: &mut ExecEnv<'_>) -> Result<Flow, TrapKind> {
-    exec_family(i.op.family(), i, env, &mut Unobserved)
-}
-
-/// [`exec_scalar`] with the opcode's family already decoded (`fam` must be
-/// `i.op.family()`), so a warp decodes it once per issue, not per lane,
-/// and with the launch's observer told of every global access.
+/// The opcode's family comes decoded (`fam` must be `i.op.family()`), so a
+/// warp decodes it once per issue, not per lane, and the launch's observer
+/// is told of every global access. Cross-lane opcodes (`SHFL`, `VOTE`,
+/// `FSWZADD`) must be handled by the caller; reaching them here raises
+/// [`TrapKind::IllegalInstruction`].
 pub(crate) fn exec_family(
     fam: ExecFamily,
     i: &Instr,
@@ -563,7 +572,7 @@ pub(crate) fn exec_family(
                 env.write_dst_u64(i, v.to_bits());
             }
             _ => {
-                let v = env.rd_f64(i.srcs[0]) as f32;
+                let v = narrow(round_mode(i.modifier), env.rd_f64(i.srcs[0]));
                 env.write_dst_u32(i, v.to_bits());
             }
         },
@@ -579,7 +588,7 @@ pub(crate) fn exec_family(
             let a = env.rd_u32(i.srcs[0]) as i32;
             match i.dsts[0] {
                 Dst::R64(_) => env.write_dst_u64(i, (a as f64).to_bits()),
-                _ => env.write_dst_u32(i, (a as f32).to_bits()),
+                _ => env.write_dst_u32(i, narrow(round_mode(i.modifier), a as f64).to_bits()),
             }
         }
         I2I => env.write_dst_u32(i, env.rd_u32(i.srcs[0])),
@@ -779,7 +788,7 @@ mod tests {
                 pc: 0,
                 kernel_len: 16,
             };
-            exec_scalar(i, &mut env)
+            exec_family(i.op.family(), i, &mut env, &mut crate::observe::Unobserved)
         }
     }
 
@@ -790,40 +799,40 @@ mod tests {
     #[test]
     fn fadd_adds() {
         let mut f = Fixture::new();
-        f.regs.write_f32(Reg(1), 1.5);
-        f.regs.write_f32(Reg(2), 2.25);
+        f.regs.write(Reg(1), f32::to_bits(1.5));
+        f.regs.write(Reg(2), f32::to_bits(2.25));
         let mut i = instr(Opcode::FADD);
         i.dsts[0] = Dst::R(Reg(0));
         i.srcs[0] = Operand::R(Reg(1));
         i.srcs[1] = Operand::R(Reg(2));
         assert_eq!(f.run(&i), Ok(Flow::Next));
-        assert_eq!(f.regs.read_f32(Reg(0)), 3.75);
+        assert_eq!(f32::from_bits(f.regs.read(Reg(0))), 3.75);
     }
 
     #[test]
     fn ffma_fuses() {
         let mut f = Fixture::new();
-        f.regs.write_f32(Reg(1), 2.0);
-        f.regs.write_f32(Reg(2), 3.0);
-        f.regs.write_f32(Reg(3), 4.0);
+        f.regs.write(Reg(1), f32::to_bits(2.0));
+        f.regs.write(Reg(2), f32::to_bits(3.0));
+        f.regs.write(Reg(3), f32::to_bits(4.0));
         let mut i = instr(Opcode::FFMA);
         i.dsts[0] = Dst::R(Reg(0));
         i.srcs = [Operand::R(Reg(1)), Operand::R(Reg(2)), Operand::R(Reg(3)), Operand::None];
         f.run(&i).expect("exec");
-        assert_eq!(f.regs.read_f32(Reg(0)), 10.0);
+        assert_eq!(f32::from_bits(f.regs.read(Reg(0))), 10.0);
     }
 
     #[test]
     fn dfma_uses_pairs() {
         let mut f = Fixture::new();
-        f.regs.write_f64(Reg(2), 2.0);
-        f.regs.write_f64(Reg(4), 3.0);
-        f.regs.write_f64(Reg(6), 0.5);
+        f.regs.write64(Reg(2), f64::to_bits(2.0));
+        f.regs.write64(Reg(4), f64::to_bits(3.0));
+        f.regs.write64(Reg(6), f64::to_bits(0.5));
         let mut i = instr(Opcode::DFMA);
         i.dsts[0] = Dst::R64(Reg(8));
         i.srcs = [Operand::R64(Reg(2)), Operand::R64(Reg(4)), Operand::R64(Reg(6)), Operand::None];
         f.run(&i).expect("exec");
-        assert_eq!(f.regs.read_f64(Reg(8)), 6.5);
+        assert_eq!(f64::from_bits(f.regs.read64(Reg(8))), 6.5);
     }
 
     #[test]
@@ -842,8 +851,8 @@ mod tests {
     #[test]
     fn nan_compares_unordered() {
         let mut f = Fixture::new();
-        f.regs.write_f32(Reg(1), f32::NAN);
-        f.regs.write_f32(Reg(2), 1.0);
+        f.regs.write(Reg(1), f32::to_bits(f32::NAN));
+        f.regs.write(Reg(2), f32::to_bits(1.0));
         for (cmp, expect) in [(CmpOp::Lt, false), (CmpOp::Eq, false), (CmpOp::Ne, true)] {
             let mut i = instr(Opcode::FSETP);
             i.modifier = Modifier::Cmp(cmp);
@@ -995,7 +1004,7 @@ mod tests {
         i2f.dsts[0] = Dst::R(Reg(2));
         i2f.srcs[0] = Operand::R(Reg(1));
         f.run(&i2f).expect("exec");
-        assert_eq!(f.regs.read_f32(Reg(2)), -7.0);
+        assert_eq!(f32::from_bits(f.regs.read(Reg(2))), -7.0);
 
         let mut f2i = instr(Opcode::F2I);
         f2i.modifier = Modifier::Round(RoundMode::Rz);
@@ -1014,7 +1023,7 @@ mod tests {
 
     #[test]
     fn predicated_guard_not_checked_here() {
-        // exec_scalar assumes the guard already passed; guard handling is
+        // exec_family assumes the guard already passed; guard handling is
         // the scheduler's job. A guarded instruction still executes.
         let mut f = Fixture::new();
         let mut i = instr(Opcode::MOV32I);
@@ -1066,7 +1075,7 @@ mod fp16_tests {
             pc: 0,
             kernel_len: 8,
         };
-        exec_scalar(i, &mut env)
+        exec_family(i.op.family(), i, &mut env, &mut crate::observe::Unobserved)
     }
 
     #[test]

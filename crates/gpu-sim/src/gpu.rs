@@ -8,7 +8,6 @@ use crate::hooks::Instrumentation;
 use crate::memory::GlobalMem;
 use crate::observe::{LaunchObserver, Observe, Unobserved};
 use gpu_isa::{Kernel, OPCODE_COUNT};
-use serde::{Deserialize, Serialize};
 
 /// Maximum threads per block, matching CUDA.
 pub const MAX_BLOCK_THREADS: u64 = 1024;
@@ -92,7 +91,7 @@ pub struct Launch<'a> {
 }
 
 /// Statistics from a (possibly partial) launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Guard-passing thread-level dynamic instructions executed.
     pub dyn_instrs: u64,

@@ -1,10 +1,9 @@
 //! Launch geometry: 3-dimensional grids and blocks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 3-dimensional extent or index, CUDA `dim3` style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// x extent (fastest-varying).
     pub x: u32,

@@ -50,7 +50,7 @@ impl ThreadMeta {
 /// injectors need.
 pub struct ThreadCtx<'a> {
     /// The thread's register file.
-    pub regs: &'a mut RegFile,
+    pub(crate) regs: &'a mut RegFile,
     /// Thread identity.
     pub meta: ThreadMeta,
     /// Zero-based index of this executed instruction in the current kernel
@@ -101,8 +101,6 @@ pub struct InstrSite<'a> {
     pub pc: u32,
     /// The decoded instruction.
     pub instr: &'a Instr,
-    /// Zero-based dynamic instance of the kernel within the process.
-    pub kernel_instance: u64,
 }
 
 /// A tool callback invoked for instrumented instructions.
@@ -129,9 +127,6 @@ pub struct Instrumentation<'a> {
     pub after_mask: &'a [bool],
     /// The tool callback.
     pub hook: &'a mut dyn ExecHook,
-    /// Dynamic instance index of this kernel launch (maintained by the
-    /// attaching layer).
-    pub kernel_instance: u64,
 }
 
 impl std::fmt::Debug for Instrumentation<'_> {
@@ -139,7 +134,6 @@ impl std::fmt::Debug for Instrumentation<'_> {
         f.debug_struct("Instrumentation")
             .field("before_marks", &self.before_mask.iter().filter(|b| **b).count())
             .field("after_marks", &self.after_mask.iter().filter(|b| **b).count())
-            .field("kernel_instance", &self.kernel_instance)
             .finish_non_exhaustive()
     }
 }

@@ -43,7 +43,7 @@
 //! See the [`Gpu::launch`] docs for a complete runnable example.
 
 mod block;
-pub mod cycles;
+mod cycles;
 mod error;
 mod exec;
 mod gpu;
@@ -55,16 +55,14 @@ mod regfile;
 mod trap;
 
 pub use error::SimError;
-pub use exec::{exec_scalar, ExecEnv, Flow};
 pub use gpu::{
     Gpu, Launch, LaunchStats, OpcodeCounts, DEFAULT_INSTR_BUDGET, LOCAL_MEM_BYTES,
     MAX_BLOCK_THREADS, MAX_PARAM_BYTES, MAX_SHARED_BYTES, NUM_SMS,
 };
 pub use grid::Dim3;
 pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
-pub use memory::{ByteRanges, DevPtr, GlobalMem, MemError, SetBytes, SharedMem, MAX_GLOBAL_BYTES};
+pub use memory::{ByteRanges, DevPtr, GlobalMem, MemError, SetBytes, MAX_GLOBAL_BYTES};
 pub use observe::{LaneTable, LaunchObserver};
-pub use regfile::RegFile;
 pub use trap::{TrapInfo, TrapKind};
 
 #[cfg(test)]
@@ -746,12 +744,7 @@ mod integration_tests {
         let mut after = vec![false; kernel.len()];
         before[2] = true;
         after[2] = true;
-        let mut ins = Instrumentation {
-            before_mask: &before,
-            after_mask: &after,
-            hook: &mut hook,
-            kernel_instance: 0,
-        };
+        let mut ins = Instrumentation { before_mask: &before, after_mask: &after, hook: &mut hook };
         g.launch(
             &Launch {
                 kernel: &kernel,
@@ -774,12 +767,7 @@ mod integration_tests {
         // lockstep, dynamic indices interleave warp-wide: instruction group
         // at pc=2 occupies dyn indices 64..96, lane 5 at 64+5.
         let mut hook = CountAndCorrupt { before_calls: 0, after_calls: 0, corrupt_at: 64 + 5 };
-        let mut ins = Instrumentation {
-            before_mask: &before,
-            after_mask: &after,
-            hook: &mut hook,
-            kernel_instance: 0,
-        };
+        let mut ins = Instrumentation { before_mask: &before, after_mask: &after, hook: &mut hook };
         let mut mem = GlobalMem::new();
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         g.launch(
@@ -809,12 +797,7 @@ mod integration_tests {
         let mut hook = Noop;
         let before = vec![false; 2]; // wrong length
         let after = vec![false; 2];
-        let mut ins = Instrumentation {
-            before_mask: &before,
-            after_mask: &after,
-            hook: &mut hook,
-            kernel_instance: 0,
-        };
+        let mut ins = Instrumentation { before_mask: &before, after_mask: &after, hook: &mut hook };
         assert!(matches!(
             g.launch(
                 &Launch {
@@ -864,12 +847,7 @@ mod integration_tests {
         let mut hook = Noop;
         let before = vec![true; kernel.len()];
         let after = vec![false; kernel.len()];
-        let mut ins = Instrumentation {
-            before_mask: &before,
-            after_mask: &after,
-            hook: &mut hook,
-            kernel_instance: 0,
-        };
+        let mut ins = Instrumentation { before_mask: &before, after_mask: &after, hook: &mut hook };
         let instrumented = g
             .launch(
                 &Launch {

@@ -7,12 +7,11 @@
 
 use crate::trap::TrapKind;
 use gpu_isa::{MemWidth, Space};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
 /// A device pointer into global memory (32-bit address space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DevPtr(pub u32);
 
 impl DevPtr {
@@ -337,7 +336,7 @@ impl GlobalMem {
 
 /// Per-block shared memory (scratchpad).
 #[derive(Debug, Clone)]
-pub struct SharedMem {
+pub(crate) struct SharedMem {
     data: Vec<u8>,
 }
 
@@ -345,16 +344,6 @@ impl SharedMem {
     /// Create a shared memory of `size` bytes, zero-initialized.
     pub fn new(size: u32) -> SharedMem {
         SharedMem { data: vec![0; size as usize] }
-    }
-
-    /// Size in bytes.
-    pub fn len(&self) -> u32 {
-        self.data.len() as u32
-    }
-
-    /// `true` if the block declared no shared memory.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Zero every byte, for the next block of a launch.
@@ -429,7 +418,7 @@ fn store_le(data: &mut [u8], off: usize, width: u32, value: u64) {
 ///
 /// Returns the [`TrapKind`] a faulting access raises on device.
 #[inline]
-pub fn local_load(local: &[u8], addr: u32, width: MemWidth) -> Result<u64, TrapKind> {
+pub(crate) fn local_load(local: &[u8], addr: u32, width: MemWidth) -> Result<u64, TrapKind> {
     let w = width.bytes();
     device_check(Space::Local, addr, w, 0, local.len() as u32)?;
     Ok(load_le(local, addr as usize, w))
@@ -441,7 +430,7 @@ pub fn local_load(local: &[u8], addr: u32, width: MemWidth) -> Result<u64, TrapK
 ///
 /// Returns the [`TrapKind`] a faulting access raises on device.
 #[inline]
-pub fn local_store(
+pub(crate) fn local_store(
     local: &mut [u8],
     addr: u32,
     width: MemWidth,
@@ -459,7 +448,7 @@ pub fn local_store(
 ///
 /// Returns the [`TrapKind`] a faulting access raises on device.
 #[inline]
-pub fn const_load(cmem: &[u8], addr: u32, width: MemWidth) -> Result<u64, TrapKind> {
+pub(crate) fn const_load(cmem: &[u8], addr: u32, width: MemWidth) -> Result<u64, TrapKind> {
     let w = width.bytes();
     device_check(Space::Const, addr, w, 0, cmem.len() as u32)?;
     Ok(load_le(cmem, addr as usize, w))

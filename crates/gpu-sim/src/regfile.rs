@@ -11,7 +11,7 @@ use gpu_isa::{PReg, Reg};
 /// `R255` (`RZ`) reads as zero and discards writes; `P7` (`PT`) reads as
 /// true and discards writes.
 #[derive(Debug, Clone)]
-pub struct RegFile {
+pub(crate) struct RegFile {
     r: [u32; 256],
     p: u8,
 }
@@ -78,30 +78,6 @@ impl RegFile {
         self.write(r.pair_hi(), (v >> 32) as u32);
     }
 
-    /// Read a GPR as `f32`.
-    #[inline]
-    pub fn read_f32(&self, r: Reg) -> f32 {
-        f32::from_bits(self.read(r))
-    }
-
-    /// Write a GPR as `f32`.
-    #[inline]
-    pub fn write_f32(&mut self, r: Reg, v: f32) {
-        self.write(r, v.to_bits());
-    }
-
-    /// Read a register pair as `f64`.
-    #[inline]
-    pub fn read_f64(&self, r: Reg) -> f64 {
-        f64::from_bits(self.read64(r))
-    }
-
-    /// Write a register pair as `f64`.
-    #[inline]
-    pub fn write_f64(&mut self, r: Reg, v: f64) {
-        self.write64(r, v.to_bits());
-    }
-
     /// Read a predicate.
     #[inline]
     pub fn read_p(&self, p: PReg) -> bool {
@@ -151,6 +127,23 @@ impl RegFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn regfile_pairs_compose(lo: u32, hi: u32, base in (0u8..250).prop_map(|v| v & !1)) {
+            let mut rf = RegFile::new();
+            let r = Reg(base);
+            rf.write(r, lo);
+            rf.write(r.pair_hi(), hi);
+            prop_assert_eq!(rf.read64(r), (lo as u64) | ((hi as u64) << 32));
+            // A pair written back through its f64 view keeps every bit.
+            let v = f64::from_bits(rf.read64(r));
+            rf.write64(r, v.to_bits());
+            prop_assert_eq!(rf.read(r), lo);
+            prop_assert_eq!(rf.read(r.pair_hi()), hi);
+        }
+    }
 
     #[test]
     fn rz_semantics() {
@@ -181,15 +174,6 @@ mod tests {
         assert_eq!(rf.read(Reg(4)), 0x89AB_CDEF);
         assert_eq!(rf.read(Reg(5)), 0x0123_4567);
         assert_eq!(rf.read64(Reg(4)), 0x0123_4567_89AB_CDEF);
-    }
-
-    #[test]
-    fn float_views() {
-        let mut rf = RegFile::new();
-        rf.write_f32(Reg(1), 3.5);
-        assert_eq!(rf.read_f32(Reg(1)), 3.5);
-        rf.write_f64(Reg(2), -2.25);
-        assert_eq!(rf.read_f64(Reg(2)), -2.25);
     }
 
     #[test]

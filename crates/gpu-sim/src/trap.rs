@@ -7,11 +7,10 @@
 //! whether the *host* code checks for it (§IV-A).
 
 use gpu_isa::Space;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The reason a thread trapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum TrapKind {
     /// A memory access outside any allocation (the classic
@@ -127,7 +126,7 @@ impl TrapKind {
 }
 
 /// A trap plus where it happened.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrapInfo {
     /// What went wrong.
     pub kind: TrapKind,

@@ -653,6 +653,32 @@ fn host_f2i(mode: RoundMode, x: f64) -> u32 {
     r as i32 as u32
 }
 
+/// `x` rounded to `f32` bits in `mode`: the f32s just below and above `x`
+/// bracket it (both are `x` when it is exact; ±inf stands beyond ±`MAX`),
+/// and the mode picks one — the nearest for `Rn`, the lower for `Rm`, the
+/// upper for `Rp` and the one nearer zero for `Rz`. NaN converts as the
+/// host's cast does.
+fn host_narrow(mode: RoundMode, x: f64) -> u32 {
+    let near = x as f32;
+    if x.is_nan() {
+        return near.to_bits();
+    }
+    let (below, above) = match f64::from(near) {
+        n if n == x => (near, near),
+        n if n < x => (near, near.next_up()),
+        _ => (near.next_down(), near),
+    };
+    assert!(f64::from(below) <= x && x <= f64::from(above), "{x} not bracketed");
+    let r = match mode {
+        RoundMode::Rn => near,
+        RoundMode::Rm => below,
+        RoundMode::Rp => above,
+        RoundMode::Rz if x < 0.0 => above,
+        RoundMode::Rz => below,
+    };
+    r.to_bits()
+}
+
 /// `op dst, src` with `modifier`, reading and writing the 64-bit harness's
 /// registers.
 fn convert(
@@ -893,27 +919,34 @@ proptest! {
         fs in prop::collection::vec(conv_f32(), 32..33),
         ds in prop::collection::vec(conv_f64(), 32..33),
     ) {
-        let m = Modifier::None;
-        prop_assert_eq!(
-            eval2(one(Opcode::I2F, m, [r(1), NONE, NONE, NONE]), &xs, &xs),
-            xs.iter().map(|&x| (x as i32 as f32).to_bits()).collect::<Vec<_>>()
-        );
-        let wide: Vec<u64> = xs.iter().map(|&x| u64::from(x)).collect();
-        prop_assert_eq!(
-            eval2_64(convert(Opcode::I2F, m, Dst::R64(Reg(14)), r(10)), &wide, &wide),
-            xs.iter().map(|&x| f64::from(x as i32).to_bits()).collect::<Vec<_>>()
-        );
-        // F2F widens an f32 into a register pair, and narrows a pair back.
-        let wide: Vec<u64> = fs.iter().map(|&x| u64::from(x)).collect();
-        prop_assert_eq!(
-            eval2_64(convert(Opcode::F2F, m, Dst::R64(Reg(14)), r(10)), &wide, &wide),
-            fs.iter().map(|&x| f64::from(f32::from_bits(x)).to_bits()).collect::<Vec<_>>()
-        );
-        let got = eval2_64(convert(Opcode::F2F, m, Dst::R(Reg(14)), Operand::R64(Reg(10))), &ds, &ds);
-        prop_assert_eq!(
-            got.iter().map(|&v| v as u32).collect::<Vec<_>>(),
-            ds.iter().map(|&d| (f64::from_bits(d) as f32).to_bits()).collect::<Vec<_>>()
-        );
+        for mode in RoundMode::ALL {
+            let m = Modifier::Round(mode);
+            prop_assert_eq!(
+                eval2(one(Opcode::I2F, m, [r(1), NONE, NONE, NONE]), &xs, &xs),
+                xs.iter().map(|&x| host_narrow(mode, f64::from(x as i32))).collect::<Vec<_>>(),
+                "{:?}",
+                mode
+            );
+            // Widening is exact in every mode.
+            let wide: Vec<u64> = xs.iter().map(|&x| u64::from(x)).collect();
+            prop_assert_eq!(
+                eval2_64(convert(Opcode::I2F, m, Dst::R64(Reg(14)), r(10)), &wide, &wide),
+                xs.iter().map(|&x| f64::from(x as i32).to_bits()).collect::<Vec<_>>()
+            );
+            // F2F widens an f32 into a register pair, and narrows a pair back.
+            let wide: Vec<u64> = fs.iter().map(|&x| u64::from(x)).collect();
+            prop_assert_eq!(
+                eval2_64(convert(Opcode::F2F, m, Dst::R64(Reg(14)), r(10)), &wide, &wide),
+                fs.iter().map(|&x| f64::from(f32::from_bits(x)).to_bits()).collect::<Vec<_>>()
+            );
+            let narrow = convert(Opcode::F2F, m, Dst::R(Reg(14)), Operand::R64(Reg(10)));
+            prop_assert_eq!(
+                eval2_64(narrow, &ds, &ds).iter().map(|&v| v as u32).collect::<Vec<_>>(),
+                ds.iter().map(|&d| host_narrow(mode, f64::from_bits(d))).collect::<Vec<_>>(),
+                "{:?}",
+                mode
+            );
+        }
     }
 
     #[test]
@@ -940,6 +973,292 @@ proptest! {
                 host_atom_fold(init, &xs, &ys, f),
                 "{:?}",
                 op
+            );
+        }
+    }
+}
+
+#[test]
+fn i2f_and_f2f_round_every_edge_by_mode() {
+    let max = f64::from(f32::MAX);
+    let tiny = 2f64.powi(-150); // half the smallest subnormal
+    let mut ds: Vec<u64> = [
+        max * (1.0 + 2f64.powi(-40)),
+        max + max * 2f64.powi(-25), // a tie between MAX and overflow
+        1e300,
+        tiny,
+        tiny * 1.5,
+        2f64.powi(-126) * (1.0 - 2f64.powi(-30)),
+        1.0 + 2f64.powi(-30),
+        1.0 + 2f64.powi(-24), // a tie
+        0.0,
+        f64::INFINITY,
+        f64::NAN,
+    ]
+    .iter()
+    .flat_map(|&x| [x, -x])
+    .map(f64::to_bits)
+    .collect();
+    ds.resize(32, 0);
+    let mut xs: Vec<u32> = [i32::MAX, i32::MIN, (1 << 24) + 1, (1 << 25) + 3, -(1 << 24) - 1, -7]
+        .map(|v| v as u32)
+        .to_vec();
+    xs.resize(32, 0);
+    for mode in RoundMode::ALL {
+        let m = Modifier::Round(mode);
+        let narrow = convert(Opcode::F2F, m, Dst::R(Reg(14)), Operand::R64(Reg(10)));
+        assert_eq!(
+            eval2_64(narrow, &ds, &ds).iter().map(|&v| v as u32).collect::<Vec<_>>(),
+            ds.iter().map(|&d| host_narrow(mode, f64::from_bits(d))).collect::<Vec<_>>(),
+            "{mode:?}"
+        );
+        assert_eq!(
+            eval2(one(Opcode::I2F, m, [r(1), NONE, NONE, NONE]), &xs, &xs),
+            xs.iter().map(|&x| host_narrow(mode, f64::from(x as i32))).collect::<Vec<_>>(),
+            "{mode:?}"
+        );
+    }
+    // Spot values, independent of the oracle.
+    let f2f = |mode, x: f64| {
+        let narrow =
+            convert(Opcode::F2F, Modifier::Round(mode), Dst::R(Reg(14)), Operand::R64(Reg(10)));
+        f32::from_bits(eval2_64(narrow, &[x.to_bits()], &[0])[0] as u32)
+    };
+    assert_eq!(f2f(RoundMode::Rz, 1e300), f32::MAX);
+    assert_eq!(f2f(RoundMode::Rp, 1e300), f32::INFINITY);
+    assert_eq!(f2f(RoundMode::Rp, -1e300), -f32::MAX);
+    assert_eq!(f2f(RoundMode::Rm, -1e300), f32::NEG_INFINITY);
+    assert_eq!(f2f(RoundMode::Rp, tiny).to_bits(), 1, "smallest subnormal");
+    assert_eq!(f2f(RoundMode::Rz, -tiny).to_bits(), 0x8000_0000, "negative zero");
+    assert_eq!(f2f(RoundMode::Rm, 1.0 + 2f64.powi(-30)), 1.0);
+    assert_eq!(f2f(RoundMode::Rp, 1.0 + 2f64.powi(-30)), 1.0 + f32::EPSILON);
+}
+
+// ---- Packed FP16 and MUFU oracles ----------------------------------------
+//
+// The half conversions are checked exhaustively against an exact f64 model
+// of binary16; the packed-FP16 opcodes are then checked per half against
+// the model `gpu_isa::half` documents (unpack to f32, compute in f32, one
+// rounding back to f16), and MUFU bit for bit against the host's f32
+// functions.
+
+use gpu_isa::half::{f16_to_f32, f32_to_f16};
+use gpu_isa::MufuFunc;
+
+/// The exact value of a finite half, or `2^16` for `0x7C00` (infinity),
+/// which is where an unbounded exponent would put the next value above
+/// `65504`.
+fn half_value(h: u16) -> f64 {
+    let (exp, frac) = (i32::from(h >> 10 & 0x1F), f64::from(h & 0x3FF));
+    let mag = if exp == 0 { frac * 2f64.powi(-24) } else { (1024.0 + frac) * 2f64.powi(exp - 25) };
+    if h & 0x8000 != 0 {
+        -mag
+    } else {
+        mag
+    }
+}
+
+/// `x` rounded to the nearest half, ties to the even one, by search over
+/// the exact values of the non-negative halves; past the top half it
+/// overflows to infinity.
+fn model_f32_to_f16(x: f32) -> u16 {
+    let sign = if x.is_sign_negative() { 0x8000 } else { 0 };
+    let a = f64::from(x.abs());
+    // Largest non-negative half (0x7C00 standing for 2^16) not above `a`:
+    // their values rise with their bits.
+    let (mut lo, mut hi) = (0u16, 0x7C01u16);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if half_value(mid) <= a {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let h = if lo == 0x7C00 || half_value(lo) == a {
+        lo
+    } else {
+        let (below, above) = (a - half_value(lo), half_value(lo + 1) - a);
+        if below < above || (below == above && lo & 1 == 0) {
+            lo
+        } else {
+            lo + 1
+        }
+    };
+    sign | h
+}
+
+#[test]
+fn every_half_converts_to_its_exact_value_and_back() {
+    for h in 0..=u16::MAX {
+        let x = f16_to_f32(h);
+        let nan = h & 0x7C00 == 0x7C00 && h & 0x3FF != 0;
+        if nan {
+            // NaNs keep their sign and payload, quieted.
+            assert!(x.is_nan(), "{h:#06x}");
+            assert_eq!(x.is_sign_negative(), h & 0x8000 != 0, "{h:#06x}");
+            assert_eq!(f32_to_f16(x), h | 0x200, "{h:#06x}");
+            continue;
+        }
+        let exact = if h & 0x7FFF == 0x7C00 {
+            if h & 0x8000 != 0 {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            half_value(h)
+        };
+        assert_eq!(f64::from(x), exact, "{h:#06x}");
+        assert_eq!(x.is_sign_negative(), h & 0x8000 != 0, "{h:#06x} keeps its sign");
+        assert_eq!(f32_to_f16(x), h, "{h:#06x} round-trips");
+    }
+}
+
+#[test]
+fn f32_to_f16_rounds_to_nearest_even_at_every_boundary() {
+    // Each gap between neighbouring halves, including the one from the top
+    // half to the overflow threshold: its midpoint (a tie) and the floats
+    // either side of it, in both signs.
+    for lo in 0..0x7C00u16 {
+        let mid = (half_value(lo) + half_value(lo + 1)) / 2.0;
+        let mid = mid as f32;
+        assert_eq!(f64::from(mid), (half_value(lo) + half_value(lo + 1)) / 2.0, "tie is exact");
+        for x in [mid.next_down(), mid, mid.next_up()] {
+            for x in [x, -x] {
+                assert_eq!(f32_to_f16(x), model_f32_to_f16(x), "{x:e} ({:#010x})", x.to_bits());
+            }
+        }
+    }
+    for x in [f32::MAX, f32::INFINITY, 65520.0, 1e-8, 2f32.powi(-25), f32::MIN_POSITIVE] {
+        for x in [x, -x] {
+            assert_eq!(f32_to_f16(x), model_f32_to_f16(x), "{x:e}");
+        }
+    }
+}
+
+/// Any half, or one from the subnormal and special values.
+fn any_half() -> impl Strategy<Value = u16> {
+    prop_oneof![
+        any::<u16>(),
+        (0u16..0x0400).prop_map(|f| f | 0x8000),
+        (0usize..8)
+            .prop_map(|i| [0x0000, 0x8000, 0x3C00, 0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7E00][i]),
+    ]
+}
+
+/// One random packed word per lane: any bits, or two [`any_half`]s.
+fn warp_halves() -> impl Strategy<Value = Vec<u32>> {
+    let pair = (any_half(), any_half()).prop_map(|(lo, hi)| u32::from(lo) | u32::from(hi) << 16);
+    prop::collection::vec(prop_oneof![any::<u32>(), pair], 32..33)
+}
+
+/// The packed result of `f` on each pair of halves, computed in f32 and
+/// rounded to f16 once.
+fn per_half(x: u32, y: u32, f: impl Fn(f32, f32) -> f32) -> u32 {
+    let half = |w: u32, shift: u32| f16_to_f32((w >> shift) as u16);
+    let lo = f32_to_f16(f(half(x, 0), half(y, 0)));
+    let hi = f32_to_f16(f(half(x, 16), half(y, 16)));
+    u32::from(lo) | u32::from(hi) << 16
+}
+
+/// A host function MUFU must match.
+type MufuFn = fn(f32) -> f32;
+
+/// A host MUFU input: any bits, or a value where the functions are
+/// interesting (exponents, logarithms and angles of moderate size).
+fn mufu_inputs() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(
+        prop_oneof![
+            any::<u32>(),
+            (-200.0f32..200.0).prop_map(f32::to_bits),
+            (0.0f32..4.0).prop_map(f32::to_bits)
+        ],
+        32..33,
+    )
+}
+
+proptest! {
+    #[test]
+    fn f32_to_f16_matches_the_exact_model(xs in warp_words()) {
+        for x in xs.into_iter().map(f32::from_bits).filter(|x| !x.is_nan()) {
+            prop_assert_eq!(f32_to_f16(x), model_f32_to_f16(x), "{:e}", x);
+        }
+    }
+
+    #[test]
+    fn packed_fp16_arith_matches_host(xs in warp_halves(), ys in warp_halves()) {
+        let (x, y) = (&xs[..], &ys[..]);
+        let host = |f: fn(f32, f32) -> f32| zip(x, y, move |a, b| per_half(a, b, f));
+        prop_assert_eq!(eval2(|k| { k.hadd2(Reg(0), Reg(1), Reg(2)); }, x, y), host(|a, b| a + b));
+        prop_assert_eq!(eval2(|k| { k.hmul2(Reg(0), Reg(1), Reg(2)); }, x, y), host(|a, b| a * b));
+        prop_assert_eq!(
+            eval2(|k| { k.hfma2(Reg(0), Reg(1), Reg(2), Reg(1)); }, x, y),
+            host(|a, b| a.mul_add(b, a))
+        );
+        let m = Modifier::None;
+        let pt = Operand::P(PReg::PT);
+        let npt = Operand::NotP(PReg::PT);
+        prop_assert_eq!(eval2(one(Opcode::HMNMX2, m, [r(1), r(2), pt, NONE]), x, y), host(f32::min));
+        prop_assert_eq!(eval2(one(Opcode::HMNMX2, m, [r(1), r(2), npt, NONE]), x, y), host(f32::max));
+    }
+
+    #[test]
+    fn packed_fp16_compares_match_host(xs in warp_halves(), ys in warp_halves()) {
+        let (x, y) = (&xs[..], &ys[..]);
+        // Each half's comparison, low half first.
+        let halves = |c: CmpOp, a: u32, b: u32| {
+            let hit = |s: u32| host_cmp(c, f16_to_f32((a >> s) as u16), f16_to_f32((b >> s) as u16));
+            (hit(0), hit(16))
+        };
+        for c in CmpOp::ALL {
+            prop_assert_eq!(
+                eval2(one(Opcode::HSET2, Modifier::Cmp(c), [r(1), r(2), NONE, NONE]), x, y),
+                zip(x, y, |a, b| {
+                    let (lo, hi) = halves(c, a, b);
+                    (u32::from(lo) * 0xFFFF) | (u32::from(hi) * 0xFFFF_0000)
+                }),
+                "{:?}",
+                c
+            );
+            for b in [BoolOp::And, BoolOp::Or, BoolOp::Xor] {
+                let body = |k: &mut KernelBuilder| {
+                    k.hsetp2(PReg(0), c, Reg(1), Reg(2)).modifier = Modifier::CmpBool(c, b);
+                    k.movi(Reg(3), u32::MAX);
+                    k.sel(Reg(0), Reg(3), Reg::RZ, PReg(0));
+                };
+                prop_assert_eq!(
+                    eval2(body, x, y),
+                    zip(x, y, |p, q| {
+                        let (lo, hi) = halves(c, p, q);
+                        if b.eval(lo, hi) { u32::MAX } else { 0 }
+                    }),
+                    "{:?} {:?}",
+                    c,
+                    b
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mufu_matches_host_bit_for_bit(xs in mufu_inputs()) {
+        let host: [(MufuFunc, MufuFn); 7] = [
+            (MufuFunc::Rcp, |v| 1.0 / v),
+            (MufuFunc::Rsq, |v| 1.0 / v.sqrt()),
+            (MufuFunc::Sqrt, f32::sqrt),
+            (MufuFunc::Ex2, f32::exp2),
+            (MufuFunc::Lg2, f32::log2),
+            (MufuFunc::Sin, f32::sin),
+            (MufuFunc::Cos, f32::cos),
+        ];
+        prop_assert_eq!(host.map(|(f, _)| f), MufuFunc::ALL, "the table covers every function");
+        for (f, h) in host {
+            prop_assert_eq!(
+                eval2(one(Opcode::MUFU, Modifier::Func(f), [r(1), NONE, NONE, NONE]), &xs, &xs),
+                xs.iter().map(|&v| h(f32::from_bits(v)).to_bits()).collect::<Vec<_>>(),
+                "{:?}",
+                f
             );
         }
     }

@@ -156,12 +156,7 @@ fn divergent_row(kernel: &gpu_isa::Kernel, k: u64, hooked: bool) -> String {
     after[acc_pc] = true;
     before[len - 2] = true;
     let mut rec = Recorder::default();
-    let mut ins = Instrumentation {
-        before_mask: &before,
-        after_mask: &after,
-        hook: &mut rec,
-        kernel_instance: 0,
-    };
+    let mut ins = Instrumentation { before_mask: &before, after_mask: &after, hook: &mut rec };
     let result =
         launch(kernel, 2, 40, &[out.addr()], Some(k), &mut mem, hooked.then_some(&mut ins));
     let words = mem.read_u32s(out, 80).expect("read");
@@ -458,12 +453,7 @@ fn hook_writes_do_not_leak_into_the_next_block() {
     let before = [true, false];
     let after = [false, false];
     let mut hook = Leak { seen: Vec::new() };
-    let mut ins = Instrumentation {
-        before_mask: &before,
-        after_mask: &after,
-        hook: &mut hook,
-        kernel_instance: 0,
-    };
+    let mut ins = Instrumentation { before_mask: &before, after_mask: &after, hook: &mut hook };
     let mut mem = GlobalMem::new();
     launch(&kernel, 3, 40, &[], None, &mut mem, Some(&mut ins)).expect("launch");
     assert_eq!(hook.seen.len(), 3 * 40);

@@ -3,11 +3,10 @@
 
 use crate::insert::{CachedInstrumentation, InsertedCall, Inserter, When};
 use crate::instr_view::InstrView;
-use gpu_isa::{Instr, Kernel, Module};
+use gpu_isa::{Kernel, Module};
 use gpu_runtime::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
 use gpu_sim::{ExecHook, InstrSite, ThreadCtx};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -68,7 +67,7 @@ pub trait NvBitTool: Send {
 
 /// Counters describing what the framework did — used by the overhead
 /// benches and by tests asserting the caching behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NvBitStats {
     /// Static kernels instrumented (JIT compilations).
     pub kernels_instrumented: u64,
@@ -212,14 +211,4 @@ impl<T: NvBitTool> Tool for NvBit<T> {
     fn on_exit(&mut self, summary: &RunSummary) {
         self.tool.on_exit(summary);
     }
-}
-
-/// Convenience: build instruction views for a whole kernel.
-pub fn instr_views(kernel: &Kernel) -> impl Iterator<Item = InstrView<'_>> {
-    kernel.instrs().iter().enumerate().map(|(pc, i)| InstrView::new(pc as u32, i))
-}
-
-/// Convenience: the raw instruction at a pc, if in range.
-pub fn instr_at(kernel: &Kernel, pc: u32) -> Option<&Instr> {
-    kernel.instrs().get(pc as usize)
 }

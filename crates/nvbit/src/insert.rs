@@ -3,10 +3,9 @@
 
 use gpu_isa::Kernel;
 use gpu_runtime::InstrMasks;
-use serde::{Deserialize, Serialize};
 
 /// When an inserted call fires relative to its instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum When {
     /// Before the instruction's effects are visible.
     Before,
@@ -16,7 +15,7 @@ pub enum When {
 
 /// One inserted device call: an id the tool dispatches on plus constant
 /// arguments bound at instrumentation time (NVBit's `nvbit_add_call_arg_*`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InsertedCall {
     /// Tool-chosen callback id.
     pub id: u32,

@@ -2,7 +2,7 @@
 //!
 //! Tools never see assembler structures; they inspect decoded binary
 //! instructions through this view, mirroring `Instr::getOpcode()`,
-//! `getNumOperands()`, destination queries, and SASS printing from NVBit.
+//! destination queries, and SASS printing from NVBit.
 
 use gpu_isa::{disasm, Instr, InstrClass, Opcode, PReg, Reg};
 
@@ -42,16 +42,6 @@ impl<'a> InstrView<'a> {
     /// The destination-based instruction class.
     pub fn class(&self) -> InstrClass {
         self.instr.op.class()
-    }
-
-    /// `true` if the instruction is predicated (`@P` / `@!P`).
-    pub fn has_guard(&self) -> bool {
-        !self.instr.guard.is_always()
-    }
-
-    /// Number of used source operands.
-    pub fn num_srcs(&self) -> usize {
-        self.instr.src_count()
     }
 
     /// General-purpose destination register units (pairs expanded, `RZ`
@@ -107,7 +97,6 @@ mod tests {
 
         assert_eq!(views[0].opcode_str(), "FFMA");
         assert_eq!(views[0].gpr_dests(), vec![Reg(4)]);
-        assert_eq!(views[0].num_srcs(), 3);
         assert!(views[0].has_dest());
         assert!(!views[0].is_load());
 

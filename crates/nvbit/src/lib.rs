@@ -27,7 +27,7 @@ mod insert;
 mod instr_view;
 pub mod tools;
 
-pub use adapter::{instr_at, instr_views, CallSite, NvBit, NvBitStats, NvBitTool};
+pub use adapter::{CallSite, NvBit, NvBitStats, NvBitTool};
 pub use insert::{CachedInstrumentation, InsertedCall, Inserter, When};
 pub use instr_view::InstrView;
 

@@ -4,11 +4,10 @@
 use gpu_isa::{encode, Kernel, Module};
 use gpu_runtime::{ModuleId, ProgramOutput, Runtime, RuntimeError};
 use nvbitfi::{GoldenOutput, SdcCheck, SdcReason, SdcVerdict};
-use serde::{Deserialize, Serialize};
 
 /// Problem scale: `Test` keeps runs tiny for debug-build unit tests;
 /// `Paper` mirrors Table IV's kernel structure (scaled to simulator size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
     /// Tiny inputs for fast (debug-build) testing.
     Test,
@@ -44,7 +43,7 @@ pub(crate) fn fmt_f(v: f64) -> String {
 }
 
 /// Element type of a program's output files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileElem {
     /// Little-endian `f32` array.
     F32,

@@ -232,8 +232,7 @@ struct Corrupt {
 impl ExecHook for Corrupt {
     fn after(&mut self, t: &mut ThreadCtx<'_>, site: InstrSite<'_>) {
         if site.pc == self.pc && t.meta.global_tid() == 0 {
-            let v = t.regs.read(self.reg);
-            t.regs.write(self.reg, v ^ self.mask);
+            t.corrupt_reg(self.reg, self.mask);
         }
     }
 }
