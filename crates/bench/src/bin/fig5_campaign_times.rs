@@ -32,7 +32,7 @@ fn main() {
         let permanent =
             run_permanent_campaign(entry.program.as_ref(), entry.check.as_ref(), &args.permanent())
                 .expect("permanent campaign");
-        let t = transient.timing.total();
+        let t = transient.total_time();
         let p = permanent.total_time();
         rows.push(vec![
             entry.name.to_string(),

@@ -66,8 +66,8 @@ pub fn install() {
 
 /// Ignore SIGINT entirely. Worker processes use this: a terminal Ctrl-C is
 /// aimed at the supervising campaign, which lets in-flight runs finish and
-/// then drains its workers over the protocol (shutdown frame, then SIGTERM)
-/// — a worker that died to the shared SIGINT would instead burn a retry and
+/// then drains its workers over the protocol (shutdown frame, then a kill
+/// after a grace window) — a worker that died to the shared SIGINT would instead burn a retry and
 /// leave its in-flight site as an infra error.
 pub fn ignore() {
     imp::ignore();

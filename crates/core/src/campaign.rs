@@ -17,7 +17,7 @@
 //! (`dispatch.rs`) that runs them in worker threads or worker processes.
 
 use crate::bitflip::BitFlipModel;
-use crate::dispatch::{attempt_here, dispatch, Attempt, Job, Plan, Settled};
+use crate::dispatch::{attempt_here, dispatch, Attempt, Plan, Settled};
 use crate::error::FiError;
 use crate::golden::{GoldenOutput, PreparedGolden};
 use crate::igid::InstrGroup;
@@ -82,9 +82,9 @@ pub struct CampaignConfig {
     /// Test-only fault injector for the harness itself: consulted once per
     /// execution attempt with `(site_index, attempt)`; returning `true`
     /// loses that attempt the way the isolation mode can lose one — thread
-    /// mode panics the worker thread, process mode SIGKILLs the worker
-    /// process right after dispatch. `None` (always, outside tests)
-    /// disables it.
+    /// mode panics the worker thread, process mode kills the worker
+    /// process (`Child::kill`) right after dispatch. `None` (always, outside
+    /// tests) disables it.
     pub fault_hook: Option<FaultHook>,
     /// How injection runs execute: in-process worker threads (the default)
     /// or supervised disposable worker processes — see [`IsolationMode`].
@@ -162,7 +162,8 @@ pub struct InjectionRun {
     pub resumed: bool,
 }
 
-/// Wall-clock accounting for overhead analysis (Figures 4 and 5).
+/// Wall-clock durations of a campaign's phases before its injection runs,
+/// for overhead analysis (Figures 4 and 5); the runs keep their own.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignTiming {
     /// Duration of the uninstrumented golden run.
@@ -173,33 +174,6 @@ pub struct CampaignTiming {
     /// Duration of the static-analysis pass (site resolution plus
     /// liveness), zero when pruning is disabled.
     pub analysis: Duration,
-    /// Durations of the individual injection runs.
-    pub injections: Vec<Duration>,
-    /// Total dynamic instructions the injection runs skipped by
-    /// fast-forwarding pre-injection prefixes from checkpoints.
-    pub prefix_instrs_skipped: u64,
-    /// Total tail launches, and their dynamic instructions, the injection
-    /// runs replayed from checkpoints after their first simulated launch.
-    pub tail_replayed: TailReplay,
-}
-
-impl CampaignTiming {
-    /// Median injection-run duration (the statistic Figure 4 reports).
-    pub fn median_injection(&self) -> Duration {
-        if self.injections.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut v = self.injections.clone();
-        v.sort();
-        v[v.len() / 2]
-    }
-
-    /// Total campaign time: profiling, static analysis, and all
-    /// injections (Figure 5). The golden run, which also yields the
-    /// profile, is not included.
-    pub fn total(&self) -> Duration {
-        self.profiling + self.analysis + self.injections.iter().sum::<Duration>()
-    }
 }
 
 /// Result of a transient campaign.
@@ -225,6 +199,21 @@ pub struct TransientCampaign {
 }
 
 impl TransientCampaign {
+    /// Median injection-run duration (the statistic Figure 4 reports).
+    pub fn median_injection(&self) -> Duration {
+        let mut walls: Vec<Duration> = self.runs.iter().map(|r| r.wall).collect();
+        walls.sort();
+        walls.get(walls.len() / 2).copied().unwrap_or_default()
+    }
+
+    /// Total campaign time: profiling, static analysis, and all
+    /// injections (Figure 5). The golden run, which also yields the
+    /// profile, is not included.
+    pub fn total_time(&self) -> Duration {
+        let t = &self.timing;
+        t.profiling + t.analysis + self.runs.iter().map(|r| r.wall).sum::<Duration>()
+    }
+
     /// Number of sites classified by static dead-fault pruning instead of
     /// simulation.
     pub fn statically_pruned(&self) -> usize {
@@ -258,8 +247,9 @@ impl TransientCampaign {
 /// `Sync` and use interior mutability.
 pub trait CampaignHooks: Sync {
     /// Called once per completed run, as it completes (dispatch order, not
-    /// selection order) — the durable journal's append point. Not called
-    /// for verdicts reloaded from a prior journal.
+    /// selection order) — the durable journal's append point. Statically
+    /// pruned verdicts, which never run, reach it after the fan-out
+    /// returns; verdicts reloaded from a prior journal never do.
     fn on_run(&self, run: &InjectionRun) {
         let _ = run;
     }
@@ -480,28 +470,7 @@ fn run_sites(
     });
 
     let reloaded = reload_prior(&mut work, prior);
-    let jobs = work
-        .into_iter()
-        .map(|(i, params, pruned)| {
-            if !pruned {
-                return (i, Job::Run(params));
-            }
-            // The fault provably cannot propagate: the run is synthesized as
-            // Masked and never reaches a worker.
-            let run = InjectionRun {
-                params,
-                outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
-                injected: true,
-                wall: Duration::ZERO,
-                prefix_instrs_skipped: 0,
-                tail_replayed: TailReplay::default(),
-                pruned: true,
-                attempts: 1,
-                resumed: false,
-            };
-            (i, Job::Known(run))
-        })
-        .collect();
+    let (pruned, work): (Vec<_>, Vec<_>) = work.into_iter().partition(|&(_, _, pruned)| pruned);
 
     // The per-run deadline applies to injection runs only: the golden and
     // resolver runs above are campaign prerequisites, not experiments the
@@ -539,9 +508,9 @@ fn run_sites(
         IsolationMode::Process(iso) => Some((iso, iso.init(cfg, program.name()))),
         IsolationMode::Thread => None,
     };
-    let (mut tagged, interrupted) = dispatch(
+    let (ran, interrupted) = dispatch(
         &plan,
-        jobs,
+        work.into_iter().map(|(i, params, _)| (i, params)).collect(),
         &stop,
         |worker: &mut Option<Worker>, index, params, fault| match &process {
             Some((iso, init)) => pool::attempt(iso, init, worker, index, params, fault),
@@ -550,27 +519,42 @@ fn run_sites(
         settle,
         on_done,
     );
-    // Report in the sites' order, with reloaded prior verdicts merged back
-    // in.
-    tagged.extend(reloaded);
-    tagged.sort_by_key(|&(orig, _)| orig);
-    let runs: Vec<InjectionRun> = tagged.into_iter().map(|(_, r)| r).collect();
-
-    let counts = crate::logfile::tally(&runs);
-    timing.injections = runs.iter().map(|r| r.wall).collect();
-    timing.prefix_instrs_skipped = runs.iter().map(|r| r.prefix_instrs_skipped).sum();
-    for r in &runs {
-        timing.tail_replayed += r.tail_replayed;
-    }
+    // A pruned site's fault provably cannot propagate: its run is
+    // synthesized as Masked, never reaches a worker, and is journaled as it
+    // is merged.
+    let pruned = pruned.into_iter().map(|(i, params, _)| {
+        let run = InjectionRun {
+            params,
+            outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
+            injected: true,
+            wall: Duration::ZERO,
+            prefix_instrs_skipped: 0,
+            tail_replayed: TailReplay::default(),
+            pruned: true,
+            attempts: 1,
+            resumed: false,
+        };
+        hooks.on_run(&run);
+        (i, run)
+    });
+    let runs = in_index_order(ran, pruned.chain(reloaded));
     TransientCampaign {
         program: program.name().to_string(),
         profile,
         golden: golden.into_output(),
-        counts,
+        counts: crate::logfile::tally(&runs),
         runs,
         timing,
         interrupted,
     }
+}
+
+/// The verdicts the dispatcher ran merged with those known without running
+/// it (pruned, answered from golden, resumed), in selection-index order.
+fn in_index_order<R>(mut ran: Vec<(usize, R)>, known: impl Iterator<Item = (usize, R)>) -> Vec<R> {
+    ran.extend(known);
+    ran.sort_by_key(|&(index, _)| index);
+    ran.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Configuration of a permanent-fault campaign.
@@ -718,33 +702,31 @@ pub fn run_permanent_campaign(
     let max_tpb = launches().map(|l| l.stats.threads_per_block).max().unwrap_or(1).max(1);
     let used_lanes = (gpu_isa::WARP_SIZE as u64).min(max_tpb).max(1) as u32;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let jobs = opcodes
+    let (simulate, answered): (Vec<_>, Vec<_>) = opcodes
         .iter()
-        .enumerate()
-        .map(|(i, op)| {
+        .map(|op| {
             let params = PermanentParams {
                 sm_id: rng.gen_range(0..used_sms),
                 lane_id: rng.gen_range(0..used_lanes),
                 bit_mask: 1u32 << rng.gen_range(0..32),
                 opcode_id: op.encode(),
             };
-            let weight = profile.opcode_total(*op);
-            let job = if golden.may_activate(&params) {
-                Job::Run((params, weight))
-            } else {
-                Job::Known(PermanentRun {
-                    params,
-                    outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
-                    weight,
-                    activations: 0,
-                    wall: Duration::ZERO,
-                    attempts: 0,
-                    simulated: false,
-                })
-            };
-            (i, job)
+            (params, profile.opcode_total(*op))
         })
-        .collect();
+        .enumerate()
+        .partition(|(_, (params, _))| golden.may_activate(params));
+    let answered = answered.into_iter().map(|(i, (params, weight))| {
+        let run = PermanentRun {
+            params,
+            outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
+            weight,
+            activations: 0,
+            wall: Duration::ZERO,
+            attempts: 0,
+            simulated: false,
+        };
+        (i, run)
+    });
 
     // Same dispatcher and isolation contract as the transient campaign: a
     // panicked or deadline-killed experiment is retried, then recorded as
@@ -759,9 +741,9 @@ pub fn run_permanent_campaign(
         backoff: cfg.retry_backoff,
         fault_hook: None,
     };
-    let (runs, _) = dispatch(
+    let (ran, _) = dispatch(
         &plan,
-        jobs,
+        simulate,
         &|| false,
         |_: &mut (), _, &(params, _): &(PermanentParams, u64), fault| {
             attempt_here(fault, || {
@@ -781,7 +763,7 @@ pub fn run_permanent_campaign(
         },
         |_| {},
     );
-    let runs: Vec<PermanentRun> = runs.into_iter().map(|(_, r)| r).collect();
+    let runs = in_index_order(ran, answered);
 
     let mut counts = OutcomeCounts::default();
     let mut w = WeightedOutcomes::default();
@@ -873,20 +855,26 @@ mod tests {
 
     #[test]
     fn timing_median_and_total() {
-        let t = CampaignTiming {
-            golden: Duration::from_millis(1),
-            profiling: Duration::from_millis(10),
-            analysis: Duration::from_millis(4),
-            injections: vec![
-                Duration::from_millis(3),
-                Duration::from_millis(1),
-                Duration::from_millis(2),
-            ],
-            prefix_instrs_skipped: 0,
-            tail_replayed: Default::default(),
+        let mut c = TransientCampaign {
+            program: "p".into(),
+            profile: Profile { mode: ProfilingMode::Exact, kernels: vec![] },
+            golden: GoldenOutput {
+                stdout: String::new(),
+                files: Default::default(),
+                summary: Default::default(),
+            },
+            counts: OutcomeCounts::default(),
+            runs: vec![],
+            timing: CampaignTiming {
+                golden: Duration::from_millis(1),
+                profiling: Duration::from_millis(10),
+                analysis: Duration::from_millis(4),
+            },
+            interrupted: false,
         };
-        assert_eq!(t.median_injection(), Duration::from_millis(2));
-        assert_eq!(t.total(), Duration::from_millis(20));
-        assert_eq!(CampaignTiming::default().median_injection(), Duration::ZERO);
+        assert_eq!(c.median_injection(), Duration::ZERO);
+        c.runs = [3, 1, 2].map(|ms| prior_run(0, OutcomeClass::Masked, ms)).to_vec();
+        assert_eq!(c.median_injection(), Duration::from_millis(2));
+        assert_eq!(c.total_time(), Duration::from_millis(20));
     }
 }

@@ -4,8 +4,10 @@
 //! [`dispatch`] with a per-slot attempt closure. The dispatcher owns the
 //! rest: the queue, the `should_stop` poll before each dispatch, the
 //! harness-fault hook, retry with linear backoff ending in
-//! [`OutcomeClass::InfraError`], the pass-through of verdicts known without
-//! execution (statically pruned sites), and the completion callback.
+//! [`OutcomeClass::InfraError`], and the completion callback. It sees only
+//! sites that run: verdicts known without execution (statically pruned
+//! sites, permanent experiments answered from golden, resumed rows) are
+//! merged by index after the fan-out returns.
 
 use crate::campaign::FaultHook;
 use crate::outcome::{InfraKind, Outcome, OutcomeClass};
@@ -31,13 +33,6 @@ pub(crate) struct Settled<D> {
     pub detail: Option<D>,
     pub attempts: u32,
     pub wall: Duration,
-}
-
-/// Dispatcher work: a site to execute, or a verdict known without execution
-/// that goes straight to the completion callback, never reaching a worker.
-pub(crate) enum Job<T, R> {
-    Run(T),
-    Known(R),
 }
 
 /// Slot count and retry policy. The hook is consulted once per `(site,
@@ -98,7 +93,7 @@ fn retry<D>(
     }
 }
 
-/// Fan `jobs` — `(selection index, job)` pairs in dispatch order — out over
+/// Fan `items` — `(selection index, site)` pairs in dispatch order — out over
 /// `plan.workers` slots. Each slot owns an `S`, default-constructed and
 /// dropped when the slot retires, that `attempt` may keep a worker in.
 /// `stop` is polled before every dispatch, so nothing — not even a worker
@@ -110,14 +105,14 @@ fn retry<D>(
 /// plus whether `stop` cut the fan-out short.
 pub(crate) fn dispatch<T: Send, D, R: Send, S: Default>(
     plan: &Plan<'_>,
-    jobs: Vec<(usize, Job<T, R>)>,
+    items: Vec<(usize, T)>,
     stop: &(dyn Fn() -> bool + Sync),
     attempt: impl Fn(&mut S, usize, &T, bool) -> Attempt<D> + Sync,
     settle: impl Fn(T, Settled<D>) -> R + Sync,
     on_done: impl Fn(&R) + Sync,
 ) -> (Vec<(usize, R)>, bool) {
-    let total = jobs.len();
-    let queue = Mutex::new(jobs.into_iter());
+    let total = items.len();
+    let queue = Mutex::new(items.into_iter());
     let done = Mutex::new(Vec::with_capacity(total));
     std::thread::scope(|s| {
         for _ in 0..plan.workers.max(1).min(total.max(1)) {
@@ -125,15 +120,10 @@ pub(crate) fn dispatch<T: Send, D, R: Send, S: Default>(
                 let mut slot = S::default();
                 while !stop() {
                     let next = queue.lock().next();
-                    let Some((index, job)) = next else { break };
-                    let record = match job {
-                        Job::Known(record) => record,
-                        Job::Run(item) => {
-                            let settled =
-                                retry(plan, index, |fault| attempt(&mut slot, index, &item, fault));
-                            settle(item, settled)
-                        }
-                    };
+                    let Some((index, item)) = next else { break };
+                    let settled =
+                        retry(plan, index, |fault| attempt(&mut slot, index, &item, fault));
+                    let record = settle(item, settled);
                     on_done(&record);
                     done.lock().push((index, record));
                 }
@@ -164,26 +154,18 @@ mod tests {
         Attempt::Ran { outcome: masked(), wall: Duration::ZERO, detail: *item }
     }
 
-    fn run_jobs<R>(items: impl IntoIterator<Item = i32>) -> Vec<(usize, Job<i32, R>)> {
-        items.into_iter().enumerate().map(|(i, x)| (i, Job::Run(x))).collect()
+    fn items(items: impl IntoIterator<Item = i32>) -> Vec<(usize, i32)> {
+        items.into_iter().enumerate().collect()
     }
 
     #[test]
-    fn results_come_back_in_selection_order_and_known_verdicts_skip_execution() {
-        // Dispatched in reverse over four slots; every fifth verdict is known.
-        let attempts = AtomicUsize::new(0);
-        let jobs = (0..100)
-            .rev()
-            .map(|i| (i, if i % 5 == 0 { Job::Known(-1) } else { Job::Run(i as i32) }))
-            .collect();
+    fn results_come_back_in_selection_order() {
+        // Dispatched in reverse over four slots.
         let (out, stopped) = dispatch(
             &plan(4, 0),
-            jobs,
+            (0..100).rev().map(|i| (i, i as i32)).collect(),
             &|| false,
-            |slot: &mut (), i, item: &i32, fault| {
-                attempts.fetch_add(1, Ordering::SeqCst);
-                echo(slot, i, item, fault)
-            },
+            echo,
             |item, s| {
                 assert_eq!((s.attempts, s.detail), (1, Some(item)));
                 item
@@ -191,10 +173,8 @@ mod tests {
             |_| {},
         );
         assert!(!stopped);
-        let expected: Vec<_> =
-            (0..100).map(|i| (i, if i % 5 == 0 { -1 } else { i as i32 })).collect();
+        let expected: Vec<_> = (0..100).map(|i| (i, i as i32)).collect();
         assert_eq!(out, expected);
-        assert_eq!(attempts.load(Ordering::SeqCst), 80, "known verdicts never execute");
     }
 
     #[test]
@@ -203,7 +183,7 @@ mod tests {
         let completed = AtomicUsize::new(0);
         let (out, stopped) = dispatch(
             &plan(1, 0),
-            run_jobs(0..10),
+            items(0..10),
             &|| completed.load(Ordering::SeqCst) >= 3,
             echo,
             |item, _| item * 10,
@@ -225,7 +205,7 @@ mod tests {
             Outcome { class: OutcomeClass::InfraError(InfraKind::Deadline), potential_due: false };
         let (out, _) = dispatch(
             &plan,
-            run_jobs(0..4),
+            items(0..4),
             &|| false,
             |_: &mut (), i, item: &i32, fault| {
                 let outcome = if i == 3 { deadline.clone() } else { masked() };
@@ -248,7 +228,7 @@ mod tests {
     fn slot_state_persists_across_a_slots_sites() {
         let (out, _) = dispatch(
             &plan(1, 0),
-            run_jobs(0..3),
+            items(0..3),
             &|| false,
             |seen: &mut i32, _, _: &i32, _| {
                 *seen += 1;

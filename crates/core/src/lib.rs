@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nvbitfi — dynamic fault injection for (simulated) GPUs
 //!

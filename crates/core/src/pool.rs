@@ -85,25 +85,6 @@ impl ProcessIsolation {
     }
 }
 
-const SIGTERM: i32 = 15;
-const SIGKILL: i32 = 9;
-
-#[cfg(unix)]
-fn send_signal(pid: u32, sig: i32) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    if let Ok(pid) = i32::try_from(pid) {
-        // Best effort: the worker may already be gone, which is fine.
-        unsafe {
-            kill(pid, sig);
-        }
-    }
-}
-
-#[cfg(not(unix))]
-fn send_signal(_pid: u32, _sig: i32) {}
-
 /// One live child process plus the thread draining its stdout — a
 /// dispatcher slot's state in process mode. Dropping it retires the child.
 pub(crate) struct Worker {
@@ -140,35 +121,19 @@ impl Worker {
 }
 
 impl Drop for Worker {
-    /// Graceful drain: shutdown frame, then SIGTERM, then SIGKILL, each
-    /// with a short grace window. A killed worker passes straight through.
+    /// Graceful drain: a shutdown frame, a short grace window to exit, then
+    /// a kill. A killed worker passes straight through.
     fn drop(&mut self) {
-        const GRACE: Duration = Duration::from_millis(500);
         let _ = write_frame(&mut self.stdin, &Msg::Shutdown.to_json());
-        if !wait_with_grace(&mut self.child, GRACE) {
-            send_signal(self.child.id(), SIGTERM);
-            if !wait_with_grace(&mut self.child, GRACE) {
-                let _ = self.child.kill();
-            }
+        let deadline = Instant::now() + Duration::from_millis(500);
+        while matches!(self.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
         }
+        let _ = self.child.kill();
         let _ = self.child.wait();
         if let Some(r) = self.reader.take() {
             let _ = r.join();
         }
-    }
-}
-
-fn wait_with_grace(child: &mut Child, grace: Duration) -> bool {
-    let deadline = Instant::now() + grace;
-    loop {
-        match child.try_wait() {
-            Ok(Some(_)) | Err(_) => return true,
-            Ok(None) => {}
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -212,7 +177,7 @@ fn spawn_worker(iso: &ProcessIsolation, init: &WorkerInit) -> Option<Worker> {
 
 /// One attempt at `params` on this slot's worker, spawning one first if the
 /// slot has none. `kill` is the harness-fault hook firing: the worker is
-/// SIGKILLed right after dispatch. A worker that dies trying is killed for
+/// killed right after dispatch. A worker that dies trying is killed for
 /// certain and cleared from the slot, so the next attempt respawns; the
 /// detail is the run's, as in thread mode.
 pub(crate) fn attempt(
@@ -250,7 +215,7 @@ fn run_on_worker(
         return None;
     }
     if kill {
-        send_signal(w.child.id(), SIGKILL);
+        let _ = w.child.kill();
     }
     // Anything but the matching verdict — an Error frame, a mismatched id,
     // corruption, EOF, or liveness timeout — is a dead worker.
@@ -280,7 +245,7 @@ fn run_on_worker(
 mod tests {
     use super::*;
     use crate::bitflip::BitFlipModel;
-    use crate::dispatch::{dispatch, Job, Plan, Settled};
+    use crate::dispatch::{dispatch, Plan, Settled};
     use crate::igid::InstrGroup;
     use crate::outcome::OutcomeClass;
 
@@ -306,10 +271,9 @@ mod tests {
         let iso = ProcessIsolation::new(vec![command.into()], "test");
         let init = iso.init(&CampaignConfig::default(), "tiny");
         let plan = Plan { workers, max_retries, backoff: Duration::ZERO, fault_hook: None };
-        let jobs = (0..sites).map(|i| (i as usize, Job::Run(site(i)))).collect();
         let (out, stopped) = dispatch(
             &plan,
-            jobs,
+            (0..sites).map(|i| (i as usize, site(i))).collect(),
             &|| false,
             |slot: &mut Option<Worker>, index, params, kill| {
                 attempt(&iso, &init, slot, index, params, kill)
@@ -343,6 +307,23 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].outcome.class, OutcomeClass::InfraError(InfraKind::WorkerDied));
         assert_eq!(out[0].attempts, 1);
+    }
+
+    /// Dropping a worker that ignores both the shutdown frame and the
+    /// terminate signal kills and reaps it after the grace window instead
+    /// of waiting it out.
+    #[test]
+    #[cfg(unix)]
+    fn dropping_a_deaf_worker_kills_and_reaps_it() {
+        // Answer the handshake with a `ready` frame, then sleep deaf to
+        // stdin and to TERM (an ignored signal stays ignored across exec).
+        let script = r"printf '\000\000\000\005ready'; trap '' TERM; exec sleep 30";
+        let iso = ProcessIsolation::new(vec!["sh".into(), "-c".into(), script.into()], "test");
+        let init = iso.init(&CampaignConfig::default(), "tiny");
+        let worker = spawn_worker(&iso, &init).expect("the script answers ready");
+        let t = Instant::now();
+        drop(worker);
+        assert!(t.elapsed() < Duration::from_secs(5), "drop took {:?}", t.elapsed());
     }
 
     #[test]

@@ -72,10 +72,10 @@ pub fn transient_summary(c: &TransientCampaign) -> String {
         c.profile.kernels.len(),
         c.profile.total(),
         c.profile.mode,
-        c.timing.median_injection(),
-        c.timing.total(),
+        c.median_injection(),
+        c.total_time(),
         robustness_line(c),
-        phase_breakdown(&c.timing),
+        phase_breakdown(c),
     )
 }
 
@@ -104,18 +104,22 @@ pub fn robustness_line(c: &TransientCampaign) -> String {
 /// analysis / injections), plus the dynamic instructions the injection
 /// runs avoided by replaying from checkpoints: their pre-injection
 /// prefixes, and the tail launches their faults never reached.
-pub fn phase_breakdown(t: &crate::campaign::CampaignTiming) -> String {
-    let injections: std::time::Duration = t.injections.iter().sum();
+pub fn phase_breakdown(c: &TransientCampaign) -> String {
+    let t = &c.timing;
+    let injections: std::time::Duration = c.runs.iter().map(|r| r.wall).sum();
     let mut out = table(&[
         vec!["phase".into(), "wall-clock".into()],
         vec!["golden run".into(), format!("{:?}", t.golden)],
         vec!["profiling".into(), format!("{:?}", t.profiling)],
         vec!["static analysis".into(), format!("{:?}", t.analysis)],
-        vec![format!("injections (x{})", t.injections.len()), format!("{injections:?}")],
+        vec![format!("injections (x{})", c.runs.len()), format!("{injections:?}")],
     ]);
-    let _ =
-        writeln!(out, "prefix instructions skipped via checkpoints: {}", t.prefix_instrs_skipped);
-    let tail = t.tail_replayed;
+    let skipped: u64 = c.runs.iter().map(|r| r.prefix_instrs_skipped).sum();
+    let _ = writeln!(out, "prefix instructions skipped via checkpoints: {skipped}");
+    let mut tail = gpu_runtime::TailReplay::default();
+    for r in &c.runs {
+        tail += r.tail_replayed;
+    }
     let _ = write!(
         out,
         "tail instructions replayed via checkpoints: {} ({} launches)",
@@ -175,11 +179,9 @@ mod tests {
         assert_eq!(table(&[]), "");
     }
 
-    #[test]
-    fn robustness_line_counts_resume_retry_and_infra() {
-        use crate::campaign::{InjectionRun, TransientCampaign};
-        use crate::outcome::{InfraKind, Outcome, OutcomeClass, OutcomeCounts};
-        let run = |resumed: bool, attempts: u32, infra: bool| InjectionRun {
+    fn run(resumed: bool, attempts: u32, infra: bool) -> crate::campaign::InjectionRun {
+        use crate::outcome::{InfraKind, Outcome, OutcomeClass};
+        crate::campaign::InjectionRun {
             params: crate::params::TransientParams {
                 group: crate::igid::InstrGroup::Gp,
                 bit_flip: crate::bitflip::BitFlipModel::FlipSingleBit,
@@ -204,16 +206,15 @@ mod tests {
             pruned: false,
             attempts,
             resumed,
-        };
-        let mut runs = vec![run(false, 1, false), run(true, 1, false), run(false, 3, true)];
-        let mut died = run(false, 2, true);
-        died.outcome.class = OutcomeClass::InfraError(InfraKind::WorkerDied);
-        runs.push(died);
+        }
+    }
+
+    fn campaign(runs: Vec<crate::campaign::InjectionRun>) -> TransientCampaign {
         let mut counts = OutcomeCounts::default();
         for r in &runs {
             counts.add(&r.outcome);
         }
-        let c = TransientCampaign {
+        TransientCampaign {
             program: "p".into(),
             profile: crate::profile::Profile {
                 mode: crate::profile::ProfilingMode::Exact,
@@ -228,7 +229,17 @@ mod tests {
             runs,
             timing: Default::default(),
             interrupted: false,
-        };
+        }
+    }
+
+    #[test]
+    fn robustness_line_counts_resume_retry_and_infra() {
+        use crate::outcome::{InfraKind, OutcomeClass};
+        let mut runs = vec![run(false, 1, false), run(true, 1, false), run(false, 3, true)];
+        let mut died = run(false, 2, true);
+        died.outcome.class = OutcomeClass::InfraError(InfraKind::WorkerDied);
+        runs.push(died);
+        let c = campaign(runs);
         let line = robustness_line(&c);
         assert!(line.contains("3 fresh"), "{line}");
         assert!(line.contains("1 resumed"), "{line}");
@@ -246,15 +257,20 @@ mod tests {
     #[test]
     fn phase_breakdown_reports_all_phases_and_skips() {
         use std::time::Duration;
-        let t = crate::campaign::CampaignTiming {
+        let mut c = campaign(vec![run(false, 1, false); 4]);
+        c.timing = crate::campaign::CampaignTiming {
             golden: Duration::from_millis(5),
             profiling: Duration::from_millis(7),
             analysis: Duration::from_millis(3),
-            injections: vec![Duration::from_millis(2); 4],
-            prefix_instrs_skipped: 1234,
-            tail_replayed: gpu_runtime::TailReplay { launches: 3, instrs: 5678 },
         };
-        let text = phase_breakdown(&t);
+        // (prefix skipped, tail launches, tail instructions) per run.
+        let replays = [(1000, 1, 5000), (200, 1, 600), (30, 1, 78), (4, 0, 0)];
+        for (r, (skipped, launches, instrs)) in c.runs.iter_mut().zip(replays) {
+            r.wall = Duration::from_millis(2);
+            r.prefix_instrs_skipped = skipped;
+            r.tail_replayed = gpu_runtime::TailReplay { launches, instrs };
+        }
+        let text = phase_breakdown(&c);
         assert!(text.contains("golden run"), "{text}");
         assert!(text.contains("profiling"), "{text}");
         assert!(text.contains("static analysis"), "{text}");

@@ -288,27 +288,6 @@ impl Msg {
 pub type Resolver =
     dyn Fn(&str, &str) -> Option<(Box<dyn Program + Send + Sync>, Box<dyn SdcCheck + Send + Sync>)>;
 
-/// Run `work` on a scoped thread while the calling thread writes one
-/// [`Msg::Heartbeat`] frame per `interval` without a result — proof of life
-/// during a long (or fault-wedged-but-progressing) simulation. Returns the
-/// work's result as soon as it arrives.
-fn run_with_heartbeat<R: Send>(
-    interval: Duration,
-    output: &mut impl Write,
-    work: impl FnOnce() -> R + Send,
-) -> io::Result<R> {
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel();
-        s.spawn(move || tx.send(work()));
-        loop {
-            match rx.recv_timeout(interval) {
-                Err(RecvTimeoutError::Timeout) => write_frame(output, &Msg::Heartbeat.to_json())?,
-                done => return Ok(done.expect("worker run thread catches its own panics")),
-            }
-        }
-    })
-}
-
 /// Serve one worker session: read frames from `input`, write replies to
 /// `output`, executing injections for the workload named by the
 /// [`Msg::Init`] frame. This is the body of the hidden `nvbitfi worker`
@@ -317,7 +296,10 @@ fn run_with_heartbeat<R: Send>(
 ///
 /// The worker replays its own golden run (and checkpoint store) at init
 /// time: simulation is deterministic, so the result is identical to the
-/// supervisor's and nothing large ever crosses the pipe.
+/// supervisor's and nothing large ever crosses the pipe. Runs execute on
+/// one run thread per session; this thread keeps both pipes and writes one
+/// [`Msg::Heartbeat`] per interval while a run is in flight — proof of life
+/// during a long (or fault-wedged-but-progressing) simulation.
 ///
 /// # Errors
 ///
@@ -352,50 +334,68 @@ pub fn serve<R: Read, W: Write>(mut input: R, mut output: W, resolve: &Resolver)
 
     write_frame(&mut output, &Msg::Ready.to_json())?;
 
-    loop {
-        let Some(text) = read_frame(&mut input)? else { return Ok(()) };
-        match Msg::parse(&text) {
-            Some(Msg::Shutdown) => return Ok(()),
-            Some(Msg::Run { id, site }) => {
-                let params = match TransientParams::from_file(&site) {
-                    Ok(p) => p,
-                    Err(e) => return bail(&mut output, format!("bad site parameters: {e}")),
-                };
-                let t = Instant::now();
-                let attempt = run_with_heartbeat(heartbeat, &mut output, || {
-                    attempt_transient(&golden, &*program, &*check, &params, false)
-                })?;
-                // The run's own timing, as in thread mode; only a lost
-                // attempt, which has none, is timed from here.
-                let (outcome, detail, wall) = match attempt {
-                    Attempt::Ran { outcome, wall, detail } => (outcome, detail, wall),
-                    // A panic inside the run stays inside the worker: report
-                    // it as the same infra verdict thread-mode isolation uses
-                    // and keep serving (the supervisor decides about retries).
-                    Attempt::Lost(kind) => (
-                        Outcome { class: OutcomeClass::InfraError(kind), potential_due: false },
-                        RunDetail::default(),
-                        t.elapsed(),
-                    ),
-                };
-                let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-                let done = Msg::Done {
-                    id,
-                    outcome: outcome_code(&outcome),
-                    injected: detail.injected,
-                    wall_us,
-                    skip_instrs: detail.prefix_instrs_skipped,
-                    tail_launches: detail.tail_replayed.launches,
-                    tail_instrs: detail.tail_replayed.instrs,
-                };
-                write_frame(&mut output, &done.to_json())?;
+    let (golden, program, check) = (&golden, &*program, &*check);
+    std::thread::scope(|s| {
+        let (sites, site_rx) = mpsc::channel::<TransientParams>();
+        let (attempt_tx, attempts) = mpsc::channel();
+        // The channel closes when this closure returns, ending the thread.
+        s.spawn(move || {
+            for params in site_rx {
+                let _ = attempt_tx.send(attempt_transient(golden, program, check, &params, false));
             }
-            // A stray heartbeat is harmless; anything else means the two
-            // sides disagree about the protocol — stop before guessing.
-            Some(Msg::Heartbeat) => {}
-            _ => return bail(&mut output, "unexpected or unparseable frame".into()),
+        });
+        loop {
+            let Some(text) = read_frame(&mut input)? else { return Ok(()) };
+            match Msg::parse(&text) {
+                Some(Msg::Shutdown) => return Ok(()),
+                Some(Msg::Run { id, site }) => {
+                    let params = match TransientParams::from_file(&site) {
+                        Ok(p) => p,
+                        Err(e) => return bail(&mut output, format!("bad site parameters: {e}")),
+                    };
+                    let t = Instant::now();
+                    sites.send(params).expect("the run thread catches its runs' panics");
+                    let attempt = loop {
+                        match attempts.recv_timeout(heartbeat) {
+                            Err(RecvTimeoutError::Timeout) => {
+                                write_frame(&mut output, &Msg::Heartbeat.to_json())?;
+                            }
+                            done => break done.expect("the run thread catches its runs' panics"),
+                        }
+                    };
+                    // The run's own timing, as in thread mode; only a lost
+                    // attempt, which has none, is timed from here.
+                    let (outcome, detail, wall) = match attempt {
+                        Attempt::Ran { outcome, wall, detail } => (outcome, detail, wall),
+                        // A panic inside the run stays inside the worker:
+                        // report it as the same infra verdict thread-mode
+                        // isolation uses and keep serving (the supervisor
+                        // decides about retries).
+                        Attempt::Lost(kind) => (
+                            Outcome { class: OutcomeClass::InfraError(kind), potential_due: false },
+                            RunDetail::default(),
+                            t.elapsed(),
+                        ),
+                    };
+                    let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
+                    let done = Msg::Done {
+                        id,
+                        outcome: outcome_code(&outcome),
+                        injected: detail.injected,
+                        wall_us,
+                        skip_instrs: detail.prefix_instrs_skipped,
+                        tail_launches: detail.tail_replayed.launches,
+                        tail_instrs: detail.tail_replayed.instrs,
+                    };
+                    write_frame(&mut output, &done.to_json())?;
+                }
+                // A stray heartbeat is harmless; anything else means the two
+                // sides disagree about the protocol — stop before guessing.
+                Some(Msg::Heartbeat) => {}
+                _ => return bail(&mut output, "unexpected or unparseable frame".into()),
+            }
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -559,24 +559,24 @@ mod tests {
         .to_file()
     }
 
-    /// The replies to one run of `program` with the given heartbeat.
-    fn single_run(program: &str, heartbeat_ms: u64) -> Vec<Msg> {
-        session(&[
-            Msg::Init(WorkerInit {
-                program: program.into(),
-                scale: "test".into(),
-                use_checkpoints: true,
-                deadline_ms: None,
-                heartbeat_ms,
-            }),
-            Msg::Run { id: 3, site: unreachable_site() },
-            Msg::Shutdown,
-        ])
+    /// The replies to one session running `program` once per id in `ids`,
+    /// with the given heartbeat.
+    fn runs(program: &str, heartbeat_ms: u64, ids: &[u64]) -> Vec<Msg> {
+        let init = Msg::Init(WorkerInit {
+            program: program.into(),
+            scale: "test".into(),
+            use_checkpoints: true,
+            deadline_ms: None,
+            heartbeat_ms,
+        });
+        let runs = ids.iter().map(|&id| Msg::Run { id, site: unreachable_site() });
+        let frames: Vec<Msg> = std::iter::once(init).chain(runs).chain([Msg::Shutdown]).collect();
+        session(&frames)
     }
 
     #[test]
     fn serve_runs_a_session_end_to_end() {
-        let replies = single_run("tiny", 1000);
+        let replies = runs("tiny", 1000, &[3]);
         assert_eq!(replies[0], Msg::Ready);
         // The target kernel never launches, so the fault cannot fire and the
         // run is Masked — what matters here is the protocol, not the fault.
@@ -589,12 +589,26 @@ mod tests {
 
     #[test]
     fn serve_sends_heartbeats_while_a_run_is_in_flight() {
-        let replies = single_run("sleepy", 1);
+        let replies = runs("sleepy", 1, &[3]);
         assert_eq!(replies[0], Msg::Ready);
         let (done, beats) = replies[1..].split_last().expect("a Done frame");
         assert!(matches!(done, Msg::Done { id: 3, .. }), "got {done:?}");
         assert!(!beats.is_empty(), "a 20 ms run with a 1 ms heartbeat must beat");
         assert!(beats.iter().all(|m| *m == Msg::Heartbeat), "got {beats:?}");
+    }
+
+    #[test]
+    fn serve_answers_each_run_of_a_session_in_order() {
+        let replies = runs("tiny", 1000, &[3, 4, 5]);
+        let ids: Vec<u64> = replies[1..]
+            .iter()
+            .map(|m| match m {
+                Msg::Done { id, .. } => *id,
+                other => panic!("expected only Done frames after Ready, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(replies[0], Msg::Ready);
+        assert_eq!(ids, [3, 4, 5]);
     }
 
     #[test]

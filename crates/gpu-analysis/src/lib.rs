@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # gpu-analysis — static dataflow analysis over `gpu-isa` kernels
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # gpu-isa — a SASS-like GPU instruction-set architecture
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # gpu-runtime — a CUDA-like driver/runtime for the simulated GPU
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nvbit — a dynamic binary-instrumentation framework (NVBit analog)
 //!

@@ -29,7 +29,6 @@ fn transient_campaign_end_to_end_ostencil() {
     assert!(result.profile.total() > 0);
     // Timing was recorded for the overhead figures.
     assert!(result.timing.profiling > std::time::Duration::ZERO);
-    assert_eq!(result.timing.injections.len(), 25);
 }
 
 #[test]

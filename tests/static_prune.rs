@@ -122,8 +122,6 @@ fn pruned_sites_simulate_to_masked() {
     );
     assert!(with.statically_pruned() < with.runs.len(), "live destinations must not be pruned");
     assert_equivalent(&with, &without);
-    // The pruned campaign still accounts one (zero) timing entry per run.
-    assert_eq!(with.timing.injections.len(), with.runs.len());
     assert!(with.timing.analysis > std::time::Duration::ZERO);
     assert_eq!(without.timing.analysis, std::time::Duration::ZERO);
 }
